@@ -1,10 +1,10 @@
 """Multiple regression calibration.
 
 Condition one fits two models (true X and true C, each on every error-prone
-column plus error-free covariates); condition two adds the V model and Vep
-as a regressor everywhere. Applying the fits adds predicted-value columns
-X_RC, C_RC, V_RC; the truth then decomposes as truth = calibrated + residual
-with the residual uncorrelated with every regressor, i.e. pure Berkson form.
+column); condition two adds the V model and Vep as a regressor everywhere.
+Applying the fits adds predicted-value columns X_RC, C_RC, V_RC; the truth
+then decomposes as truth = calibrated + residual with the residual
+uncorrelated with every regressor, i.e. pure Berkson form.
 """
 
 from __future__ import annotations
@@ -43,23 +43,22 @@ class CalibrationFit:
 def fit_calibration(
     validation: Dataset,
     condition: str = "two",
-    extra_covariates: list[str] | None = None,
     validation_fraction: float | None = None,
 ) -> list[CalibrationFit]:
     """One OLS fit per target the condition requires and the data supports.
 
     Each true variable is regressed on ALL error-prone variables present
-    (cross terms included) plus any error-free covariates. Targets whose
-    true column is absent from the dataset are skipped only if their
-    measured column is also absent; a measured column without its truth is a
-    validation-data error.
+    (cross terms included). The targets share that design, so one ``ols``
+    call factorises it once for all of them. Targets whose true column is
+    absent from the dataset are skipped only if their measured column is
+    also absent; a measured column without its truth is a validation-data
+    error.
 
     ``validation_fraction`` fits on the leading fraction of rows (split
     designs); the default uses the full sample.
     """
     if condition not in _CONDITION_TARGETS:
         raise ParameterError("condition must be 'one' or 'two'")
-    extra = list(extra_covariates or [])
     targets = []
     for t in _CONDITION_TARGETS[condition]:
         measured = _TARGETS[t][0]
@@ -83,21 +82,19 @@ def fit_calibration(
             provenance=validation.provenance + f"[:{m}]",
         )
 
-    regressors = tuple([_TARGETS[t][0] for t in targets] + extra)
+    regressors = tuple(_TARGETS[t][0] for t in targets)
     design = design_with_intercept(*[d[c] for c in regressors])
-    names = ("intercept",) + regressors
-    fits = []
-    for t in targets:
-        fit = ols(design, d[t], column_names=names)
-        fits.append(
-            CalibrationFit(
-                target=t,
-                regressors=regressors,
-                coefficients=fit,
-                residual_sd=float(np.sqrt(fit.residual_variance)),
-            )
+    responses = np.column_stack([d[t] for t in targets])
+    fits = ols(design, responses, column_names=("intercept",) + regressors)
+    return [
+        CalibrationFit(
+            target=t,
+            regressors=regressors,
+            coefficients=fit,
+            residual_sd=float(np.sqrt(fit.residual_variance)),
         )
-    return fits
+        for t, fit in zip(targets, fits)
+    ]
 
 
 def apply_calibration(fits: list[CalibrationFit], d: Dataset) -> Dataset:

@@ -268,7 +268,8 @@ def _cmd_estimate(args) -> int:
             raise PeclabError("naive regression reports risk differences only")
         est = naive_regression_aee(ds, args.exposure, adjust, Link.IDENTITY, delta=args.delta)
     elif args.method == "gcomp":
-        est = g_computation(ds, args.exposure, adjust, delta=args.delta, estimand=estimand)
+        rd, rr = g_computation(ds, args.exposure, adjust, delta=args.delta)
+        est = rr if estimand is Estimand.RISK_RATIO else rd
     else:
         if estimand is Estimand.RISK_RATIO:
             raise PeclabError("ipw reports risk differences only")

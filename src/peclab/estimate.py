@@ -53,32 +53,29 @@ def g_computation(
     exposure_col: str,
     adjustment_cols: list[str],
     delta: float = 1.0,
-    estimand: Estimand = Estimand.RISK_RATIO,
     method: Method = Method.G_COMPUTATION,
-) -> EffectEstimate:
+) -> tuple[EffectEstimate, EffectEstimate]:
     """Delta-shift standardization with a logistic outcome model.
 
     p1 averages predicted probabilities with the exposure shifted by delta
-    for every row, p0 with the exposure as observed; the estimand is their
-    difference or ratio.
+    for every row, p0 with the exposure as observed. Returns the risk
+    difference p1 - p0 and the risk ratio p1 / p0, both from one fit of the
+    outcome model (logistic_irls rejects an outcome not coded 0/1).
     """
     if delta <= 0:
         raise ParameterError("delta must be > 0")
     d.require("Y", exposure_col, *adjustment_cols)
-    y = d["Y"]
-    if not np.all(np.isin(np.unique(y), (0.0, 1.0))):
-        raise ParameterError("g-computation with a logit link needs a binary 0/1 outcome")
     names = ("intercept", exposure_col) + tuple(adjustment_cols)
     t = d[exposure_col]
     adj = [d[c] for c in adjustment_cols]
-    fit = logistic_irls(design_with_intercept(t, *adj), y, column_names=names)
-    p0 = fit.predict_proba(design_with_intercept(t, *adj))
-    p1 = fit.predict_proba(design_with_intercept(t + delta, *adj))
-    if estimand is Estimand.RISK_DIFFERENCE:
-        value = float(p1.mean() - p0.mean())
-    else:
-        value = float(p1.mean() / p0.mean())
-    return EffectEstimate(estimand=estimand, method=method, value=value, delta=delta)
+    observed = design_with_intercept(t, *adj)
+    fit = logistic_irls(observed, d["Y"], column_names=names)
+    p0 = fit.predict_proba(observed).mean()
+    p1 = fit.predict_proba(design_with_intercept(t + delta, *adj)).mean()
+    return (
+        EffectEstimate(Estimand.RISK_DIFFERENCE, method, float(p1 - p0), delta),
+        EffectEstimate(Estimand.RISK_RATIO, method, float(p1 / p0), delta),
+    )
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,7 @@ def _ipw(treatment, covariates):
 
 def _gcomp(exposure, adjust):
     def run(d):
-        return [
-            g_computation(d, exposure, adjust, estimand=RD),
-            g_computation(d, exposure, adjust, estimand=RR),
-        ]
+        return g_computation(d, exposure, adjust)
 
     return run
 

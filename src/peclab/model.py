@@ -350,10 +350,6 @@ class Dataset:
         merged.update(new)
         return Dataset(merged, self.provenance if provenance is None else provenance)
 
-    def matrix(self, names: list[str]) -> np.ndarray:
-        self.require(*names)
-        return np.column_stack([self._columns[c] for c in names])
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             self.write_csv(fh)
@@ -372,6 +368,11 @@ class Dataset:
             if not header:
                 raise SchemaError(f"{path}: empty CSV")
             names = [c.strip() for c in header.split(",")]
+            duplicated = sorted({c for c in names if names.count(c) > 1})
+            if duplicated:
+                raise SchemaError(
+                    f"{path}: duplicate column name(s) in header: {', '.join(duplicated)}"
+                )
             try:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:

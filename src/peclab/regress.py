@@ -1,9 +1,12 @@
 """Small dense regression engines: OLS, weighted least squares, and logistic
 regression via iteratively reweighted least squares.
 
-Linear solves go through a QR decomposition rather than the normal equations
-so rank deficiency is detected at the stated tolerance (smallest singular
-value above 1e-10 times the largest) and the offending columns can be named.
+Linear solves go through a QR decomposition rather than the normal equations.
+The design and its R factor share their singular values, so least-squares
+rank is read from the small p x p R (smallest singular value above 1e-10
+times the largest); only a failed check scans the design to name the
+offending columns. One QR serves every response that shares a design.
+Logistic fits factorise no design, so they check rank on the design itself.
 """
 
 from __future__ import annotations
@@ -49,8 +52,11 @@ def _as_design(design) -> np.ndarray:
     return a
 
 
-def _check_rank(design: np.ndarray, column_names=None) -> None:
-    sv = np.linalg.svd(design, compute_uv=False)
+def _check_rank(design: np.ndarray, column_names=None, factor=None) -> None:
+    """Raise SingularDesignError naming the offending columns when the design
+    is rank deficient. ``factor`` is a matrix with the design's singular
+    values (its QR's R), checked in place of the design when given."""
+    sv = np.linalg.svd(design if factor is None else factor, compute_uv=False)
     if sv[0] == 0 or sv[-1] <= RANK_RTOL * sv[0]:
         bad = _offending_columns(design, column_names)
         raise SingularDesignError(
@@ -74,22 +80,34 @@ def _offending_columns(design: np.ndarray, column_names=None) -> list[str]:
     return bad
 
 
-def ols(design, response, column_names=None) -> RegressionFit:
+def ols(design, response, column_names=None) -> RegressionFit | list[RegressionFit]:
     """Least squares of response on design (intercept column included by the
     caller). residual_variance = RSS/(n-p); r_squared = 1 - RSS/TSS with TSS
     centered when the design carries a constant column.
+
+    ``response`` is a vector, or an (n, k) matrix of k responses that share
+    the design: the design is factorised once and a list of k fits, one per
+    column, is returned. Each column is solved on its own, so its fit equals
+    the fit of that column alone.
     """
     a = _as_design(design)
     y = np.asarray(response, dtype=float)
     n, p = a.shape
     if n <= p:
         raise ParameterError(f"need n > p, got n={n}, p={p}")
-    _check_rank(a, column_names)
     q, r = np.linalg.qr(a)
+    _check_rank(a, column_names, factor=r)
+    has_intercept = bool(np.any(np.ptp(a, axis=0) == 0))
+    if y.ndim == 2:
+        return [_solve_qr(a, q, r, col, has_intercept) for col in np.ascontiguousarray(y.T)]
+    return _solve_qr(a, q, r, y, has_intercept)
+
+
+def _solve_qr(a, q, r, y, has_intercept: bool) -> RegressionFit:
+    n, p = a.shape
     beta = np.linalg.solve(r, q.T @ y)
     resid = y - a @ beta
     rss = float(resid @ resid)
-    has_intercept = np.any(np.ptp(a, axis=0) == 0)
     tss = float(np.sum((y - y.mean()) ** 2)) if has_intercept else float(y @ y)
     r2 = 0.0 if tss == 0 else max(0.0, min(1.0, 1.0 - rss / tss))
     return RegressionFit(
@@ -138,9 +156,11 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 
 
 def _log_likelihood(y: np.ndarray, eta: np.ndarray) -> float:
-    # log p for y=1 and log(1-p) for y=0, stably: -log(1 + exp(-(2y-1) eta))
+    # log p for y=1 and log(1-p) for y=0, stably: -log(1 + exp(-(2y-1) eta)),
+    # with log(1 + exp(-s)) = max(-s, 0) + log1p(exp(-|s|)) (logaddexp(0, -s)
+    # computed without its general-case branching)
     s = (2.0 * y - 1.0) * eta
-    return float(-np.sum(np.logaddexp(0.0, -s)))
+    return float(-np.sum(np.maximum(-s, 0.0) + np.log1p(np.exp(-np.abs(s)))))
 
 
 def logistic_irls(design, response, column_names=None) -> RegressionFit:

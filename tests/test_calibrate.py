@@ -60,6 +60,18 @@ def test_identity_fits_passthrough(table2_dataset):
     np.testing.assert_array_equal(cal["X_RC"], table2_dataset["Xep"])
 
 
+def test_shared_design_fits_equal_separate_ols_calls():
+    s = worlds.table3_scenario(2, n=10_000, seed=21)
+    ds = generate_scenario(s, 0)
+    fits = fit_calibration(ds, condition="two")
+    assert [f.target for f in fits] == ["X", "C", "V"]
+    for f in fits:
+        design = design_with_intercept(*[ds[c] for c in f.regressors])
+        single = ols(design, ds[f.target], column_names=("intercept",) + f.regressors)
+        np.testing.assert_array_equal(f.coefficients.coefficients, single.coefficients)
+        assert f.residual_sd == float(np.sqrt(single.residual_variance))
+
+
 def test_condition_two_residuals_are_berkson():
     # regressing X - X_RC on X_RC gives slope ~ 0: the calibrated variable is
     # independent of its own residual

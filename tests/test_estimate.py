@@ -6,7 +6,7 @@ from peclab.datagen import generate_binary_scenario, generate_scenario
 from peclab.errors import ParameterError, SchemaError
 from peclab.estimate import fit_gps, g_computation, ipw_gps_aee, naive_regression_aee
 from peclab.model import Dataset, Estimand, Link
-from peclab.regress import design_with_intercept, ols
+from peclab.regress import design_with_intercept, logistic_irls, ols
 
 
 def _no_confounding_world(n=20_000, seed=7):
@@ -75,8 +75,9 @@ def test_gcomp_table4_true_adjustment():
     rds, rrs = [], []
     for rep in range(30):
         ds = generate_binary_scenario(s, rep)
-        rds.append(g_computation(ds, "X", ["C", "V"], estimand=Estimand.RISK_DIFFERENCE).value)
-        rrs.append(g_computation(ds, "X", ["C", "V"], estimand=Estimand.RISK_RATIO).value)
+        rd, rr = g_computation(ds, "X", ["C", "V"])
+        rds.append(rd.value)
+        rrs.append(rr.value)
     assert np.mean(rrs) == pytest.approx(1.35, abs=0.06)
     assert np.mean(rds) == pytest.approx(0.004, abs=0.003)
 
@@ -84,11 +85,27 @@ def test_gcomp_table4_true_adjustment():
 def test_gcomp_rare_outcome_rr_close_to_exp_beta():
     s = worlds.table4_scenario(1, n=10_000, seed=43)
     rrs = [
-        g_computation(generate_binary_scenario(s, rep), "X", ["C", "V"],
-                      estimand=Estimand.RISK_RATIO).value
+        g_computation(generate_binary_scenario(s, rep), "X", ["C", "V"])[1].value
         for rep in range(30)
     ]
     assert abs(np.mean(rrs) - np.exp(0.3)) / np.exp(0.3) < 0.05
+
+
+def test_gcomp_rd_and_rr_come_from_one_fit():
+    s = worlds.table4_scenario(2, n=5_000, seed=45)
+    ds = generate_binary_scenario(s, 0)
+    delta = 0.8
+    rd, rr = g_computation(ds, "X", ["C", "V"], delta=delta)
+    fit = logistic_irls(
+        design_with_intercept(ds["X"], ds["C"], ds["V"]), ds["Y"],
+        column_names=("intercept", "X", "C", "V"),
+    )
+    p0 = fit.predict_proba(design_with_intercept(ds["X"], ds["C"], ds["V"])).mean()
+    p1 = fit.predict_proba(design_with_intercept(ds["X"] + delta, ds["C"], ds["V"])).mean()
+    assert (rd.estimand, rr.estimand) == (Estimand.RISK_DIFFERENCE, Estimand.RISK_RATIO)
+    assert rd.value == float(p1 - p0)
+    assert rr.value == float(p1 / p0)
+    assert rd.delta == rr.delta == delta
 
 
 def test_gcomp_requires_binary_outcome():

@@ -8,6 +8,8 @@ from peclab.errors import ParameterError
 from peclab.harness import (
     PUBLISHED_TABLE2,
     TABLE3_METHODS,
+    TABLE4_METHODS,
+    _replicate,
     reproduce,
     run_study,
 )
@@ -88,6 +90,24 @@ def test_binary_methods_return_both_estimands():
     results = run_study(s, ["gcomp_true_cv"])
     estimands = {r.estimand for r in results}
     assert estimands == {Estimand.RISK_DIFFERENCE, Estimand.RISK_RATIO}
+
+
+def test_table4_replication_fits_each_outcome_model_once(monkeypatch):
+    import peclab.estimate
+
+    fits = []
+    irls = peclab.estimate.logistic_irls
+
+    def counting_irls(*args, **kwargs):
+        fits.append(kwargs.get("column_names"))
+        return irls(*args, **kwargs)
+
+    monkeypatch.setattr(peclab.estimate, "logistic_irls", counting_irls)
+    s = worlds.table4_scenario(1, n=4000, replications=1, seed=19)
+    out = _replicate(s, 0, TABLE4_METHODS)
+    assert len(fits) == 4
+    assert len(set(fits)) == 4
+    assert len(out) == 8
 
 
 def test_reproduce_table2_report_shape():

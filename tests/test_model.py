@@ -228,6 +228,13 @@ def test_dataset_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(back[name], ds[name])
 
 
+def test_dataset_csv_rejects_duplicate_header(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("X,Y,X\n1,0,2\n3,1,4\n")
+    with pytest.raises(SchemaError, match="duplicate column name.*: X$"):
+        Dataset.from_csv(path)
+
+
 def test_dataset_partial_columns_keep_canonical_order(tmp_path):
     ds = Dataset({"Y": np.zeros(2), "Xep": np.ones(2), "X": np.ones(2)})
     path = tmp_path / "partial.csv"

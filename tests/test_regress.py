@@ -61,6 +61,42 @@ def test_rank_deficiency_names_columns():
     assert "x_doubled" in err.value.columns
 
 
+def test_rank_read_from_r_names_duplicated_column(monkeypatch):
+    # a tall design is checked through the SVD of its p x p R factor; only
+    # the failed check scans the design to name the duplicated column
+    rng = _rng()
+    n = 10_000
+    x, z = rng.normal(size=n), rng.normal(size=n)
+    design = np.column_stack([np.ones(n), x, z, x])
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    with pytest.raises(SingularDesignError) as err:
+        ols(design, rng.normal(size=n), column_names=("intercept", "x", "z", "x_again"))
+    assert err.value.columns == ["x_again"]
+    assert shapes[0] == (4, 4)
+
+
+def test_response_matrix_fits_equal_single_fits():
+    rng = _rng()
+    n = 500
+    x, z = rng.normal(size=n), rng.normal(size=n)
+    design = design_with_intercept(x, z)
+    ys = [1.0 + x + rng.normal(size=n), z - 2.0 * x + rng.normal(size=n)]
+    multi = ols(design, np.column_stack(ys))
+    assert len(multi) == 2
+    for fit, y in zip(multi, ys):
+        single = ols(design, y)
+        np.testing.assert_array_equal(fit.coefficients, single.coefficients)
+        assert fit.residual_variance == single.residual_variance
+        assert fit.r_squared == single.r_squared
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.01, 100), st.integers(0, 10_000))
 def test_scale_equivariance(k, seed):
