@@ -14,7 +14,7 @@ confounder-calibration residual projection (confounder-error route).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,17 +162,7 @@ def report_from_data(x, xep, adjust=None) -> BiasFactorReport:
         var_x = float(x_fit.residual_variance)
     else:
         var_x = float(np.var(x, ddof=1))
-    lam = lambda_closed_form(gamma1, var_x, var_u)
-    p_rd = lam * gamma1
-    lo, hi = surrogate_bounds(min(max(p_rd, 0.0), 1.0), gamma1)
-    return BiasFactorReport(
-        lambda_=lam,
-        gamma1=gamma1,
-        p_rd=p_rd,
-        r_squared_check=float(meas_fit.r_squared),
-        surrogate_lower=lo,
-        surrogate_upper=hi,
-    )
+    return replace(report(gamma1, var_x, var_u), r_squared_check=float(meas_fit.r_squared))
 
 
 def figure2_grid(gammas=(0.5, 0.75, 1.0, 1.5, 2.0), points: int = 101):

@@ -20,8 +20,8 @@ from .datagen import generate_scenario, generate_table2_world
 from .errors import PeclabError
 from .estimate import g_computation, ipw_gps_aee, naive_regression_aee
 from .exchprob import empirical_table
-from .harness import METHODS, reproduce, run_study
-from .model import Dataset, Estimand, Link, load_scenario, validate_scenario
+from .harness import METHODS, TABLES, _fmt, reproduce, run_study
+from .model import Dataset, Estimand, load_scenario, validate_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,10 +36,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
 
 
 def _default_jobs() -> int:
@@ -81,8 +77,7 @@ def build_parser() -> _Parser:
                      help="also write replication 0 as a dataset CSV")
 
     rep = sub.add_parser("reproduce", help="reproduce a published table cell by cell")
-    rep.add_argument("--table", required=True,
-                     choices=["table2", "table3", "table4", "table5"])
+    rep.add_argument("--table", required=True, choices=TABLES)
     rep.add_argument("--runs", type=int, default=None)
     rep.add_argument("--n", type=int, default=None)
     rep.add_argument("--seed", type=int, default=None)
@@ -266,7 +261,7 @@ def _cmd_estimate(args) -> int:
     if args.method == "naive":
         if estimand is Estimand.RISK_RATIO:
             raise PeclabError("naive regression reports risk differences only")
-        est = naive_regression_aee(ds, args.exposure, adjust, Link.IDENTITY, delta=args.delta)
+        est = naive_regression_aee(ds, args.exposure, adjust, delta=args.delta)
     elif args.method == "gcomp":
         rd, rr = g_computation(ds, args.exposure, adjust, delta=args.delta)
         est = rr if estimand is Estimand.RISK_RATIO else rd

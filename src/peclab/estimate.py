@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import Dataset, EffectEstimate, Estimand, Link, Method
+from .model import Dataset, EffectEstimate, Estimand, Method
 from .regress import RegressionFit, logistic_irls, ols, wls, design_with_intercept
 
 
@@ -25,21 +25,13 @@ def naive_regression_aee(
     d: Dataset,
     exposure_col: str,
     adjustment_cols: list[str],
-    link: Link = Link.IDENTITY,
     delta: float = 1.0,
 ) -> EffectEstimate:
-    """Exposure coefficient of the outcome regression, scaled by delta."""
+    """Exposure coefficient of the linear outcome regression, scaled by delta."""
     d.require("Y", exposure_col, *adjustment_cols)
     names = ("intercept", exposure_col) + tuple(adjustment_cols)
     design = design_with_intercept(d[exposure_col], *[d[c] for c in adjustment_cols])
-    if link is Link.IDENTITY:
-        fit = ols(design, d["Y"], column_names=names)
-    elif link is Link.LOGIT:
-        # ingredient fits (for g-computation); the coefficient itself is on
-        # the log-odds scale and is not reported as a risk difference
-        fit = logistic_irls(design, d["Y"], column_names=names)
-    else:
-        raise ParameterError(f"naive regression does not support the {link.value} link")
+    fit = ols(design, d["Y"], column_names=names)
     return EffectEstimate(
         estimand=Estimand.RISK_DIFFERENCE,
         method=Method.NAIVE,
@@ -53,7 +45,6 @@ def g_computation(
     exposure_col: str,
     adjustment_cols: list[str],
     delta: float = 1.0,
-    method: Method = Method.G_COMPUTATION,
 ) -> tuple[EffectEstimate, EffectEstimate]:
     """Delta-shift standardization with a logistic outcome model.
 
@@ -73,8 +64,8 @@ def g_computation(
     p0 = fit.predict_proba(observed).mean()
     p1 = fit.predict_proba(design_with_intercept(t + delta, *adj)).mean()
     return (
-        EffectEstimate(Estimand.RISK_DIFFERENCE, method, float(p1 - p0), delta),
-        EffectEstimate(Estimand.RISK_RATIO, method, float(p1 / p0), delta),
+        EffectEstimate(Estimand.RISK_DIFFERENCE, Method.G_COMPUTATION, float(p1 - p0), delta),
+        EffectEstimate(Estimand.RISK_RATIO, Method.G_COMPUTATION, float(p1 / p0), delta),
     )
 
 

@@ -147,10 +147,6 @@ def _noise_pmf(spec: DistributionSpec, scale: float) -> tuple[np.ndarray, np.nda
     return values * scale, probs
 
 
-def _outcome_is_discrete(outcome: OutcomeModel) -> bool:
-    return outcome.noise.is_discrete()
-
-
 def _p_outcome_eq(outcome: OutcomeModel, x: np.ndarray, y: float, z_offset: float) -> np.ndarray:
     """P(Y(x) = y | z) elementwise over x, identity link with discrete noise."""
     w_vals, w_probs = _noise_pmf(outcome.noise, outcome.noise_scale)
@@ -263,7 +259,7 @@ def analytic_product_table(
     x_support = _keyed(np.atleast_1d(x_support))
 
     if outcome.link is Link.IDENTITY:
-        if not _outcome_is_discrete(outcome):
+        if not outcome.noise.is_discrete():
             raise CapabilityError("identity link needs discrete outcome noise in analytic mode")
         if y_support is None:
             w_vals, _ = _noise_pmf(outcome.noise, outcome.noise_scale)

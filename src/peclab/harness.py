@@ -10,6 +10,7 @@ and reports a cell-by-cell diff at the acceptance tolerances.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .datagen import generate_scenario, generate_table2_world
 from .errors import ParameterError, PeclabError
 from .estimate import g_computation, ipw_gps_aee, naive_regression_aee
 from .exchprob import aee_from_table, empirical_table
-from .model import Dataset, EffectEstimate, Estimand, Link, Scenario
+from .model import Estimand, Scenario
 from .regress import ols, design_with_intercept
 
 TABLE2_N = 1_000_000
@@ -35,7 +36,6 @@ class StudyResult:
     mean_estimate: float
     mc_sd: float
     replications: int
-    runtime_ms: int
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +80,6 @@ METHODS: dict[str, tuple[bool, object]] = {
     "gcomp_rc": (True, _gcomp("X_RC", ["C_RC", "V_RC"])),
 }
 
-TABLE3_METHODS = ["naive_cep", "naive_cep_vep", "rc", "ipw_true", "ipw_rc"]
-TABLE4_METHODS = ["gcomp_true_cv", "gcomp_cep", "gcomp_cep_vep", "gcomp_rc"]
-TABLE5_METHODS = ["gcomp_true_c", "gcomp_cep", "gcomp_cep_vep", "gcomp_rc"]
-
 
 def _replicate(scenario: Scenario, rep: int, method_names: list[str]) -> dict:
     ds = generate_scenario(scenario, rep)
@@ -116,7 +112,6 @@ def run_study(
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ParameterError(f"unknown method(s): {', '.join(unknown)}")
-    start = time.perf_counter()
     reps = scenario.replications
     tasks = [(scenario, rep, methods) for rep in range(reps)]
     try:
@@ -129,7 +124,6 @@ def run_study(
             per_rep = [_replicate_star(t) for t in tasks]
     except PeclabError as exc:
         raise PeclabError(f"scenario {scenario.name}: {exc}") from exc
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
 
     results = []
     for name in methods:
@@ -144,7 +138,6 @@ def run_study(
                     mean_estimate=float(values.mean()),
                     mc_sd=float(values.std(ddof=1)) if reps > 1 else 0.0,
                     replications=reps,
-                    runtime_ms=elapsed_ms,
                 )
             )
     return results
@@ -178,84 +171,125 @@ PUBLISHED_AEE_11_VS_9 = 0.099933
 PUBLISHED_CALIBRATION = (4.5, 0.5)
 PUBLISHED_P_RD = 0.50
 
-PUBLISHED_TABLE3 = {
-    1: {"naive_cep": 0.55, "naive_cep_vep": 0.71, "rc": 1.00, "ipw_true": 0.98, "ipw_rc": 0.97},
-    2: {"naive_cep": -0.21, "naive_cep_vep": 0.70, "rc": 1.00, "ipw_true": 0.99, "ipw_rc": 0.97},
-    3: {"naive_cep": -0.31, "naive_cep_vep": 0.70, "rc": 1.00, "ipw_true": 0.99, "ipw_rc": 0.96},
+TABLE2_TOLERANCES = {"cell": 0.005, "aee": 0.005, "p_rd": 0.02, "calibration": 0.01}
+
+
+@dataclass(frozen=True)
+class StudyTable:
+    """One published study table as data.
+
+    ``build(key, n=, replications=, seed=)`` returns the scenario of one
+    published row; ``published`` maps each row key to its cells
+    ``{(method, estimand): value}`` in report order; ``tolerance`` is the
+    acceptance tolerance per estimand. A record holds builders and data
+    only: the study loop looks run_study up in this module at call time, so
+    a wrapper installed there (perfbench/spans.py) sees every study.
+    """
+
+    build: Callable[..., Scenario]
+    published: dict
+    tolerance: dict
+
+    @property
+    def methods(self) -> list[str]:
+        """Every published method, in first-published order."""
+        return list(dict.fromkeys(m for cells in self.published.values() for m, _ in cells))
+
+
+STUDY_TABLES = {
+    "table3": StudyTable(
+        build=worlds.table3_scenario,
+        published={
+            1: {
+                ("naive_cep", RD): 0.55, ("naive_cep_vep", RD): 0.71, ("rc", RD): 1.00,
+                ("ipw_true", RD): 0.98, ("ipw_rc", RD): 0.97,
+            },
+            2: {
+                ("naive_cep", RD): -0.21, ("naive_cep_vep", RD): 0.70, ("rc", RD): 1.00,
+                ("ipw_true", RD): 0.99, ("ipw_rc", RD): 0.97,
+            },
+            3: {
+                ("naive_cep", RD): -0.31, ("naive_cep_vep", RD): 0.70, ("rc", RD): 1.00,
+                ("ipw_true", RD): 0.99, ("ipw_rc", RD): 0.96,
+            },
+        },
+        tolerance={RD: 0.03},
+    ),
+    "table4": StudyTable(
+        build=worlds.table4_scenario,
+        published={
+            1: {
+                ("gcomp_true_cv", RD): 0.011, ("gcomp_cep", RD): 0.010,
+                ("gcomp_cep_vep", RD): 0.010, ("gcomp_rc", RD): 0.011,
+                ("gcomp_true_cv", RR): 1.34, ("gcomp_cep", RR): 1.15,
+                ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.34,
+            },
+            2: {
+                ("gcomp_true_cv", RD): 0.004, ("gcomp_cep", RD): -0.047,
+                ("gcomp_cep_vep", RD): 0.003, ("gcomp_rc", RD): 0.004,
+                ("gcomp_true_cv", RR): 1.35, ("gcomp_cep", RR): 0.80,
+                ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.35,
+            },
+            3: {
+                ("gcomp_true_cv", RD): 0.004, ("gcomp_cep", RD): -0.078,
+                ("gcomp_cep_vep", RD): 0.003, ("gcomp_rc", RD): 0.004,
+                ("gcomp_true_cv", RR): 1.35, ("gcomp_cep", RR): 0.78,
+                ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.35,
+            },
+        },
+        tolerance={RD: 0.003, RR: 0.05},
+    ),
+    "table5": StudyTable(
+        build=lambda ab, **size: worlds.table5_scenario(*ab, **size),
+        published={
+            (0.0, 0.0): {
+                ("gcomp_true_c", RD): 0.011, ("gcomp_cep", RD): -0.014,
+                ("gcomp_cep_vep", RD): 0.011, ("gcomp_rc", RD): 0.011,
+                ("gcomp_true_c", RR): 1.33, ("gcomp_cep", RR): 0.94,
+                ("gcomp_cep_vep", RR): 1.19, ("gcomp_rc", RR): 1.34,
+            },
+            (0.5, 0.0): {
+                ("gcomp_true_c", RD): 0.004, ("gcomp_cep", RD): 0.003,
+                ("gcomp_cep_vep", RD): 0.004, ("gcomp_rc", RD): 0.004,
+                ("gcomp_true_c", RR): 1.34, ("gcomp_cep", RR): 1.11,
+                ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.34,
+            },
+            (-0.5, 0.0): {
+                ("gcomp_true_c", RD): 0.030, ("gcomp_cep", RD): -0.078,
+                ("gcomp_cep_vep", RD): 0.024, ("gcomp_rc", RD): 0.030,
+                ("gcomp_true_c", RR): 1.24, ("gcomp_cep", RR): 0.90,
+                ("gcomp_cep_vep", RR): 1.13, ("gcomp_rc", RR): 1.24,
+            },
+            (0.0, 0.5): {
+                ("gcomp_true_c", RD): 0.026, ("gcomp_cep", RD): -0.078,
+                ("gcomp_cep_vep", RD): 0.022, ("gcomp_rc", RD): 0.026,
+                ("gcomp_true_c", RR): 1.26, ("gcomp_cep", RR): 0.90,
+                ("gcomp_cep_vep", RR): 1.14, ("gcomp_rc", RR): 1.26,
+            },
+            (0.0, -0.5): {
+                ("gcomp_true_c", RD): 0.005, ("gcomp_cep", RD): 0.004,
+                ("gcomp_cep_vep", RD): 0.005, ("gcomp_rc", RD): 0.005,
+                ("gcomp_true_c", RR): 1.34, ("gcomp_cep", RR): 1.15,
+                ("gcomp_cep_vep", RR): 1.21, ("gcomp_rc", RR): 1.35,
+            },
+            (0.5, -0.5): {
+                ("gcomp_true_c", RD): 0.003, ("gcomp_cep", RD): 0.003,
+                ("gcomp_cep_vep", RD): 0.003, ("gcomp_rc", RD): 0.003,
+                ("gcomp_true_c", RR): 1.36, ("gcomp_cep", RR): 1.21,
+                ("gcomp_cep_vep", RR): 1.23, ("gcomp_rc", RR): 1.37,
+            },
+            (-0.5, 0.5): {
+                ("gcomp_true_c", RD): 0.040, ("gcomp_cep", RD): -0.034,
+                ("gcomp_cep_vep", RD): 0.027, ("gcomp_rc", RD): 0.039,
+                ("gcomp_true_c", RR): 1.16, ("gcomp_cep", RR): 0.96,
+                ("gcomp_cep_vep", RR): 1.08, ("gcomp_rc", RR): 1.15,
+            },
+        },
+        tolerance={RD: 0.005, RR: 0.05},
+    ),
 }
 
-PUBLISHED_TABLE4 = {
-    1: {
-        ("gcomp_true_cv", RD): 0.011, ("gcomp_cep", RD): 0.010,
-        ("gcomp_cep_vep", RD): 0.010, ("gcomp_rc", RD): 0.011,
-        ("gcomp_true_cv", RR): 1.34, ("gcomp_cep", RR): 1.15,
-        ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.34,
-    },
-    2: {
-        ("gcomp_true_cv", RD): 0.004, ("gcomp_cep", RD): -0.047,
-        ("gcomp_cep_vep", RD): 0.003, ("gcomp_rc", RD): 0.004,
-        ("gcomp_true_cv", RR): 1.35, ("gcomp_cep", RR): 0.80,
-        ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.35,
-    },
-    3: {
-        ("gcomp_true_cv", RD): 0.004, ("gcomp_cep", RD): -0.078,
-        ("gcomp_cep_vep", RD): 0.003, ("gcomp_rc", RD): 0.004,
-        ("gcomp_true_cv", RR): 1.35, ("gcomp_cep", RR): 0.78,
-        ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.35,
-    },
-}
-
-PUBLISHED_TABLE5 = {
-    (0.0, 0.0): {
-        ("gcomp_true_c", RD): 0.011, ("gcomp_cep", RD): -0.014,
-        ("gcomp_cep_vep", RD): 0.011, ("gcomp_rc", RD): 0.011,
-        ("gcomp_true_c", RR): 1.33, ("gcomp_cep", RR): 0.94,
-        ("gcomp_cep_vep", RR): 1.19, ("gcomp_rc", RR): 1.34,
-    },
-    (0.5, 0.0): {
-        ("gcomp_true_c", RD): 0.004, ("gcomp_cep", RD): 0.003,
-        ("gcomp_cep_vep", RD): 0.004, ("gcomp_rc", RD): 0.004,
-        ("gcomp_true_c", RR): 1.34, ("gcomp_cep", RR): 1.11,
-        ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.34,
-    },
-    (-0.5, 0.0): {
-        ("gcomp_true_c", RD): 0.030, ("gcomp_cep", RD): -0.078,
-        ("gcomp_cep_vep", RD): 0.024, ("gcomp_rc", RD): 0.030,
-        ("gcomp_true_c", RR): 1.24, ("gcomp_cep", RR): 0.90,
-        ("gcomp_cep_vep", RR): 1.13, ("gcomp_rc", RR): 1.24,
-    },
-    (0.0, 0.5): {
-        ("gcomp_true_c", RD): 0.026, ("gcomp_cep", RD): -0.078,
-        ("gcomp_cep_vep", RD): 0.022, ("gcomp_rc", RD): 0.026,
-        ("gcomp_true_c", RR): 1.26, ("gcomp_cep", RR): 0.90,
-        ("gcomp_cep_vep", RR): 1.14, ("gcomp_rc", RR): 1.26,
-    },
-    (0.0, -0.5): {
-        ("gcomp_true_c", RD): 0.005, ("gcomp_cep", RD): 0.004,
-        ("gcomp_cep_vep", RD): 0.005, ("gcomp_rc", RD): 0.005,
-        ("gcomp_true_c", RR): 1.34, ("gcomp_cep", RR): 1.15,
-        ("gcomp_cep_vep", RR): 1.21, ("gcomp_rc", RR): 1.35,
-    },
-    (0.5, -0.5): {
-        ("gcomp_true_c", RD): 0.003, ("gcomp_cep", RD): 0.003,
-        ("gcomp_cep_vep", RD): 0.003, ("gcomp_rc", RD): 0.003,
-        ("gcomp_true_c", RR): 1.36, ("gcomp_cep", RR): 1.21,
-        ("gcomp_cep_vep", RR): 1.23, ("gcomp_rc", RR): 1.37,
-    },
-    (-0.5, 0.5): {
-        ("gcomp_true_c", RD): 0.040, ("gcomp_cep", RD): -0.034,
-        ("gcomp_cep_vep", RD): 0.027, ("gcomp_rc", RD): 0.039,
-        ("gcomp_true_c", RR): 1.16, ("gcomp_cep", RR): 0.96,
-        ("gcomp_cep_vep", RR): 1.08, ("gcomp_rc", RR): 1.15,
-    },
-}
-
-TOLERANCES = {
-    "table2": {"cell": 0.005, "aee": 0.005, "p_rd": 0.02, "calibration": 0.01},
-    "table3": {RD: 0.03},
-    "table4": {RD: 0.003, RR: 0.05},
-    "table5": {RD: 0.005, RR: 0.05},
-}
+TABLES = ("table2", *STUDY_TABLES)
 
 
 @dataclass(frozen=True)
@@ -310,7 +344,7 @@ def _fmt(x: float) -> str:
 
 
 def _reproduce_table2(n: int, seed: int) -> list[CellCheck]:
-    tol = TOLERANCES["table2"]
+    tol = TABLE2_TOLERANCES
     ds = generate_table2_world(n, seed)
     table = empirical_table(ds)
     cells = []
@@ -348,50 +382,11 @@ def _reproduce_table2(n: int, seed: int) -> list[CellCheck]:
     return cells
 
 
-def _reproduce_study(table: str, n, runs, seed, jobs) -> list[CellCheck]:
+def _reproduce_study(study: StudyTable, n: int, runs: int, seed: int, jobs: int) -> list[CellCheck]:
+    methods = study.methods
     cells = []
-    if table == "table3":
-        tol = TOLERANCES["table3"][RD]
-        for idx in (1, 2, 3):
-            scenario = worlds.table3_scenario(
-                idx,
-                n=n or worlds.DEFAULT_N,
-                replications=runs or worlds.DEFAULT_RUNS,
-                seed=seed if seed is not None else worlds.DEFAULT_SEED,
-            )
-            results = run_study(scenario, TABLE3_METHODS, jobs=jobs)
-            by_key = {(r.method, r.estimand): r for r in results}
-            for method, published in PUBLISHED_TABLE3[idx].items():
-                r = by_key[(method, RD)]
-                cells.append(
-                    CellCheck(
-                        scenario.name, method, "riskDifference", r.mean_estimate,
-                        r.mc_sd, r.replications, published, tol,
-                    )
-                )
-        return cells
-
-    spec = {
-        "table4": (PUBLISHED_TABLE4, TABLE4_METHODS, worlds.table4_scenario),
-        "table5": (PUBLISHED_TABLE5, TABLE5_METHODS, worlds.table5_scenario),
-    }[table]
-    published_grid, methods, build = spec
-    tols = TOLERANCES[table]
-    for key, published_cells in published_grid.items():
-        if table == "table4":
-            scenario = build(
-                key,
-                n=n or worlds.DEFAULT_N,
-                replications=runs or worlds.DEFAULT_RUNS,
-                seed=seed if seed is not None else worlds.DEFAULT_SEED,
-            )
-        else:
-            scenario = build(
-                key[0], key[1],
-                n=n or worlds.DEFAULT_N,
-                replications=runs or worlds.DEFAULT_RUNS,
-                seed=seed if seed is not None else worlds.DEFAULT_SEED,
-            )
+    for key, published_cells in study.published.items():
+        scenario = study.build(key, n=n, replications=runs, seed=seed)
         results = run_study(scenario, methods, jobs=jobs)
         by_key = {(r.method, r.estimand): r for r in results}
         for (method, estimand), published in published_cells.items():
@@ -399,7 +394,7 @@ def _reproduce_study(table: str, n, runs, seed, jobs) -> list[CellCheck]:
             cells.append(
                 CellCheck(
                     scenario.name, method, estimand.value, r.mean_estimate,
-                    r.mc_sd, r.replications, published, tols[estimand],
+                    r.mc_sd, r.replications, published, study.tolerance[estimand],
                 )
             )
     return cells
@@ -414,15 +409,17 @@ def reproduce(
 ) -> ReproReport:
     """Run the canonical configuration for a published table and diff every
     cell at the acceptance tolerance."""
+    if table not in TABLES:
+        raise ParameterError(f"table must be one of {', '.join(TABLES)}")
     start = time.perf_counter()
-    if table == "table2":
-        cells = _reproduce_table2(
-            n or TABLE2_N, seed if seed is not None else worlds.DEFAULT_SEED
-        )
-    elif table in ("table3", "table4", "table5"):
-        cells = _reproduce_study(table, n, runs, seed, jobs)
+    seed = worlds.DEFAULT_SEED if seed is None else seed
+    study = STUDY_TABLES.get(table)
+    if study is None:
+        cells = _reproduce_table2(n or TABLE2_N, seed)
     else:
-        raise ParameterError("table must be one of table2, table3, table4, table5")
+        cells = _reproduce_study(
+            study, n or worlds.DEFAULT_N, runs or worlds.DEFAULT_RUNS, seed, jobs
+        )
     return ReproReport(
         table=table, cells=cells, runtime_ms=int((time.perf_counter() - start) * 1000)
     )

@@ -42,10 +42,8 @@ class Estimand(str, Enum):
 
 class Method(str, Enum):
     NAIVE = "naive"
-    CALIBRATED = "calibrated"
     G_COMPUTATION = "gComputation"
     IPW_GPS = "ipwGps"
-    ORACLE = "oracle"
 
 
 @dataclass(frozen=True)
@@ -282,9 +280,6 @@ def validate_scenario(s: Scenario) -> list[str]:
         v.append("c_model.coef_c must be 0 (C cannot depend on itself)")
     if s.v_error.gammaV != 0:
         v.append("v_error.gammaV must be 0 (the V slope is gamma1)")
-    if s.outcome.link is Link.LOG and s.outcome.noise.family == "normal":
-        # exp(lp) must stay a probability; enforced again at generation time
-        pass
     return v
 
 
@@ -368,6 +363,11 @@ class Dataset:
             if not header:
                 raise SchemaError(f"{path}: empty CSV")
             names = [c.strip() for c in header.split(",")]
+            empty = [str(i) for i, c in enumerate(names, start=1) if not c]
+            if empty:
+                raise SchemaError(
+                    f"{path}: empty column name in header field(s) {', '.join(empty)}"
+                )
             duplicated = sorted({c for c in names if names.count(c) > 1})
             if duplicated:
                 raise SchemaError(
@@ -395,7 +395,6 @@ class EffectEstimate:
     method: Method
     value: float
     delta: float = 1.0
-    mc_sd: float | None = None
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -476,6 +475,7 @@ def format_scenario(s: Scenario) -> str:
 
 def parse_scenario(text: str) -> Scenario:
     entries: dict[str, dict[str, str]] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -486,8 +486,13 @@ def parse_scenario(text: str) -> Scenario:
         lhs = lhs.strip()
         if "." not in lhs:
             raise ScenarioFormatError(f"line {lineno}: key {lhs!r} has no section")
-        section, key = lhs.split(".", 1)
-        entries.setdefault(section.strip(), {})[key.strip()] = value.strip()
+        section, key = (part.strip() for part in lhs.split(".", 1))
+        first = seen.setdefault(f"{section}.{key}", lineno)
+        if first != lineno:
+            raise ScenarioFormatError(
+                f"line {lineno}: duplicate key {section}.{key} (first set on line {first})"
+            )
+        entries.setdefault(section, {})[key] = value.strip()
 
     def build(section: str, cls):
         raw = entries.pop(section, {})

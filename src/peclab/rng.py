@@ -46,6 +46,8 @@ class StreamKey:
     def __post_init__(self):
         if self.replication_index < 0:
             raise ParameterError("replication_index must be >= 0")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ParameterError(f"seed {self.master_seed} is outside [0, 2**64)")
 
 
 _MASK64 = (1 << 64) - 1
@@ -60,7 +62,7 @@ def _splitmix64(z: int) -> int:
 
 def generator(key: StreamKey) -> np.random.Generator:
     """Counter-based generator whose state is a pure function of the key."""
-    w0 = _splitmix64(key.master_seed & _MASK64)
+    w0 = _splitmix64(key.master_seed)
     w1 = _splitmix64((key.replication_index << 20) ^ key.column_tag ^ w0)
     bitgen = np.random.Philox(key=np.array([w0, w1], dtype=np.uint64))
     return np.random.Generator(bitgen)

@@ -105,6 +105,21 @@ def test_invalid_scenario_is_data_error(tmp_path, capsys):
     assert "n must be" in capsys.readouterr().err
 
 
+def test_out_of_range_seed_is_data_error(scenario_file, tmp_path, monkeypatch, capsys):
+    table2 = ["reproduce", "--table", "table2", "--n", "1000", "--jobs", "1"]
+    for seed in ("-1", str(2**64)):
+        assert dispatch(table2 + ["--seed", seed]) == 2
+        assert f"seed {seed} is outside [0, 2**64)" in capsys.readouterr().err
+    monkeypatch.setenv("PECLAB_SEED", "-1")
+    assert dispatch(table2) == 2
+    assert "seed -1 is outside" in capsys.readouterr().err
+    monkeypatch.delenv("PECLAB_SEED")
+    path = tmp_path / "negative.txt"
+    path.write_text(scenario_file.read_text().replace("scenario.seed = 3", "scenario.seed = -1"))
+    assert dispatch(["simulate", "--scenario", str(path), "--jobs", "1"]) == 2
+    assert "seed -1 is outside" in capsys.readouterr().err
+
+
 def test_reproduce_exit_codes_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     code1 = dispatch(["reproduce", "--table", "table3", "--n", "400", "--runs", "2",

@@ -1,14 +1,16 @@
+import argparse
 import io
 
 import numpy as np
 import pytest
 
 from peclab import worlds
+from peclab.cli import build_parser
 from peclab.errors import ParameterError
 from peclab.harness import (
     PUBLISHED_TABLE2,
-    TABLE3_METHODS,
-    TABLE4_METHODS,
+    STUDY_TABLES,
+    TABLES,
     _replicate,
     reproduce,
     run_study,
@@ -44,8 +46,8 @@ def test_run_study_deterministic():
 
 def test_parallel_jobs_reduce_identically():
     s = worlds.table3_scenario(1, n=2000, replications=8, seed=13)
-    serial = run_study(s, TABLE3_METHODS, jobs=1)
-    parallel = run_study(s, TABLE3_METHODS, jobs=2)
+    serial = run_study(s, STUDY_TABLES["table3"].methods, jobs=1)
+    parallel = run_study(s, STUDY_TABLES["table3"].methods, jobs=2)
     assert [(r.method, r.estimand, r.mean_estimate, r.mc_sd) for r in serial] == [
         (r.method, r.estimand, r.mean_estimate, r.mc_sd) for r in parallel
     ]
@@ -104,7 +106,7 @@ def test_table4_replication_fits_each_outcome_model_once(monkeypatch):
 
     monkeypatch.setattr(peclab.estimate, "logistic_irls", counting_irls)
     s = worlds.table4_scenario(1, n=4000, replications=1, seed=19)
-    out = _replicate(s, 0, TABLE4_METHODS)
+    out = _replicate(s, 0, STUDY_TABLES["table4"].methods)
     assert len(fits) == 4
     assert len(set(fits)) == 4
     assert len(out) == 8
@@ -137,3 +139,23 @@ def test_reproduce_small_table3_runs():
     report = reproduce("table3", n=1500, runs=3, seed=5, jobs=2)
     assert len(report.cells) == 15
     assert all(c.runs == 3 for c in report.cells)
+
+
+# documented report sizes: table2 is 45 grid cells + 5 worked-example rows;
+# the study tables are scenarios x published cells (3x5, 3x8, 7x8)
+REPORT_CELLS = {"table2": 50, "table3": 15, "table4": 24, "table5": 56}
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_every_table_reproduces_at_tiny_size(table):
+    report = reproduce(table, n=2000, runs=2, seed=worlds.DEFAULT_SEED)
+    assert len(report.cells) == REPORT_CELLS[table]
+    keys = [(c.scenario, c.method, c.estimand) for c in report.cells]
+    assert len(set(keys)) == len(keys)
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    table_flag = next(
+        a for a in subcommands.choices["reproduce"]._actions if a.dest == "table"
+    )
+    assert list(table_flag.choices) == list(TABLES)

@@ -201,6 +201,15 @@ def test_parse_rejects_garbage():
         parse_scenario("outcome.noise = normal(1)\n")
 
 
+def test_parse_rejects_duplicate_key():
+    text = "scenario.n = 10\noutcome.beta_x = 1.0\n\noutcome . beta_x = 2.0\n"
+    with pytest.raises(
+        ScenarioFormatError,
+        match=r"^line 4: duplicate key outcome\.beta_x \(first set on line 2\)$",
+    ):
+        parse_scenario(text)
+
+
 # ---------------------------------------------------------------------------
 # Dataset
 
@@ -232,6 +241,9 @@ def test_dataset_csv_rejects_duplicate_header(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("X,Y,X\n1,0,2\n3,1,4\n")
     with pytest.raises(SchemaError, match="duplicate column name.*: X$"):
+        Dataset.from_csv(path)
+    path.write_text("X, ,Y\n1,0,2\n3,1,4\n")
+    with pytest.raises(SchemaError, match=r"empty column name in header field\(s\) 2$"):
         Dataset.from_csv(path)
 
 
