@@ -77,10 +77,7 @@ def fit_calibration(
         if not 0.0 < validation_fraction <= 1.0:
             raise ParameterError("validation_fraction must be in (0, 1]")
         m = max(int(round(validation_fraction * validation.n)), 2)
-        d = Dataset(
-            {name: validation[name][:m] for name in validation.names},
-            provenance=validation.provenance + f"[:{m}]",
-        )
+        d = Dataset({name: validation[name][:m] for name in validation.names})
 
     regressors = tuple(_TARGETS[t][0] for t in targets)
     design = design_with_intercept(*[d[c] for c in regressors])

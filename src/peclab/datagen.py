@@ -53,10 +53,7 @@ def generate_table2_world(n: int, seed: int, *, discrete_uniform: bool = False) 
     w = draw(ColumnTag.W, -1, 1)
     u = draw(ColumnTag.U, -1, 1)
     y = 0.1 * x + 0.1 * w
-    return Dataset(
-        {"X": x, "Xep": x + u, "Y": y},
-        provenance=f"table2-world(n={n}, seed={seed}, discrete_uniform={discrete_uniform})",
-    )
+    return Dataset({"X": x, "Xep": x + u, "Y": y})
 
 
 def _apply_error(
@@ -136,10 +133,7 @@ def generate_scenario(s: Scenario, replication_index: int = 0) -> Dataset:
     cep = _apply_error(s.confounder_error, c, v, key(ColumnTag.U_C))
     vep = _apply_error(s.v_error, v, v, key(ColumnTag.U_V))
 
-    return Dataset(
-        {"X": x, "Xep": xep, "C": c, "Cep": cep, "V": v, "Vep": vep, "Y": y},
-        provenance=f"{s.name}[rep={replication_index}, seed={s.seed}]",
-    )
+    return Dataset({"X": x, "Xep": xep, "C": c, "Cep": cep, "V": v, "Vep": vep, "Y": y})
 
 
 def generate_binary_scenario(s: Scenario, replication_index: int = 0) -> Dataset:

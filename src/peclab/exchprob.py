@@ -1,6 +1,8 @@
 """Exchangeability-probability tables.
 
-Two estimators live here and are never mixed:
+A table is one dense array ``probs`` of shape (xep, x, y) over three sorted
+supports of keyed values (rounded to KEY_DECIMALS); a value off a support
+reads as probability 0. Two estimators fill it and are never mixed:
 
 * the empirical conditional-joint table, cell(xep, x, y) =
   P(X = x, Y = y | Xep = xep), which is what the published probability grid
@@ -22,7 +24,6 @@ import numpy as np
 from .errors import (
     CapabilityError,
     DiscretenessError,
-    ParameterError,
     StratumError,
     SupportError,
 )
@@ -52,6 +53,18 @@ def _keyed(values) -> np.ndarray:
     return np.round(np.asarray(values, dtype=float), KEY_DECIMALS)
 
 
+def _support(values) -> np.ndarray:
+    """Sorted, de-duplicated keyed values."""
+    return np.unique(_keyed(np.atleast_1d(values)))
+
+
+def _index(support: np.ndarray, value: float) -> int | None:
+    """Position of ``value`` in a sorted keyed support, None when it is off it."""
+    k = _key(value)
+    i = int(np.searchsorted(support, k))
+    return i if i < support.size and support[i] == k else None
+
+
 class TableMode(str, Enum):
     EMPIRICAL = "empiricalConditionalJoint"
     ANALYTIC = "analyticProduct"
@@ -59,38 +72,41 @@ class TableMode(str, Enum):
 
 @dataclass(frozen=True)
 class ExchProbTable:
+    """``probs[i, j, k]`` is the cell at (xep_support[i], x_support[j], y_support[k])."""
+
     xep_support: np.ndarray
     x_support: np.ndarray
     y_support: np.ndarray
-    cells: dict
+    probs: np.ndarray
     mode: TableMode
 
     def cell(self, xep: float, x: float, y: float) -> float:
-        return self.cells.get((_key(xep), _key(x), _key(y)), 0.0)
+        ijk = (_index(self.xep_support, xep), _index(self.x_support, x), _index(self.y_support, y))
+        return 0.0 if None in ijk else float(self.probs[ijk])
 
+    def _slice(self, xep: float) -> np.ndarray:
+        """The (x, y) slice at Xep = xep; zeros off the support."""
+        i = _index(self.xep_support, xep)
+        return np.zeros(self.probs.shape[1:]) if i is None else self.probs[i]
+
+    # Python sums over C-ordered slices keep the summation order fixed, so
+    # the reported sums do not depend on numpy's pairwise reduction.
     def slice_sum(self, xep: float) -> float:
-        k = _key(xep)
-        return sum(p for (xe, _, _), p in self.cells.items() if xe == k)
+        return sum(self._slice(xep).ravel().tolist())
 
     def x_marginal(self, xep: float) -> dict:
-        k = _key(xep)
-        out = {float(x): 0.0 for x in self.x_support}
-        for (xe, x, _), p in self.cells.items():
-            if xe == k:
-                out[float(x)] = out.get(float(x), 0.0) + p
-        return out
+        return {float(x): sum(row) for x, row in zip(self.x_support, self._slice(xep).tolist())}
 
     def rows(self):
         """(xep, x, y, p) over the full support grid, sorted."""
-        for xe in self.xep_support:
-            for x in self.x_support:
-                for y in self.y_support:
-                    yield float(xe), float(x), float(y), self.cell(xe, x, y)
+        for (i, j, k), p in np.ndenumerate(self.probs):
+            xep, x, y = self.xep_support[i], self.x_support[j], self.y_support[k]
+            yield float(xep), float(x), float(y), float(p)
 
     def grid_columns(self) -> list[tuple[float, float]]:
         """(x, y) pairs that carry mass somewhere, in (x, y) order."""
-        seen = {(x, y) for (_, x, y), p in self.cells.items() if p > 0}
-        return sorted(seen)
+        j, k = np.nonzero((self.probs > 0).any(axis=0))
+        return list(zip(self.x_support[j].tolist(), self.y_support[k].tolist()))
 
 
 def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
@@ -98,8 +114,7 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
     d.require("X", "Xep", "Y")
     cols = {}
     for name in ("X", "Xep", "Y"):
-        keyed = _keyed(d[name])
-        values, inverse = np.unique(keyed, return_inverse=True)
+        values, inverse = np.unique(_keyed(d[name]), return_inverse=True)
         if values.size > MAX_SUPPORT:
             raise DiscretenessError(
                 f"column {name} has {values.size} distinct values "
@@ -111,29 +126,19 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
     xep_vals, xep_inv = cols["Xep"]
     y_vals, y_inv = cols["Y"]
 
-    code = (xep_inv * x_vals.size + x_inv) * y_vals.size + y_inv
-    counts = np.bincount(code, minlength=xep_vals.size * x_vals.size * y_vals.size)
-    counts = counts.reshape(xep_vals.size, x_vals.size, y_vals.size)
-    strata = counts.sum(axis=(1, 2))
-
     if xep_support is not None:
-        requested = _keyed(xep_support)
-        present = {float(v) for v in xep_vals}
-        empty = [float(v) for v in requested if float(v) not in present]
-        if empty:
-            raise StratumError(f"empty stratum(s) at Xep = {empty}")
+        empty = np.setdiff1d(_keyed(xep_support), xep_vals)
+        if empty.size:
+            raise StratumError(f"empty stratum(s) at Xep = {empty.tolist()}")
 
-    cells = {}
-    for i, xe in enumerate(xep_vals):
-        denom = strata[i]
-        nz = np.nonzero(counts[i])
-        for j, k in zip(*nz):
-            cells[(float(xe), float(x_vals[j]), float(y_vals[k]))] = counts[i, j, k] / denom
+    shape = (xep_vals.size, x_vals.size, y_vals.size)
+    code = (xep_inv * x_vals.size + x_inv) * y_vals.size + y_inv
+    counts = np.bincount(code, minlength=np.prod(shape)).reshape(shape)
     return ExchProbTable(
-        xep_support=xep_vals.copy(),
-        x_support=x_vals.copy(),
-        y_support=y_vals.copy(),
-        cells=cells,
+        xep_support=xep_vals,
+        x_support=x_vals,
+        y_support=y_vals,
+        probs=counts / counts.sum(axis=(1, 2), keepdims=True),
         mode=TableMode.EMPIRICAL,
     )
 
@@ -142,27 +147,31 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
 # Analytic product mode
 
 
+def _linear_predictor(outcome: OutcomeModel, x: np.ndarray, z_offset: float) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return outcome.beta0 + z_offset + outcome.beta_x * x + outcome.beta_x2 * x * x
+
+
 def _noise_pmf(spec: DistributionSpec, scale: float) -> tuple[np.ndarray, np.ndarray]:
     values, probs = spec.support()
     return values * scale, probs
 
 
-def _p_outcome_eq(outcome: OutcomeModel, x: np.ndarray, y: float, z_offset: float) -> np.ndarray:
-    """P(Y(x) = y | z) elementwise over x, identity link with discrete noise."""
+def _p_outcome_eq(
+    outcome: OutcomeModel, x: np.ndarray, y_support: np.ndarray, z_offset: float
+) -> np.ndarray:
+    """P(Y(x) = y | z) as a (y, x) array, identity link with discrete noise."""
     w_vals, w_probs = _noise_pmf(outcome.noise, outcome.noise_scale)
-    x = np.asarray(x, dtype=float)
-    base = outcome.beta0 + z_offset + outcome.beta_x * x + outcome.beta_x2 * x * x
-    out = np.zeros_like(base)
-    yk = _key(y)
+    base = _linear_predictor(outcome, x, z_offset)
+    out = np.zeros((y_support.size, base.size))
     for wv, wp in zip(w_vals, w_probs):
-        out += np.where(_keyed(base + wv) == yk, wp, 0.0)
+        out += np.where(_keyed(base + wv) == y_support[:, None], wp, 0.0)
     return out
 
 
 def _p_outcome_one(outcome: OutcomeModel, x: np.ndarray, z_offset: float) -> np.ndarray:
     """P(Y(x) = 1 | z) elementwise over x, logit link."""
-    x = np.asarray(x, dtype=float)
-    base = outcome.beta0 + z_offset + outcome.beta_x * x + outcome.beta_x2 * x * x
+    base = _linear_predictor(outcome, x, z_offset)
     if outcome.noise.is_discrete():
         w_vals, w_probs = _noise_pmf(outcome.noise, outcome.noise_scale)
         out = np.zeros_like(base)
@@ -173,9 +182,8 @@ def _p_outcome_one(outcome: OutcomeModel, x: np.ndarray, z_offset: float) -> np.
     if sigma == 0:
         return 1.0 / (1.0 + np.exp(-(base + outcome.noise_scale * mu)))
     w = np.linspace(mu - QUAD_SIGMAS * sigma, mu + QUAD_SIGMAS * sigma, QUAD_NODES)
-    fw = outcome.noise.density(w)
     integrand = 1.0 / (1.0 + np.exp(-(base[:, None] + outcome.noise_scale * w[None, :])))
-    return np.trapezoid(integrand * fw[None, :], w, axis=1)
+    return integrand @ (_trapezoid_weights(w) * outcome.noise.density(w))
 
 
 def _conditional_true_given_measured(
@@ -249,64 +257,49 @@ def analytic_product_table(
 
     z is held fixed: fold j(z) into ``z_offset`` (and any V loading of the
     error model into its gamma0). Identity link requires discrete outcome
-    noise; logit link takes discrete or continuous noise.
+    noise; logit link takes discrete or continuous noise. Supports are
+    sorted and de-duplicated.
     """
-    xep_support = _keyed(np.atleast_1d(xep_support))
+    xep_support = _support(xep_support)
     if x_support is None:
         if not x_marginal.is_discrete():
             raise CapabilityError("x_support is required for continuous exposure marginals")
         x_support = x_marginal.support()[0]
-    x_support = _keyed(np.atleast_1d(x_support))
+    x_support = _support(x_support)
 
+    if outcome.link not in (Link.IDENTITY, Link.LOGIT):
+        raise CapabilityError(f"analytic mode does not support the {outcome.link.value} link")
+    if outcome.link is Link.IDENTITY and not outcome.noise.is_discrete():
+        raise CapabilityError("identity link needs discrete outcome noise in analytic mode")
+    conditionals = [
+        _conditional_true_given_measured(error, x_marginal, float(xep)) for xep in xep_support
+    ]
+    # p_true[x, y] = P(Y(x) = y | z); p_measured[xep, y] = P(Y(xep) = y | z) averages
+    # that law over the weighted points of X | Xep, one dot product per y column
     if outcome.link is Link.IDENTITY:
-        if not outcome.noise.is_discrete():
-            raise CapabilityError("identity link needs discrete outcome noise in analytic mode")
         if y_support is None:
             w_vals, _ = _noise_pmf(outcome.noise, outcome.noise_scale)
-            ys = {
-                _key(
-                    outcome.beta0
-                    + z_offset
-                    + outcome.beta_x * x
-                    + outcome.beta_x2 * x * x
-                    + wv
-                )
-                for x in x_support
-                for wv in w_vals
-            }
-            y_support = np.array(sorted(ys))
-        else:
-            y_support = _keyed(np.atleast_1d(y_support))
-
-        cells = {}
-        for xep in xep_support:
-            pts, wts = _conditional_true_given_measured(error, x_marginal, float(xep))
-            for y in y_support:
-                p_measured = float(np.dot(_p_outcome_eq(outcome, pts, float(y), z_offset), wts))
-                if p_measured == 0.0:
-                    continue
-                p_true = _p_outcome_eq(outcome, x_support, float(y), z_offset)
-                for x, pt in zip(x_support, p_true):
-                    if pt > 0:
-                        cells[(float(xep), float(x), float(y))] = float(pt) * p_measured
-    elif outcome.link is Link.LOGIT:
-        y_support = np.array([0.0, 1.0])
-        cells = {}
-        for xep in xep_support:
-            pts, wts = _conditional_true_given_measured(error, x_marginal, float(xep))
-            p1_measured = float(np.dot(_p_outcome_one(outcome, pts, z_offset), wts))
-            p1_true = _p_outcome_one(outcome, x_support, z_offset)
-            for x, pt in zip(x_support, p1_true):
-                cells[(float(xep), float(x), 1.0)] = float(pt) * p1_measured
-                cells[(float(xep), float(x), 0.0)] = float(1.0 - pt) * (1.0 - p1_measured)
+            y_support = _linear_predictor(outcome, x_support, z_offset)[:, None] + w_vals
+        y_support = _support(y_support)
+        p_true = _p_outcome_eq(outcome, x_support, y_support, z_offset).T
+        p_measured = np.array([
+            [np.dot(p, wts) for p in _p_outcome_eq(outcome, pts, y_support, z_offset)]
+            for pts, wts in conditionals
+        ])
     else:
-        raise CapabilityError(f"analytic mode does not support the {outcome.link.value} link")
+        y_support = np.array([0.0, 1.0])
+        p1_true = _p_outcome_one(outcome, x_support, z_offset)
+        p1_measured = np.array(
+            [np.dot(_p_outcome_one(outcome, pts, z_offset), wts) for pts, wts in conditionals]
+        )
+        p_true = np.stack([1.0 - p1_true, p1_true], axis=-1)
+        p_measured = np.stack([1.0 - p1_measured, p1_measured], axis=-1)
 
     return ExchProbTable(
         xep_support=xep_support,
         x_support=x_support,
-        y_support=np.asarray(y_support, dtype=float),
-        cells=cells,
+        y_support=y_support,
+        probs=p_true[None, :, :] * p_measured[:, None, :],
         mode=TableMode.ANALYTIC,
     )
 
@@ -319,14 +312,12 @@ def aee_from_table(t: ExchProbTable, xep_index: float, xep_ref: float) -> Effect
     """Probability-table AEE: sum_y sum_x y * cell(index) - same at ref."""
     if t.mode is not TableMode.EMPIRICAL:
         raise CapabilityError("aee_from_table needs the empirical conditional-joint mode")
-    support = {float(v) for v in _keyed(t.xep_support)}
     for label, val in (("index", xep_index), ("ref", xep_ref)):
-        if _key(val) not in support:
+        if _index(t.xep_support, val) is None:
             raise SupportError(f"xep_{label} = {val} is not in the table support")
 
     def weighted_mean(xep: float) -> float:
-        k = _key(xep)
-        return sum(y * p for (xe, _, y), p in t.cells.items() if xe == k)
+        return sum((t.y_support * t._slice(xep)).ravel().tolist())
 
     value = weighted_mean(xep_index) - weighted_mean(xep_ref)
     diff = abs(_key(xep_index) - _key(xep_ref))
@@ -342,16 +333,17 @@ def aee_from_table(t: ExchProbTable, xep_index: float, xep_ref: float) -> Effect
 def symmetry_check(t: ExchProbTable, e_t: float, tolerance: float) -> tuple[bool, float]:
     """Is the x-marginal of the Xep = e_t slice symmetric around X = e_t?
 
-    Returns (symmetric, max |m(e_t + k) - m(e_t - k)| over offsets k present).
+    Returns (symmetric, max |m(x) - m(2 e_t - x)| over support points x != e_t).
     """
-    support = {float(v) for v in _keyed(t.xep_support)}
-    if _key(e_t) not in support:
+    if _index(t.xep_support, e_t) is None:
         raise SupportError(f"e_t = {e_t} is not in the table support")
-    marginal = {_key(x): p for x, p in t.x_marginal(e_t).items()}
-    offsets = sorted({abs(_key(x - e_t)) for x in marginal if _key(x - e_t) != 0})
-    worst = 0.0
-    for k in offsets:
-        hi = marginal.get(_key(e_t + k), 0.0)
-        lo = marginal.get(_key(e_t - k), 0.0)
-        worst = max(worst, abs(hi - lo))
+    marginal = t.x_marginal(e_t)
+    worst = max(
+        (
+            abs(p - marginal.get(_key(2 * e_t - x), 0.0))
+            for x, p in marginal.items()
+            if _key(x - e_t) != 0
+        ),
+        default=0.0,
+    )
     return worst < tolerance, worst

@@ -22,7 +22,7 @@ from .datagen import generate_scenario, generate_table2_world
 from .errors import ParameterError, PeclabError
 from .estimate import g_computation, ipw_gps_aee, naive_regression_aee
 from .exchprob import aee_from_table, empirical_table
-from .model import Estimand, Scenario
+from .model import Estimand, Scenario, validate_scenario
 from .regress import ols, design_with_intercept
 
 TABLE2_N = 1_000_000
@@ -109,6 +109,12 @@ def run_study(
     replication order. Deterministic for a fixed scenario seed."""
     if not methods:
         raise ParameterError("methods must be non-empty")
+    if jobs < 1:
+        raise ParameterError("jobs must be >= 1")
+    # checked here, once, so a bad scenario fails before any worker starts
+    violations = validate_scenario(scenario)
+    if violations:
+        raise ParameterError(f"scenario {scenario.name}: {'; '.join(violations)}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ParameterError(f"unknown method(s): {', '.join(unknown)}")
@@ -411,15 +417,17 @@ def reproduce(
     cell at the acceptance tolerance."""
     if table not in TABLES:
         raise ParameterError(f"table must be one of {', '.join(TABLES)}")
+    if jobs < 1:
+        raise ParameterError("jobs must be >= 1")
     start = time.perf_counter()
     seed = worlds.DEFAULT_SEED if seed is None else seed
     study = STUDY_TABLES.get(table)
     if study is None:
-        cells = _reproduce_table2(n or TABLE2_N, seed)
+        cells = _reproduce_table2(TABLE2_N if n is None else n, seed)
     else:
-        cells = _reproduce_study(
-            study, n or worlds.DEFAULT_N, runs or worlds.DEFAULT_RUNS, seed, jobs
-        )
+        n = worlds.DEFAULT_N if n is None else n
+        runs = worlds.DEFAULT_RUNS if runs is None else runs
+        cells = _reproduce_study(study, n, runs, seed, jobs)
     return ReproReport(
         table=table, cells=cells, runtime_ms=int((time.perf_counter() - start) * 1000)
     )

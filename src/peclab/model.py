@@ -80,6 +80,8 @@ class DistributionSpec:
         return cls("pointMass", float(c))
 
     def violations(self) -> list[str]:
+        if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
+            return [f"parameters must be finite, got {_format_value(self)}"]
         v = []
         if self.family == "normal":
             if self.p2 < 0:
@@ -262,9 +264,27 @@ class Scenario:
     seed: int = 0
 
 
+# The model sections of a Scenario, in scenario-file order: the attribute
+# name is the file's section name, the class lists its keys.
+_SECTION_FIELDS = {
+    "outcome": OutcomeModel,
+    "exposure_error": ErrorModel,
+    "confounder_error": ErrorModel,
+    "v_error": ErrorModel,
+    "x_model": StructuralSpec,
+    "c_model": StructuralSpec,
+}
+
+
 def validate_scenario(s: Scenario) -> list[str]:
     """Every invariant violation as a human-readable message; empty iff generable."""
     v: list[str] = []
+    for section in _SECTION_FIELDS:
+        obj = getattr(s, section)
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                v.append(f"{section}.{f.name} must be finite, got {value!r}")
     if s.n < 1:
         v.append("n must be >= 1")
     if s.replications < 1:
@@ -295,7 +315,7 @@ class Dataset:
     as immutable; derived columns are added by constructing a new Dataset.
     """
 
-    def __init__(self, columns: dict[str, np.ndarray], provenance: str = ""):
+    def __init__(self, columns: dict[str, np.ndarray]):
         if not columns:
             raise SchemaError("dataset must have at least one column")
         clean: dict[str, np.ndarray] = {}
@@ -314,7 +334,6 @@ class Dataset:
                 raise SchemaError(f"column {name!r} contains NaN or infinite values")
             clean[name] = arr
         self._columns = clean
-        self.provenance = provenance
 
     @property
     def n(self) -> int:
@@ -340,10 +359,8 @@ class Dataset:
         if missing:
             raise SchemaError(f"dataset is missing column(s): {', '.join(missing)}")
 
-    def with_columns(self, new: dict[str, np.ndarray], provenance: str | None = None) -> "Dataset":
-        merged = dict(self._columns)
-        merged.update(new)
-        return Dataset(merged, self.provenance if provenance is None else provenance)
+    def with_columns(self, new: dict[str, np.ndarray]) -> "Dataset":
+        return Dataset({**self._columns, **new})
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -357,7 +374,7 @@ class Dataset:
             fh.write(",".join(format(x, ".17g") for x in row) + "\n")
 
     @classmethod
-    def from_csv(cls, path, provenance: str | None = None) -> "Dataset":
+    def from_csv(cls, path) -> "Dataset":
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if not header:
@@ -383,8 +400,7 @@ class Dataset:
             raise SchemaError(
                 f"{path}: {len(names)} header fields but {data.shape[1]} columns"
             )
-        columns = {name: data[:, i] for i, name in enumerate(names)}
-        return cls(columns, provenance if provenance is not None else str(path))
+        return cls({name: data[:, i] for i, name in enumerate(names)})
 
 
 @dataclass(frozen=True)
@@ -405,15 +421,6 @@ class EffectEstimate:
 
 # ---------------------------------------------------------------------------
 # Scenario text format ("section.key = value"; docs/scenario-format.md)
-
-_SECTION_FIELDS = {
-    "outcome": OutcomeModel,
-    "exposure_error": ErrorModel,
-    "confounder_error": ErrorModel,
-    "v_error": ErrorModel,
-    "x_model": StructuralSpec,
-    "c_model": StructuralSpec,
-}
 
 _ENUM_FIELDS = {"link": Link, "kind": ErrorKind}
 
@@ -459,14 +466,8 @@ def format_scenario(s: Scenario) -> str:
     out.write(f"scenario.replications = {s.replications}\n")
     out.write(f"scenario.seed = {s.seed}\n")
     out.write(f"scenario.v_model = {_format_value(s.v_model)}\n")
-    for section, obj in (
-        ("outcome", s.outcome),
-        ("exposure_error", s.exposure_error),
-        ("confounder_error", s.confounder_error),
-        ("v_error", s.v_error),
-        ("x_model", s.x_model),
-        ("c_model", s.c_model),
-    ):
+    for section in _SECTION_FIELDS:
+        obj = getattr(s, section)
         out.write("\n")
         for f in fields(obj):
             out.write(f"{section}.{f.name} = {_format_value(getattr(obj, f.name))}\n")
@@ -535,12 +536,7 @@ def parse_scenario(text: str) -> Scenario:
 
     scenario = Scenario(
         name=name,
-        outcome=build("outcome", OutcomeModel),
-        exposure_error=build("exposure_error", ErrorModel),
-        confounder_error=build("confounder_error", ErrorModel),
-        v_error=build("v_error", ErrorModel),
-        x_model=build("x_model", StructuralSpec),
-        c_model=build("c_model", StructuralSpec),
+        **{section: build(section, cls) for section, cls in _SECTION_FIELDS.items()},
         v_model=v_model,
         n=n,
         replications=replications,

@@ -28,7 +28,7 @@ class RegressionFit:
     """Fitted coefficients plus the diagnostics estimators rely on.
 
     residual_variance and r_squared are populated for linear fits,
-    log_likelihood for logistic fits.
+    iterations for logistic fits.
     """
 
     coefficients: np.ndarray
@@ -36,7 +36,6 @@ class RegressionFit:
     r_squared: float = 0.0
     converged: bool = True
     iterations: int = 0
-    log_likelihood: float | None = None
 
     def predict(self, design: np.ndarray) -> np.ndarray:
         return np.asarray(design, dtype=float) @ self.coefficients
@@ -202,12 +201,7 @@ def logistic_irls(design, response, column_names=None) -> RegressionFit:
                     "fitted probabilities reproduce the response exactly; "
                     "the response is perfectly separated"
                 )
-            return RegressionFit(
-                coefficients=beta,
-                converged=True,
-                iterations=it - 1,
-                log_likelihood=ll,
-            )
+            return RegressionFit(coefficients=beta, converged=True, iterations=it - 1)
         w = np.clip(mu * (1.0 - mu), 1e-12, None)
         h = (a * w[:, None]).T @ a
         try:
@@ -239,9 +233,7 @@ def logistic_irls(design, response, column_names=None) -> RegressionFit:
     mu = _sigmoid(eta)
     score = a.T @ (y - mu)
     if np.max(np.abs(score)) < IRLS_TOL:
-        return RegressionFit(
-            coefficients=beta, converged=True, iterations=IRLS_MAX_ITER, log_likelihood=ll
-        )
+        return RegressionFit(coefficients=beta, converged=True, iterations=IRLS_MAX_ITER)
     raise ConvergenceError(
         f"IRLS did not converge in {IRLS_MAX_ITER} iterations "
         f"(max |score| = {np.max(np.abs(score)):.3g})",

@@ -120,6 +120,33 @@ def test_out_of_range_seed_is_data_error(scenario_file, tmp_path, monkeypatch, c
     assert "seed -1 is outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reproduce", "--table", "table2", "--n", "0"], "error: n must be >= 1"),
+        (["reproduce", "--table", "table3", "--n", "0"], "table3-1: n must be >= 1"),
+        (["reproduce", "--table", "table3", "--runs", "0"], "table3-1: replications must be >= 1"),
+        (["reproduce", "--table", "table3", "--jobs", "0"], "error: jobs must be >= 1"),
+        (["simulate", "--scenario", "SCENARIO", "--jobs", "0"], "error: jobs must be >= 1"),
+        (["simulate", "--scenario", "NONFINITE", "--jobs", "1"],
+         "outcome.beta_x must be finite, got inf; x_model.noise: parameters must be finite, "
+         "got normal(0.0, nan)"),
+    ],
+)
+def test_zero_and_non_finite_inputs_are_data_errors(argv, message, scenario_file, tmp_path, capsys):
+    nonfinite = tmp_path / "nonfinite.txt"
+    nonfinite.write_text(
+        scenario_file.read_text()
+        .replace("outcome.beta_x = 1.0", "outcome.beta_x = inf")
+        .replace("x_model.noise = normal(0.0, 0.5)", "x_model.noise = normal(0.0, nan)")
+    )
+    paths = {"SCENARIO": str(scenario_file), "NONFINITE": str(nonfinite)}
+    assert dispatch([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert message in err
+
+
 def test_reproduce_exit_codes_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     code1 = dispatch(["reproduce", "--table", "table3", "--n", "400", "--runs", "2",

@@ -75,6 +75,9 @@ def test_cells_converge_to_enumeration_oracle(table2_table, table2_dataset):
 def test_structural_zero_cells_are_zero(table2_table):
     assert table2_table.cell(7, 10, 0.9) == 0.0
     assert table2_table.cell(11, 8, 0.7) == 0.0
+    # values off the supports read as 0, whichever coordinate is off
+    for xep, x, y in ((6, 8, 0.7), (9, 11, 0.7), (9, 8, 0.75), (-1e9, 1e9, 2.0)):
+        assert table2_table.cell(xep, x, y) == 0.0
 
 
 def test_no_error_world_concentrates_on_diagonal():
@@ -120,6 +123,9 @@ def test_product_table_matches_enumeration():
             for y10 in (x - 1, x, x + 1):
                 want = float(oracle.product_cell(xep, x, y10))
                 assert table.cell(xep, x, y10 / 10) == pytest.approx(want, abs=1e-12)
+    rows = list(table.rows())
+    assert [r[:3] for r in rows] == sorted(r[:3] for r in rows)
+    assert len({r[:3] for r in rows}) == len(rows) == 5 * 3 * table.y_support.size
 
 
 def test_product_table_differs_from_conditional_joint():
@@ -168,6 +174,12 @@ def test_binary_quadrature_against_monte_carlo():
     x = rng.normal(0, 0.5, n)
     p_meas = np.mean(1 / (1 + np.exp(-(-2.0 + 0.4 * x + rng.normal(0, 1, n)))))
     assert table.cell(0.0, 1.0, 1.0) == pytest.approx(p_true * p_meas, abs=0.002)
+    # supports are sorted and de-duplicated, so their given order is immaterial
+    reordered = analytic_product_table(
+        outcome, error, DistributionSpec.normal(0, 1),
+        xep_support=[0.0, 0.0], x_support=[1.0, 0.0],
+    )
+    assert list(reordered.rows()) == list(table.rows())
 
 
 def test_unsupported_combinations_raise():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,25 @@ def test_invalid_parameters_reported():
     assert not DistributionSpec.point_mass(0.0).violations()
     with pytest.raises(ParameterError):
         DistributionSpec.gamma(-1, 1).check()
+    s = worlds.table3_scenario(1)
+    for bad in (math.inf, -math.inf, math.nan):
+        assert DistributionSpec.point_mass(bad).violations() == [
+            f"parameters must be finite, got pointMass({bad!r})"
+        ]
+        assert DistributionSpec.rounded_uniform(0, bad).violations() == [
+            f"parameters must be finite, got roundedUniform(0.0, {bad!r})"
+        ]
+        scenario = replace(
+            s,
+            outcome=replace(s.outcome, beta_x=bad),
+            x_model=replace(s.x_model, noise=DistributionSpec.normal(0.0, bad)),
+            v_model=DistributionSpec.gamma(bad, 1.0),
+        )
+        assert validate_scenario(scenario) == [
+            f"outcome.beta_x must be finite, got {bad!r}",
+            f"x_model.noise: parameters must be finite, got normal(0.0, {bad!r})",
+            f"v_model: parameters must be finite, got gamma({bad!r}, 1.0)",
+        ]
 
 
 def test_gamma_density_integrates_to_one():
