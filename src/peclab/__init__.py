@@ -7,15 +7,14 @@ from .model import (
     COLUMN_ORDER,
     Dataset,
     DistributionSpec,
-    EffectEstimate,
     ErrorKind,
     ErrorModel,
     Estimand,
     Link,
-    Method,
     OutcomeModel,
     Scenario,
     StructuralSpec,
+    check_scenario,
     format_scenario,
     load_scenario,
     parse_scenario,
@@ -23,7 +22,7 @@ from .model import (
     validate_scenario,
 )
 from .rng import ColumnTag, StreamKey, sample
-from .datagen import generate_binary_scenario, generate_scenario, generate_table2_world
+from .datagen import generate_scenario, generate_table2_world
 from .regress import RegressionFit, design_with_intercept, logistic_irls, ols, wls
 from .exchprob import (
     ExchProbTable,
@@ -46,7 +45,7 @@ from .biasfactor import (
     surrogate_ratio,
 )
 from .calibrate import CalibrationFit, apply_calibration, fit_calibration
-from .estimate import GpsModel, fit_gps, g_computation, ipw_gps_aee, naive_regression_aee
+from .estimate import g_computation, ipw_gps_aee, naive_regression_aee, stabilized_weights
 from .harness import ReproReport, StudyResult, reproduce, run_study
 
 __version__ = "0.1.0"

@@ -29,6 +29,10 @@ EXIT_DATA = 2
 EXIT_REPRO_FAIL = 3
 
 
+# the method label the estimate CSV reports for each --method choice
+_ESTIMATE_LABELS = {"naive": "naive", "gcomp": "gComputation", "ipw": "ipwGps"}
+
+
 class _UsageError(Exception):
     pass
 
@@ -258,21 +262,23 @@ def _cmd_estimate(args) -> int:
     if args.method == "naive":
         if estimand is Estimand.RISK_RATIO:
             raise PeclabError("naive regression reports risk differences only")
-        est = naive_regression_aee(ds, args.exposure, adjust, delta=args.delta)
+        value = naive_regression_aee(ds, args.exposure, adjust, delta=args.delta)
     elif args.method == "gcomp":
         rd, rr = g_computation(ds, args.exposure, adjust, delta=args.delta)
-        est = rr if estimand is Estimand.RISK_RATIO else rd
+        value = rr if estimand is Estimand.RISK_RATIO else rd
     else:
         if estimand is Estimand.RISK_RATIO:
             raise PeclabError("ipw reports risk differences only")
-        est = ipw_gps_aee(
+        value = ipw_gps_aee(
             ds, args.exposure, adjust, delta=args.delta,
             truncate_quantile=args.truncate_quantile,
         )
     fh, close = _out_stream(args.out)
     try:
         fh.write("method,estimand,delta,value\n")
-        fh.write(f"{est.method.value},{est.estimand.value},{_fmt(est.delta)},{_fmt(est.value)}\n")
+        fh.write(
+            f"{_ESTIMATE_LABELS[args.method]},{estimand.value},{_fmt(args.delta)},{_fmt(value)}\n"
+        )
     finally:
         if close:
             fh.close()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, PeclabError
+from .errors import ParameterError
 from .model import (
     Dataset,
     DistributionSpec,
@@ -19,34 +19,21 @@ from .model import (
     ErrorModel,
     Link,
     Scenario,
-    validate_scenario,
+    check_scenario,
 )
 from .rng import ColumnTag, StreamKey, sample, uniforms
 
 
-class ScenarioInvalid(PeclabError):
-    def __init__(self, violations):
-        super().__init__("; ".join(violations))
-        self.violations = list(violations)
-
-
-def generate_table2_world(n: int, seed: int, *, discrete_uniform: bool = False) -> Dataset:
+def generate_table2_world(n: int, seed: int) -> Dataset:
     """The discrete exposure-only world: X = round(U(8,10)), Y = 0.1X + 0.1W,
     Xep = X + U with W, U = round(U(-1,1)).
 
-    All three laws are three-point (1/4, 1/2, 1/4). ``discrete_uniform``
-    switches X, W, U to equal-weight draws on their supports instead; that
-    reading is inconsistent with the published probability grid (it gives
-    each support point mass 1/3) and exists only for comparison.
+    All three laws are three-point (1/4, 1/2, 1/4).
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
 
     def draw(tag: ColumnTag, lo: float, hi: float) -> np.ndarray:
-        if discrete_uniform:
-            u = uniforms(StreamKey(seed, 0, tag), n)
-            levels = np.arange(lo, hi + 1)
-            return levels[np.minimum((u * levels.size).astype(int), levels.size - 1)]
         return sample(DistributionSpec.rounded_uniform(lo, hi), StreamKey(seed, 0, tag), n)
 
     x = draw(ColumnTag.X, 8, 10)
@@ -80,9 +67,7 @@ def generate_scenario(s: Scenario, replication_index: int = 0) -> Dataset:
     the linear predictor), log a Bernoulli draw at exp(lp) for rare-outcome
     worlds.
     """
-    violations = validate_scenario(s)
-    if violations:
-        raise ScenarioInvalid(violations)
+    check_scenario(s)
     n = s.n
     key = lambda tag: StreamKey(s.seed, replication_index, tag)
 
@@ -135,9 +120,3 @@ def generate_scenario(s: Scenario, replication_index: int = 0) -> Dataset:
 
     return Dataset({"X": x, "Xep": xep, "C": c, "Cep": cep, "V": v, "Vep": vep, "Y": y})
 
-
-def generate_binary_scenario(s: Scenario, replication_index: int = 0) -> Dataset:
-    """generate_scenario for logit-link scenarios, with the link checked."""
-    if s.outcome.link is not Link.LOGIT:
-        raise ParameterError("generate_binary_scenario requires a logit-link outcome")
-    return generate_scenario(s, replication_index)

@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Everything raised on bad data or bad requests derives from PeclabError so
-the CLI can map it to a single exit code. Scenario-invariant violations are
-returned as data (see model.validate_scenario), not raised.
+the CLI can map it to a single exit code. model.validate_scenario returns
+scenario-invariant violations as data; model.check_scenario raises them as
+one ParameterError that names the scenario.
 """
 
 

@@ -30,12 +30,9 @@ from .errors import (
 from .model import (
     Dataset,
     DistributionSpec,
-    EffectEstimate,
     ErrorKind,
     ErrorModel,
-    Estimand,
     Link,
-    Method,
     OutcomeModel,
 )
 
@@ -308,7 +305,7 @@ def analytic_product_table(
 # Derived quantities
 
 
-def aee_from_table(t: ExchProbTable, xep_index: float, xep_ref: float) -> EffectEstimate:
+def aee_from_table(t: ExchProbTable, xep_index: float, xep_ref: float) -> float:
     """Probability-table AEE: sum_y sum_x y * cell(index) - same at ref."""
     if t.mode is not TableMode.EMPIRICAL:
         raise CapabilityError("aee_from_table needs the empirical conditional-joint mode")
@@ -319,15 +316,8 @@ def aee_from_table(t: ExchProbTable, xep_index: float, xep_ref: float) -> Effect
     def weighted_mean(xep: float) -> float:
         return sum((t.y_support * t._slice(xep)).ravel().tolist())
 
-    value = weighted_mean(xep_index) - weighted_mean(xep_ref)
-    diff = abs(_key(xep_index) - _key(xep_ref))
-    # a null contrast (index == ref) is allowed and yields 0; keep delta valid
-    return EffectEstimate(
-        estimand=Estimand.RISK_DIFFERENCE,
-        method=Method.NAIVE,
-        value=value,
-        delta=diff if diff > 0 else 1.0,
-    )
+    # a null contrast (index == ref) is allowed and yields 0
+    return weighted_mean(xep_index) - weighted_mean(xep_ref)
 
 
 def symmetry_check(t: ExchProbTable, e_t: float, tolerance: float) -> tuple[bool, float]:

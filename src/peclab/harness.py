@@ -1,10 +1,13 @@
 """Monte Carlo orchestration and golden-table reproduction.
 
-run_study executes a scenario across replications for a set of named
-estimation methods and aggregates per-method means and dispersions in
-replication-index order, so results are deterministic regardless of worker
-count. reproduce runs the canonical configuration for one published table
-and reports a cell-by-cell diff at the acceptance tolerances.
+A method is a row of data in METHODS: an estimator kind (naive, ipw or
+gcomp), an exposure column and its adjustment columns. run_study runs a
+scenario's replications; each one generates a world, calibrates it when a
+method names a calibrated column, and calls each method's estimator. It
+aggregates per-method means and dispersions in replication-index order, so
+results are deterministic regardless of worker count. reproduce runs the
+canonical configuration for one published table and reports a cell-by-cell
+diff at the acceptance tolerances.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .datagen import generate_scenario, generate_table2_world
 from .errors import ParameterError, PeclabError
 from .estimate import g_computation, ipw_gps_aee, naive_regression_aee
 from .exchprob import aee_from_table, empirical_table
-from .model import Estimand, Scenario, validate_scenario
+from .model import Estimand, Scenario, check_scenario
 from .regress import ols, design_with_intercept
 
 TABLE2_N = 1_000_000
@@ -39,62 +42,44 @@ class StudyResult:
 
 
 # ---------------------------------------------------------------------------
-# Method registry: name -> (needs_calibration, fn(dataset) -> [EffectEstimate])
+# Method registry: name -> (kind, exposure column, adjustment columns).
+# Columns a generated world lacks (the *_RC ones) come from calibrating it.
 
 RD = Estimand.RISK_DIFFERENCE
 RR = Estimand.RISK_RATIO
 
-
-def _naive(exposure, adjust):
-    def run(d):
-        return [naive_regression_aee(d, exposure, adjust)]
-
-    return run
-
-
-def _ipw(treatment, covariates):
-    def run(d):
-        return [ipw_gps_aee(d, treatment, covariates)]
-
-    return run
-
-
-def _gcomp(exposure, adjust):
-    def run(d):
-        return g_computation(d, exposure, adjust)
-
-    return run
-
-
-METHODS: dict[str, tuple[bool, object]] = {
-    "naive_cep": (False, _naive("Xep", ["Cep"])),
-    "naive_cep_vep": (False, _naive("Xep", ["Cep", "Vep"])),
-    "rc": (True, _naive("X_RC", ["C_RC", "V_RC"])),
-    "ipw_true": (False, _ipw("X", ["C", "V"])),
-    "ipw_rc": (True, _ipw("X_RC", ["C_RC", "V_RC"])),
-    "oracle_true": (False, _naive("X", ["C", "V"])),
-    "gcomp_true_cv": (False, _gcomp("X", ["C", "V"])),
-    "gcomp_true_c": (False, _gcomp("X", ["C"])),
-    "gcomp_cep": (False, _gcomp("Xep", ["Cep"])),
-    "gcomp_cep_vep": (False, _gcomp("Xep", ["Cep", "Vep"])),
-    "gcomp_rc": (True, _gcomp("X_RC", ["C_RC", "V_RC"])),
+METHODS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "naive_cep": ("naive", "Xep", ("Cep",)),
+    "naive_cep_vep": ("naive", "Xep", ("Cep", "Vep")),
+    "rc": ("naive", "X_RC", ("C_RC", "V_RC")),
+    "ipw_true": ("ipw", "X", ("C", "V")),
+    "ipw_rc": ("ipw", "X_RC", ("C_RC", "V_RC")),
+    "oracle_true": ("naive", "X", ("C", "V")),
+    "gcomp_true_cv": ("gcomp", "X", ("C", "V")),
+    "gcomp_true_c": ("gcomp", "X", ("C",)),
+    "gcomp_cep": ("gcomp", "Xep", ("Cep",)),
+    "gcomp_cep_vep": ("gcomp", "Xep", ("Cep", "Vep")),
+    "gcomp_rc": ("gcomp", "X_RC", ("C_RC", "V_RC")),
 }
 
 
 def _replicate(scenario: Scenario, rep: int, method_names: list[str]) -> dict:
+    """{(method, estimand): value} for one replication. The world is
+    calibrated when a method names a column it lacks; that adds every *_RC
+    column, so it happens at most once. The estimators are this module's
+    globals, looked up at call time."""
     ds = generate_scenario(scenario, rep)
-    calibrated = None
     out = {}
     for name in method_names:
-        needs_rc, fn = METHODS[name]
-        if needs_rc:
-            if calibrated is None:
-                calibrated = apply_calibration(fit_calibration(ds, condition="two"), ds)
-            target = calibrated
+        kind, exposure, adjust = METHODS[name]
+        if any(c not in ds for c in (exposure, *adjust)):
+            ds = apply_calibration(fit_calibration(ds, condition="two"), ds)
+        if kind == "naive":
+            out[(name, RD)] = naive_regression_aee(ds, exposure, adjust)
+        elif kind == "ipw":
+            out[(name, RD)] = ipw_gps_aee(ds, exposure, adjust)
         else:
-            target = ds
-        for est in fn(target):
-            out[(name, est.estimand)] = est.value
+            out[(name, RD)], out[(name, RR)] = g_computation(ds, exposure, adjust)
     return out
 
 
@@ -112,9 +97,7 @@ def run_study(
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
     # checked here, once, so a bad scenario fails before any worker starts
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ParameterError(f"scenario {scenario.name}: {'; '.join(violations)}")
+    check_scenario(scenario)
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ParameterError(f"unknown method(s): {', '.join(unknown)}")
@@ -369,11 +352,11 @@ def _reproduce_table2(n: int, seed: int) -> list[CellCheck]:
         )
     aee = aee_from_table(table, 10.0, 9.0)
     cells.append(
-        CellCheck("table2", "aee", "xep:10vs9", aee.value, 0.0, 1, PUBLISHED_AEE_10_VS_9, tol["aee"])
+        CellCheck("table2", "aee", "xep:10vs9", aee, 0.0, 1, PUBLISHED_AEE_10_VS_9, tol["aee"])
     )
     aee_rc = aee_from_table(table, 11.0, 9.0)
     cells.append(
-        CellCheck("table2", "aee", "xrc:10vs9", aee_rc.value, 0.0, 1, PUBLISHED_AEE_11_VS_9, tol["aee"])
+        CellCheck("table2", "aee", "xrc:10vs9", aee_rc, 0.0, 1, PUBLISHED_AEE_11_VS_9, tol["aee"])
     )
     calib = ols(design_with_intercept(ds["Xep"]), ds["X"])
     g0, g1 = (float(v) for v in calib.coefficients)

@@ -40,12 +40,6 @@ class Estimand(str, Enum):
     RISK_RATIO = "riskRatio"
 
 
-class Method(str, Enum):
-    NAIVE = "naive"
-    G_COMPUTATION = "gComputation"
-    IPW_GPS = "ipwGps"
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
     """One of four sampling families.
@@ -303,6 +297,13 @@ def validate_scenario(s: Scenario) -> list[str]:
     return v
 
 
+def check_scenario(s: Scenario) -> None:
+    """Raise one ParameterError naming the scenario and every violation."""
+    violations = validate_scenario(s)
+    if violations:
+        raise ParameterError(f"scenario {s.name}: {'; '.join(violations)}")
+
+
 # ---------------------------------------------------------------------------
 # Dataset
 
@@ -401,22 +402,6 @@ class Dataset:
                 f"{path}: {len(names)} header fields but {data.shape[1]} columns"
             )
         return cls({name: data[:, i] for i, name in enumerate(names)})
-
-
-@dataclass(frozen=True)
-class EffectEstimate:
-    """A single causal-contrast estimate on the risk difference or ratio scale."""
-
-    estimand: Estimand
-    method: Method
-    value: float
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ParameterError("delta must be > 0")
-        if self.estimand is Estimand.RISK_RATIO and self.value <= 0:
-            raise ParameterError("risk ratio must be > 0")
 
 
 # ---------------------------------------------------------------------------

@@ -131,16 +131,24 @@ def test_out_of_range_seed_is_data_error(scenario_file, tmp_path, monkeypatch, c
         (["simulate", "--scenario", "NONFINITE", "--jobs", "1"],
          "outcome.beta_x must be finite, got inf; x_model.noise: parameters must be finite, "
          "got normal(0.0, nan)"),
+        *(
+            (["estimate", "--method", method, "--in", "DATA", "--exposure", "X",
+              "--adjust", "C,V", "--delta", delta], "error: delta must be finite and > 0")
+            for method in ("naive", "ipw", "gcomp")
+            for delta in ("nan", "inf")
+        ),
     ],
 )
-def test_zero_and_non_finite_inputs_are_data_errors(argv, message, scenario_file, tmp_path, capsys):
+def test_zero_and_non_finite_inputs_are_data_errors(
+    argv, message, scenario_file, dataset_csv, tmp_path, capsys
+):
     nonfinite = tmp_path / "nonfinite.txt"
     nonfinite.write_text(
         scenario_file.read_text()
         .replace("outcome.beta_x = 1.0", "outcome.beta_x = inf")
         .replace("x_model.noise = normal(0.0, 0.5)", "x_model.noise = normal(0.0, nan)")
     )
-    paths = {"SCENARIO": str(scenario_file), "NONFINITE": str(nonfinite)}
+    paths = {"SCENARIO": str(scenario_file), "NONFINITE": str(nonfinite), "DATA": str(dataset_csv)}
     assert dispatch([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1

@@ -208,13 +208,13 @@ def test_unsupported_combinations_raise():
 
 def test_aee_matches_published_values(table2_table):
     est = aee_from_table(table2_table, 10, 9)
-    assert est.value == pytest.approx(0.050104, abs=0.005)
+    assert est == pytest.approx(0.050104, abs=0.005)
     est_rc = aee_from_table(table2_table, 11, 9)
-    assert est_rc.value == pytest.approx(0.099933, abs=0.005)
+    assert est_rc == pytest.approx(0.099933, abs=0.005)
 
 
 def test_aee_null_contrast_is_zero(table2_table):
-    assert aee_from_table(table2_table, 9, 9).value == 0.0
+    assert aee_from_table(table2_table, 9, 9) == 0.0
 
 
 def test_aee_requires_support(table2_table):
@@ -238,7 +238,7 @@ def test_aee_no_error_world_recovers_beta1():
     est = aee_from_table(empirical_table(ds), 3, 2)
     n_stratum = 400_000 / 5
     se = 0.5 * np.sqrt(0.5) * np.sqrt(2 / n_stratum)
-    assert abs(est.value - beta1) < 4 * se
+    assert abs(est - beta1) < 4 * se
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_berkson_aee_unbiased():
         w = sample(DistributionSpec.rounded_uniform(-1, 1), StreamKey(60, rep, 9), 20_000)
         u = sample(DistributionSpec.rounded_uniform(-1, 1), StreamKey(60, rep, 10), 20_000)
         ds = Dataset({"X": base + u, "Xep": base, "Y": beta1 * (base + u) + beta1 * w})
-        vals.append(aee_from_table(empirical_table(ds), 10, 9).value)
+        vals.append(aee_from_table(empirical_table(ds), 10, 9))
     vals = np.array(vals)
     mc_se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - beta1) < 4 * mc_se
@@ -306,7 +306,7 @@ def test_classical_aee_attenuated():
     vals = []
     for rep in range(reps):
         ds = three_point_world(50_000, 600 + rep, beta1=beta1)
-        vals.append(aee_from_table(empirical_table(ds), 10, 9).value)
+        vals.append(aee_from_table(empirical_table(ds), 10, 9))
     ratio = np.mean(vals) / beta1
     assert ratio == pytest.approx(lam, abs=0.02)
     assert ratio < 1.0

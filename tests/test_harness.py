@@ -1,13 +1,16 @@
 import argparse
 import io
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from peclab import worlds
 from peclab.cli import build_parser
-from peclab.errors import ParameterError
+from peclab.errors import ConvergenceError, ParameterError, PeclabError, SingularDesignError
 from peclab.harness import (
+    METHODS,
     PUBLISHED_TABLE2,
     STUDY_TABLES,
     TABLES,
@@ -15,7 +18,10 @@ from peclab.harness import (
     reproduce,
     run_study,
 )
-from peclab.model import Estimand
+from peclab.model import DistributionSpec, Estimand
+
+RD = Estimand.RISK_DIFFERENCE
+RR = Estimand.RISK_RATIO
 
 
 def test_published_grid_has_45_cells():
@@ -70,7 +76,7 @@ def test_replication_estimates_uncorrelated():
 
     vals = np.array(
         [
-            naive_regression_aee(generate_scenario(s, rep), "Xep", ["Cep"]).value
+            naive_regression_aee(generate_scenario(s, rep), "Xep", ["Cep"])
             for rep in range(1600)
         ]
     )
@@ -110,6 +116,57 @@ def test_table4_replication_fits_each_outcome_model_once(monkeypatch):
     assert len(fits) == 4
     assert len(set(fits)) == 4
     assert len(out) == 8
+
+
+def _counting_calibrations(monkeypatch) -> list:
+    import peclab.harness
+
+    calls = []
+    fit = peclab.harness.fit_calibration
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(peclab.harness, "fit_calibration", counting_fit)
+    return calls
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_every_method_row_runs(name, monkeypatch):
+    kind = METHODS[name][0]
+    calibrations = _counting_calibrations(monkeypatch)
+    build = worlds.table4_scenario if kind == "gcomp" else worlds.table3_scenario
+    results = run_study(build(1, n=2000, replications=2, seed=23), [name])
+    assert {r.estimand for r in results} == ({RD, RR} if kind == "gcomp" else {RD})
+    assert all(np.isfinite(r.mean_estimate) for r in results)
+    # one calibration per replication for the rows on calibrated columns
+    assert len(calibrations) == (2 if name == "rc" or name.endswith("_rc") else 0)
+
+
+def test_calibration_runs_once_per_replication(monkeypatch):
+    calibrations = _counting_calibrations(monkeypatch)
+    s = worlds.table3_scenario(1, n=2000, replications=3, seed=23)
+    run_study(s, STUDY_TABLES["table3"].methods)  # rc and ipw_rc share it
+    assert len(calibrations) == 3
+
+
+def test_worker_error_reaches_caller_alike_at_any_jobs():
+    # a constant confounder makes the oracle's design singular in C
+    s = worlds.table3_scenario(1, n=500, replications=2, seed=3)
+    s = replace(s, c_model=replace(s.c_model, noise=DistributionSpec.point_mass(0.0)))
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(PeclabError) as err:
+            run_study(s, ["oracle_true"], jobs=jobs)
+        errors.append(err.value)
+    assert str(errors[0]) == str(errors[1])
+    assert str(errors[0]).startswith("scenario table3-1: design matrix is rank deficient")
+    for exc in errors:
+        assert isinstance(exc.__cause__, SingularDesignError)
+        assert exc.__cause__.columns == ["C"]
+    trace = pickle.loads(pickle.dumps(ConvergenceError("no", trace=[1.0, 2.0]))).trace
+    assert trace == [1.0, 2.0]
 
 
 def test_reproduce_table2_report_shape():
