@@ -138,9 +138,10 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None or "PECLAB_SEED" in os.environ:
         scenario = dataclasses.replace(scenario, seed=_resolve_seed(args.seed))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    results = run_study(scenario, methods, jobs=args.jobs)
+    # written once run_study has accepted the scenario and the methods
     if args.emit_csv:
         generate_scenario(scenario, 0).to_csv(args.emit_csv)
-    results = run_study(scenario, methods, jobs=args.jobs)
     fh, close = _out_stream(args.out)
     try:
         # runtime stays off the CSV so identical invocations are bit-identical

@@ -12,6 +12,7 @@ diff at the acceptance tolerances.
 
 from __future__ import annotations
 
+import copy
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -91,7 +92,9 @@ def run_study(
     scenario: Scenario, methods: list[str], jobs: int = 1
 ) -> list[StudyResult]:
     """Generate -> (calibrate) -> estimate per replication; aggregate in
-    replication order. Deterministic for a fixed scenario seed."""
+    replication order. Deterministic for a fixed scenario seed. A
+    replication's PeclabError reaches the caller as its own class, with its
+    attributes, and a message prefixed by the scenario name."""
     if not methods:
         raise ParameterError("methods must be non-empty")
     if jobs < 1:
@@ -112,7 +115,10 @@ def run_study(
         else:
             per_rep = [_replicate_star(t) for t in tasks]
     except PeclabError as exc:
-        raise PeclabError(f"scenario {scenario.name}: {exc}") from exc
+        # a copy keeps the class and its attributes (columns, trace)
+        err = copy.copy(exc)
+        err.args = (f"scenario {scenario.name}: {exc}",)
+        raise err from exc
 
     results = []
     for name in methods:

@@ -1,12 +1,14 @@
 """Small dense regression engines: OLS, weighted least squares, and logistic
 regression via iteratively reweighted least squares.
 
-Linear solves go through a QR decomposition rather than the normal equations.
-The design and its R factor share their singular values, so least-squares
-rank is read from the small p x p R (smallest singular value above 1e-10
-times the largest); only a failed check scans the design to name the
-offending columns. One QR serves every response that shares a design.
-Logistic fits factorise no design, so they check rank on the design itself.
+Linear solves go through a Householder QR decomposition rather than the
+normal equations. Q is never formed: each response column has the p
+Householder reflectors applied to it in turn, which gives Q'y, and the
+coefficients solve R beta = (Q'y)[:p]. One QR serves every response that
+shares a design. The design and its R factor share their singular values,
+so rank is read from the small p x p R (smallest singular value above 1e-10
+times the largest), for logistic fits too; only a failed check scans the
+design to name the offending columns.
 """
 
 from __future__ import annotations
@@ -51,11 +53,28 @@ def _as_design(design) -> np.ndarray:
     return a
 
 
-def _check_rank(design: np.ndarray, column_names=None, factor=None) -> None:
+def _as_response(response, n: int) -> np.ndarray:
+    """The response as floats: a vector, or an (n, k) matrix of k responses,
+    with one row per design row."""
+    y = np.asarray(response, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[0] != n:
+        rows = y.shape[0] if y.ndim else 0
+        raise ParameterError(f"response has {rows} rows but the design has {n}")
+    return y
+
+
+def _constant_columns(a: np.ndarray) -> np.ndarray:
+    """Boolean mask of the design's constant columns. The reduction runs
+    down a column-major copy: along axis 0 of a row-major tall design it
+    would loop over rows only p elements long."""
+    return np.ptp(np.asfortranarray(a), axis=0) == 0
+
+
+def _check_rank(design: np.ndarray, factor: np.ndarray, column_names=None) -> None:
     """Raise SingularDesignError naming the offending columns when the design
-    is rank deficient. ``factor`` is a matrix with the design's singular
-    values (its QR's R), checked in place of the design when given."""
-    sv = np.linalg.svd(design if factor is None else factor, compute_uv=False)
+    is rank deficient. ``factor`` is the R of the design's QR, which has the
+    design's singular values in a p x p matrix."""
+    sv = np.linalg.svd(factor, compute_uv=False)
     if sv[0] == 0 or sv[-1] <= RANK_RTOL * sv[0]:
         bad = _offending_columns(design, column_names)
         raise SingularDesignError(
@@ -90,21 +109,35 @@ def ols(design, response, column_names=None) -> RegressionFit | list[RegressionF
     the fit of that column alone.
     """
     a = _as_design(design)
-    y = np.asarray(response, dtype=float)
     n, p = a.shape
     if n <= p:
         raise ParameterError(f"need n > p, got n={n}, p={p}")
-    q, r = np.linalg.qr(a)
-    _check_rank(a, column_names, factor=r)
-    has_intercept = bool(np.any(np.ptp(a, axis=0) == 0))
+    y = _as_response(response, n)
+    # raw mode returns the reflectors and R in h (p x n) without forming Q
+    h, tau = np.linalg.qr(a, mode="raw")
+    r = np.triu(h[:, :p].T)
+    _check_rank(a, r, column_names)
+    has_intercept = bool(np.any(_constant_columns(a)))
     if y.ndim == 2:
-        return [_solve_qr(a, q, r, col, has_intercept) for col in np.ascontiguousarray(y.T)]
-    return _solve_qr(a, q, r, y, has_intercept)
+        return [_solve_qr(a, h, tau, r, col, has_intercept) for col in np.ascontiguousarray(y.T)]
+    return _solve_qr(a, h, tau, r, y, has_intercept)
 
 
-def _solve_qr(a, q, r, y, has_intercept: bool) -> RegressionFit:
+def _apply_qt(h: np.ndarray, tau: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(Q'y)[:p] for one response vector: reflector j is I - tau_j v v' with
+    v = (1, h[j, j+1:]) acting on entries j onwards."""
+    z = y.copy()
+    for j, t in enumerate(tau):
+        v = h[j, j + 1:]
+        w = t * (z[j] + v @ z[j + 1:])
+        z[j] -= w
+        z[j + 1:] -= w * v
+    return z[: tau.size]
+
+
+def _solve_qr(a, h, tau, r, y, has_intercept: bool) -> RegressionFit:
     n, p = a.shape
-    beta = np.linalg.solve(r, q.T @ y)
+    beta = np.linalg.solve(r, _apply_qt(h, tau, y))
     resid = y - a @ beta
     rss = float(resid @ resid)
     tss = float(np.sum((y - y.mean()) ** 2)) if has_intercept else float(y @ y)
@@ -121,7 +154,7 @@ def _solve_qr(a, q, r, y, has_intercept: bool) -> RegressionFit:
 def wls(design, response, weights, column_names=None) -> RegressionFit:
     """Minimize sum_i w_i (y_i - x_i' beta)^2 for strictly positive weights."""
     a = _as_design(design)
-    y = np.asarray(response, dtype=float)
+    y = _as_response(response, a.shape[0])
     w = np.asarray(weights, dtype=float)
     if w.shape != y.shape:
         raise ParameterError("weights must match the response length")
@@ -146,20 +179,22 @@ def wls(design, response, weights, column_names=None) -> RegressionFit:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return _sigmoid_from(eta, np.exp(-np.abs(eta)))
 
 
-def _log_likelihood(y: np.ndarray, eta: np.ndarray) -> float:
+def _sigmoid_from(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # with e = exp(-|eta|): 1/(1+e) where eta >= 0 and e/(1+e) elsewhere,
+    # so no exp overflows
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
+
+
+def _log_likelihood(y: np.ndarray, eta: np.ndarray, e: np.ndarray) -> float:
     # log p for y=1 and log(1-p) for y=0, stably: -log(1 + exp(-(2y-1) eta)),
     # with log(1 + exp(-s)) = max(-s, 0) + log1p(exp(-|s|)) (logaddexp(0, -s)
-    # computed without its general-case branching)
+    # computed without its general-case branching); |s| = |eta|, so
+    # e = exp(-|eta|) serves here and in _sigmoid_from
     s = (2.0 * y - 1.0) * eta
-    return float(-np.sum(np.maximum(-s, 0.0) + np.log1p(np.exp(-np.abs(s)))))
+    return float(-np.sum(np.maximum(-s, 0.0) + np.log1p(e)))
 
 
 def logistic_irls(design, response, column_names=None) -> RegressionFit:
@@ -170,28 +205,31 @@ def logistic_irls(design, response, column_names=None) -> RegressionFit:
     converged when every score component is below 1e-6.
     """
     a = _as_design(design)
-    y = np.asarray(response, dtype=float)
     n, p = a.shape
     if n <= p:
         raise ParameterError(f"need n > p, got n={n}, p={p}")
+    y = _as_response(response, n)
+    if y.ndim != 1:
+        raise ParameterError("logistic response must be a vector")
     uniq = np.unique(y)
     if not np.all(np.isin(uniq, (0.0, 1.0))):
         raise ParameterError("logistic response must be coded 0/1")
     if uniq.size < 2:
         raise ParameterError("logistic response is constant")
-    _check_rank(a, column_names)
+    _check_rank(a, np.linalg.qr(a, mode="r"), column_names)
 
     beta = np.zeros(p)
-    const_cols = np.flatnonzero(np.ptp(a, axis=0) == 0)
+    const_cols = np.flatnonzero(_constant_columns(a))
     if const_cols.size:
         j = const_cols[0]
         beta[j] = np.log(y.mean() / (1.0 - y.mean())) / a[0, j]
     eta = a @ beta
-    ll = _log_likelihood(y, eta)
+    e = np.exp(-np.abs(eta))
+    ll = _log_likelihood(y, eta, e)
+    mu = _sigmoid_from(eta, e)
     trace = [ll]
 
     for it in range(1, IRLS_MAX_ITER + 1):
-        mu = _sigmoid(eta)
         score = a.T @ (y - mu)
         if np.max(np.abs(score)) < IRLS_TOL:
             if np.max(np.abs(y - mu)) < 1e-6:
@@ -216,21 +254,21 @@ def logistic_irls(design, response, column_names=None) -> RegressionFit:
         for _ in range(30):
             cand = beta + scale * step
             cand_eta = a @ cand
-            cand_ll = _log_likelihood(y, cand_eta)
+            cand_e = np.exp(-np.abs(cand_eta))
+            cand_ll = _log_likelihood(y, cand_eta, cand_e)
             if cand_ll >= ll - noise:
                 break
             scale *= 0.5
         beta, eta, ll = cand, cand_eta, cand_ll
+        mu = _sigmoid_from(eta, cand_e)
         trace.append(ll)
         if np.linalg.norm(beta) > SEPARATION_NORM:
-            mu = _sigmoid(eta)
             if np.max(np.abs(a.T @ (y - mu))) > IRLS_TOL:
                 raise SeparationError(
                     "coefficients diverged with an undiminished gradient; "
                     "the response looks perfectly separated"
                 )
 
-    mu = _sigmoid(eta)
     score = a.T @ (y - mu)
     if np.max(np.abs(score)) < IRLS_TOL:
         return RegressionFit(coefficients=beta, converged=True, iterations=IRLS_MAX_ITER)

@@ -70,6 +70,17 @@ def test_simulate_writes_results(scenario_file, tmp_path, capsys):
     assert data.read_text().splitlines()[0] == "X,Xep,C,Cep,V,Vep,Y"
 
 
+def test_rejected_simulate_leaves_no_emitted_csv(scenario_file, tmp_path, capsys):
+    data = tmp_path / "rep0.csv"
+    code = dispatch(
+        ["simulate", "--scenario", str(scenario_file), "--methods", "naive_cep,bogus",
+         "--jobs", "1", "--out", str(tmp_path / "results.csv"), "--emit-csv", str(data)]
+    )
+    assert code == 2
+    assert "unknown method(s): bogus" in capsys.readouterr().err
+    assert not data.exists()
+
+
 def test_simulate_seed_flag_threads_through(scenario_file, tmp_path):
     out1, out2, out3 = (tmp_path / f"r{i}.csv" for i in range(3))
     for out, seed in ((out1, "99"), (out2, "99"), (out3, "100")):

@@ -8,7 +8,7 @@ import pytest
 
 from peclab import worlds
 from peclab.cli import build_parser
-from peclab.errors import ConvergenceError, ParameterError, PeclabError, SingularDesignError
+from peclab.errors import ConvergenceError, ParameterError, SingularDesignError
 from peclab.harness import (
     METHODS,
     PUBLISHED_TABLE2,
@@ -157,8 +157,9 @@ def test_worker_error_reaches_caller_alike_at_any_jobs():
     s = replace(s, c_model=replace(s.c_model, noise=DistributionSpec.point_mass(0.0)))
     errors = []
     for jobs in (1, 2):
-        with pytest.raises(PeclabError) as err:
+        with pytest.raises(SingularDesignError) as err:
             run_study(s, ["oracle_true"], jobs=jobs)
+        assert err.value.columns == ["C"]
         errors.append(err.value)
     assert str(errors[0]) == str(errors[1])
     assert str(errors[0]).startswith("scenario table3-1: design matrix is rank deficient")
@@ -167,6 +168,21 @@ def test_worker_error_reaches_caller_alike_at_any_jobs():
         assert exc.__cause__.columns == ["C"]
     trace = pickle.loads(pickle.dumps(ConvergenceError("no", trace=[1.0, 2.0]))).trace
     assert trace == [1.0, 2.0]
+
+
+def test_worker_error_keeps_its_class_and_attributes(monkeypatch):
+    from peclab import harness
+
+    def diverge(*args, **kwargs):
+        raise ConvergenceError("IRLS did not converge", trace=[-3.0, -2.5])
+
+    monkeypatch.setattr(harness, "naive_regression_aee", diverge)
+    s = worlds.table3_scenario(1, n=200, replications=1, seed=3)
+    with pytest.raises(ConvergenceError) as err:
+        run_study(s, ["naive_cep"], jobs=1)
+    assert str(err.value) == "scenario table3-1: IRLS did not converge"
+    assert err.value.trace == [-3.0, -2.5]
+    assert err.value.__cause__.trace == [-3.0, -2.5]
 
 
 def test_reproduce_table2_report_shape():

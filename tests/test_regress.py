@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peclab.errors import ParameterError, SeparationError, SingularDesignError
-from peclab.regress import design_with_intercept, logistic_irls, ols, wls
+from peclab.regress import (
+    _constant_columns,
+    _sigmoid,
+    design_with_intercept,
+    logistic_irls,
+    ols,
+    wls,
+)
 
 
 def _rng():
@@ -97,6 +104,41 @@ def test_response_matrix_fits_equal_single_fits():
         assert fit.r_squared == single.r_squared
 
 
+@pytest.mark.parametrize("const_at", [0, 2, None])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_constant_columns_match_row_major_reference(const_at, order):
+    rng = _rng()
+    a = rng.normal(size=(1000, 4))
+    if const_at is not None:
+        a[:, const_at] = 2.5
+    a = np.asarray(a, order=order)
+    expected = np.ptp(a, axis=0) == 0
+    np.testing.assert_array_equal(_constant_columns(a), expected)
+    assert expected.sum() == (const_at is not None)
+
+
+def test_tall_ols_agrees_with_lstsq():
+    rng = _rng()
+    n = 100_000
+    x, z = rng.normal(size=n), rng.uniform(size=n)
+    a = design_with_intercept(x, z, x * z)
+    y = 0.5 + 2.0 * x - z + rng.normal(size=n)
+    expected = np.linalg.lstsq(a, y, rcond=None)[0]
+    np.testing.assert_allclose(ols(a, y).coefficients, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [99, 200])
+def test_response_with_wrong_row_count_rejected(rows):
+    rng = _rng()
+    a = design_with_intercept(rng.normal(size=100))
+    y = rng.normal(size=rows)
+    message = f"response has {rows} rows but the design has 100"
+    with pytest.raises(ParameterError, match=message):
+        ols(a, y)
+    with pytest.raises(ParameterError, match=message):
+        wls(a, y, np.ones(rows))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.01, 100), st.integers(0, 10_000))
 def test_scale_equivariance(k, seed):
@@ -159,6 +201,40 @@ def test_nonpositive_weights_rejected():
 
 # ---------------------------------------------------------------------------
 # Logistic IRLS
+
+
+def test_sigmoid_bit_equal_to_masked_formula():
+    eta = np.array(
+        [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 30.0, -30.0,
+         700.0, -700.0, 745.0, -745.0, 800.0, -800.0]
+    )
+    eta = np.concatenate([eta, np.linspace(-40.0, 40.0, 801)])
+    expected = np.empty_like(eta)
+    pos = eta >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    expected[~pos] = e / (1.0 + e)
+    assert np.array_equal(_sigmoid(eta), expected)
+
+
+def test_logistic_rank_read_from_r_names_duplicated_column(monkeypatch):
+    rng = _rng()
+    n = 10_000
+    x, z = rng.normal(size=n), rng.normal(size=n)
+    design = np.column_stack([np.ones(n), x, z, x])
+    y = (rng.uniform(size=n) < 0.3).astype(float)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    with pytest.raises(SingularDesignError) as err:
+        logistic_irls(design, y, column_names=("intercept", "x", "z", "x_again"))
+    assert err.value.columns == ["x_again"]
+    assert shapes[0] == (4, 4)
 
 
 def test_null_model_recovers_logit_of_mean():
