@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -58,10 +59,14 @@ def _resolve_seed(value) -> int:
     return worlds.DEFAULT_SEED
 
 
-def _out_stream(path):
+@contextlib.contextmanager
+def _output(path):
+    """The stream a data-writing option names: stdout for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
 
 
 def build_parser() -> _Parser:
@@ -78,7 +83,7 @@ def build_parser() -> _Parser:
                      help=f"comma-separated method names (choices: {', '.join(sorted(METHODS))})")
     sim.add_argument("--out", default=None, help="results CSV path (default stdout)")
     sim.add_argument("--emit-csv", default=None, metavar="PATH",
-                     help="also write replication 0 as a dataset CSV")
+                     help="also write replication 0 as a dataset CSV (- for stdout)")
 
     rep = sub.add_parser("reproduce", help="reproduce a published table cell by cell")
     rep.add_argument("--table", required=True, choices=TABLES)
@@ -97,7 +102,7 @@ def build_parser() -> _Parser:
     exch.add_argument("--seed", type=int, default=None)
     exch.add_argument("--grid", action="store_true",
                       help="print the probability grid plus row sums to stdout")
-    exch.add_argument("--out", default=None, help="long-format CSV path")
+    exch.add_argument("--out", default=None, help="long-format CSV path (- for stdout)")
 
     bias = sub.add_parser("bias", help="bias-factor report (lambda, P_RD, bounds)")
     bias.add_argument("--gamma1", type=float, default=None)
@@ -106,14 +111,14 @@ def build_parser() -> _Parser:
     bias.add_argument("--from-csv", default=None, help="dataset CSV with X and Xep")
     bias.add_argument("--adjust", default="", help="comma-separated adjustment columns")
     bias.add_argument("--figure2", default=None, metavar="PATH",
-                      help="write the (gamma1, P, lambda) curve grid CSV")
-    bias.add_argument("--out", default=None, help="report CSV path")
+                      help="write the (gamma1, P, lambda) curve grid CSV (- for stdout)")
+    bias.add_argument("--out", default=None, help="report CSV path (- for stdout)")
 
     cal = sub.add_parser("calibrate", help="multiple regression calibration")
     cal.add_argument("--condition", choices=["one", "two"], default="two")
     cal.add_argument("--in", dest="input", required=True, help="dataset CSV")
-    cal.add_argument("--out", required=True, help="calibrated dataset CSV")
-    cal.add_argument("--coef-out", default=None, help="fitted coefficients CSV")
+    cal.add_argument("--out", required=True, help="calibrated dataset CSV (- for stdout)")
+    cal.add_argument("--coef-out", default=None, help="fitted coefficients CSV (- for stdout)")
     cal.add_argument("--validation-fraction", type=float, default=None)
 
     est = sub.add_parser("estimate", help="causal effect estimation on a dataset CSV")
@@ -141,9 +146,10 @@ def _cmd_simulate(args) -> int:
     results = run_study(scenario, methods, jobs=args.jobs)
     # written once run_study has accepted the scenario and the methods
     if args.emit_csv:
-        generate_scenario(scenario, 0).to_csv(args.emit_csv)
-    fh, close = _out_stream(args.out)
-    try:
+        world = generate_scenario(scenario, 0)
+        with _output(args.emit_csv) as fh:
+            world.write_csv(fh)
+    with _output(args.out) as fh:
         # runtime stays off the CSV so identical invocations are bit-identical
         fh.write("scenario,method,estimand,mean,mc_sd,runs\n")
         for r in results:
@@ -151,9 +157,6 @@ def _cmd_simulate(args) -> int:
                 f"{r.scenario_name},{r.method},{r.estimand.value},{_fmt(r.mean_estimate)},"
                 f"{_fmt(r.mc_sd)},{r.replications}\n"
             )
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -165,12 +168,8 @@ def _cmd_reproduce(args) -> int:
         seed=_resolve_seed(args.seed),
         jobs=args.jobs,
     )
-    fh, close = _out_stream(args.out)
-    try:
+    with _output(args.out) as fh:
         report_.write_csv(fh)
-    finally:
-        if close:
-            fh.close()
     print(
         f"{args.table}: {report_.n_pass}/{len(report_.cells)} cells within tolerance "
         f"({report_.runtime_ms} ms)",
@@ -186,7 +185,7 @@ def _cmd_exchprob(args) -> int:
         ds = Dataset.from_csv(args.from_csv)
     table = empirical_table(ds)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(args.out) as fh:
             fh.write("xep,x,y,p,mode\n")
             for xep, x, y, p in table.rows():
                 fh.write(f"{_fmt(xep)},{_fmt(x)},{_fmt(y)},{_fmt(p)},{table.mode.value}\n")
@@ -204,7 +203,7 @@ def _cmd_exchprob(args) -> int:
 
 def _cmd_bias(args) -> int:
     if args.figure2:
-        with open(args.figure2, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(args.figure2) as fh:
             fh.write("gamma1,p,lambda\n")
             for g, p, lam in figure2_grid():
                 fh.write(f"{_fmt(g)},{_fmt(p)},{_fmt(lam)}\n")
@@ -228,7 +227,7 @@ def _cmd_bias(args) -> int:
         ("surrogate_upper", rep.surrogate_upper),
     ]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(args.out) as fh:
             fh.write("quantity,value\n")
             for k, v in lines:
                 fh.write(f"{k},{_fmt(v)}\n")
@@ -245,9 +244,10 @@ def _cmd_calibrate(args) -> int:
         ds, condition=args.condition, validation_fraction=args.validation_fraction
     )
     calibrated = apply_calibration(fits, ds)
-    calibrated.to_csv(args.out)
+    with _output(args.out) as fh:
+        calibrated.write_csv(fh)
     if args.coef_out:
-        with open(args.coef_out, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(args.coef_out) as fh:
             fh.write("target,term,coefficient,residual_sd\n")
             for fit in fits:
                 names = ("intercept",) + fit.regressors
@@ -274,15 +274,11 @@ def _cmd_estimate(args) -> int:
             ds, args.exposure, adjust, delta=args.delta,
             truncate_quantile=args.truncate_quantile,
         )
-    fh, close = _out_stream(args.out)
-    try:
+    with _output(args.out) as fh:
         fh.write("method,estimand,delta,value\n")
         fh.write(
             f"{_ESTIMATE_LABELS[args.method]},{estimand.value},{_fmt(args.delta)},{_fmt(value)}\n"
         )
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 

@@ -49,14 +49,13 @@ def _apply_error(
     v: np.ndarray,
     key: StreamKey,
 ) -> np.ndarray:
-    """Measured column for a non-Berkson error model (or the identity)."""
+    """Measured column for a non-Berkson error model (or the identity); the
+    scenario validator has already rejected Berkson confounder and V errors."""
     n = true_vals.shape[0]
     if error.kind is ErrorKind.NONE:
         return true_vals.copy()
     u = sample(error.noiseU, key, n)
-    if error.kind in (ErrorKind.NON_BERKSON_LINEAR, ErrorKind.SHARED_V):
-        return error.gamma0 + error.gamma1 * true_vals + error.gammaV * v + u
-    raise ParameterError(f"unsupported error kind {error.kind} here")
+    return error.gamma0 + error.gamma1 * true_vals + error.gammaV * v + u
 
 
 def generate_scenario(s: Scenario, replication_index: int = 0) -> Dataset:
@@ -97,24 +96,18 @@ def generate_scenario(s: Scenario, replication_index: int = 0) -> Dataset:
     lp = s.outcome.linear_predictor(x, c=c, v=v, eps=eps)
     if s.outcome.link is Link.IDENTITY:
         y = lp
-    elif s.outcome.link is Link.LOGIT:
-        p = 1.0 / (1.0 + np.exp(-lp))
-        y = (uniforms(key(ColumnTag.BERNOULLI), n) < p).astype(float)
-    elif s.outcome.link is Link.LOG:
-        p = np.exp(lp)
-        if np.any(p > 1.0):
-            raise ParameterError(
-                "log link produced probabilities > 1; the outcome model is "
-                "valid only for rare outcomes"
-            )
-        y = (uniforms(key(ColumnTag.BERNOULLI), n) < p).astype(float)
     else:
-        raise ParameterError(f"unsupported link {s.outcome.link}")
+        if s.outcome.link is Link.LOGIT:
+            p = 1.0 / (1.0 + np.exp(-lp))
+        else:
+            p = np.exp(lp)
+            if np.any(p > 1.0):
+                raise ParameterError(
+                    "log link produced probabilities > 1; the outcome model is "
+                    "valid only for rare outcomes"
+                )
+        y = (uniforms(key(ColumnTag.BERNOULLI), n) < p).astype(float)
 
-    if s.confounder_error.kind is ErrorKind.PURE_BERKSON:
-        raise ParameterError("pure Berkson confounder error is not supported")
-    if s.v_error.kind is ErrorKind.PURE_BERKSON:
-        raise ParameterError("pure Berkson V error is not supported")
     cep = _apply_error(s.confounder_error, c, v, key(ColumnTag.U_C))
     vep = _apply_error(s.v_error, v, v, key(ColumnTag.U_V))
 

@@ -144,11 +144,6 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
 # Analytic product mode
 
 
-def _linear_predictor(outcome: OutcomeModel, x: np.ndarray, z_offset: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return outcome.beta0 + z_offset + outcome.beta_x * x + outcome.beta_x2 * x * x
-
-
 def _noise_pmf(spec: DistributionSpec, scale: float) -> tuple[np.ndarray, np.ndarray]:
     values, probs = spec.support()
     return values * scale, probs
@@ -159,7 +154,7 @@ def _p_outcome_eq(
 ) -> np.ndarray:
     """P(Y(x) = y | z) as a (y, x) array, identity link with discrete noise."""
     w_vals, w_probs = _noise_pmf(outcome.noise, outcome.noise_scale)
-    base = _linear_predictor(outcome, x, z_offset)
+    base = outcome.linear_predictor(x) + z_offset
     out = np.zeros((y_support.size, base.size))
     for wv, wp in zip(w_vals, w_probs):
         out += np.where(_keyed(base + wv) == y_support[:, None], wp, 0.0)
@@ -168,7 +163,7 @@ def _p_outcome_eq(
 
 def _p_outcome_one(outcome: OutcomeModel, x: np.ndarray, z_offset: float) -> np.ndarray:
     """P(Y(x) = 1 | z) elementwise over x, logit link."""
-    base = _linear_predictor(outcome, x, z_offset)
+    base = outcome.linear_predictor(x) + z_offset
     if outcome.noise.is_discrete():
         w_vals, w_probs = _noise_pmf(outcome.noise, outcome.noise_scale)
         out = np.zeros_like(base)
@@ -276,7 +271,7 @@ def analytic_product_table(
     if outcome.link is Link.IDENTITY:
         if y_support is None:
             w_vals, _ = _noise_pmf(outcome.noise, outcome.noise_scale)
-            y_support = _linear_predictor(outcome, x_support, z_offset)[:, None] + w_vals
+            y_support = (outcome.linear_predictor(x_support) + z_offset)[:, None] + w_vals
         y_support = _support(y_support)
         p_true = _p_outcome_eq(outcome, x_support, y_support, z_offset).T
         p_measured = np.array([

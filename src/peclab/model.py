@@ -184,19 +184,18 @@ class OutcomeModel:
     noise: DistributionSpec = field(default_factory=lambda: DistributionSpec.point_mass(0.0))
     noise_scale: float = 1.0
 
-    def violations(self) -> list[str]:
-        v = [f"outcome.noise: {msg}" for msg in self.noise.violations()]
+    def violations(self, label: str) -> list[str]:
+        v = [f"{label}.noise: {msg}" for msg in self.noise.violations()]
         if not v and abs(self.noise.mean()) > 1e-9:
-            v.append("outcome noise must have mean 0")
+            v.append(f"{label} noise must have mean 0")
         return v
 
-    def linear_predictor(self, x, x2=None, c=0.0, v=0.0, eps=0.0):
+    def linear_predictor(self, x, c=0.0, v=0.0, eps=0.0):
         x = np.asarray(x, dtype=float)
-        quad = self.beta_x2 * (x * x if x2 is None else x2)
         return (
             self.beta0
             + self.beta_x * x
-            + quad
+            + self.beta_x2 * (x * x)
             + self.beta_c * np.asarray(c, dtype=float)
             + self.beta_v * np.asarray(v, dtype=float)
             + self.noise_scale * np.asarray(eps, dtype=float)
@@ -212,6 +211,7 @@ class ErrorModel:
                        T^ep = gamma0 + gamma1*T + gammaV*V + U
     pureBerkson:       the measured value is generated first and
                        T = gamma0 + gamma1*T^ep + gammaV*V + U
+                       (exposure_error only)
     """
 
     kind: ErrorKind = ErrorKind.NONE
@@ -220,7 +220,7 @@ class ErrorModel:
     gammaV: float = 0.0
     noiseU: DistributionSpec = field(default_factory=lambda: DistributionSpec.point_mass(0.0))
 
-    def violations(self, label: str = "error") -> list[str]:
+    def violations(self, label: str) -> list[str]:
         v = [f"{label}.noiseU: {msg}" for msg in self.noiseU.violations()]
         if self.kind in (ErrorKind.NON_BERKSON_LINEAR, ErrorKind.SHARED_V, ErrorKind.PURE_BERKSON):
             if self.gamma1 == 0:
@@ -271,29 +271,30 @@ _SECTION_FIELDS = {
 
 
 def validate_scenario(s: Scenario) -> list[str]:
-    """Every invariant violation as a human-readable message; empty iff generable."""
+    """Every invariant violation as a human-readable message; empty iff generable.
+    The one place that decides it, so a bad scenario fails before any draw."""
     v: list[str] = []
+    if s.n < 1:
+        v.append("n must be >= 1")
+    if s.replications < 1:
+        v.append("replications must be >= 1")
+    if not 0 <= s.seed < 2**64:
+        v.append(f"seed {s.seed} is outside [0, 2**64)")
     for section in _SECTION_FIELDS:
         obj = getattr(s, section)
         for f in fields(obj):
             value = getattr(obj, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 v.append(f"{section}.{f.name} must be finite, got {value!r}")
-    if s.n < 1:
-        v.append("n must be >= 1")
-    if s.replications < 1:
-        v.append("replications must be >= 1")
-    v.extend(s.outcome.violations())
-    v.extend(s.exposure_error.violations("exposure_error"))
-    v.extend(s.confounder_error.violations("confounder_error"))
-    v.extend(s.v_error.violations("v_error"))
-    v.extend(s.x_model.violations("x_model"))
-    v.extend(s.c_model.violations("c_model"))
+        v.extend(obj.violations(section))
     v.extend(f"v_model: {msg}" for msg in s.v_model.violations())
     if s.c_model.coef_c != 0:
         v.append("c_model.coef_c must be 0 (C cannot depend on itself)")
     if s.v_error.gammaV != 0:
         v.append("v_error.gammaV must be 0 (the V slope is gamma1)")
+    for section in ("confounder_error", "v_error"):
+        if getattr(s, section).kind is ErrorKind.PURE_BERKSON:
+            v.append(f"{section}.kind must not be pureBerkson (only exposure_error can be)")
     return v
 
 

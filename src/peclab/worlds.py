@@ -1,15 +1,17 @@
 """Canonical simulation worlds used by the reproduction harness.
 
-The continuous worlds: C ~ Gamma(1,1), V ~ Gamma(2,1),
-X ~ N(0.3C + aV + 5, 0.5^2), Y = 5 + X - 1.23C + bV + N(0,1),
+One base world, written out once below as ``_BASE``: C ~ Gamma(1,1),
+V ~ Gamma(2,1), X ~ N(0.3C + aV + 5, 0.5^2), Y = 5 + X - 1.23C + bV + N(0,1),
 Xep = X + 0.23V + N(0,0.3^2), Cep = 0.7 + 0.89C + N(0,0.15^2),
-Vep = 1.3 + 1.12V + N(0,0.12^2), with (a, b) per scenario.
+Vep = 1.3 + 1.12V + N(0,0.12^2), at (a, b) = (0, 0). Each published table is
+that world plus a few edits:
 
-The binary worlds replace the outcome with a Bernoulli draw at the logistic
-mean 0.3X - 1.23C + bV + N(0,1) plus an intercept. The differential
-confounder-error worlds additionally rewire C = Gamma(1,1) + aV,
-X ~ N(0.3C + 5, 0.5^2), Xep = X - 0.05V + U and Cep = 0.7 + 0.89C + 0.56V
-+ U^C, keeping every other distribution.
+* table3 (continuous outcome) sets (a, b) per scenario;
+* table4 (binary outcome) is table3 with a Bernoulli draw at the logistic
+  mean 0.3X - 1.23C + bV + N(0,1) plus an intercept;
+* table5 (differential confounder error) is table4 rewired to
+  C = Gamma(1,1) + aV, X ~ N(0.3C + 5, 0.5^2), Xep = X - 0.05V + U and
+  Cep = 0.7 + 0.89C + 0.56V + U^C.
 
 BINARY_INTERCEPT is the one published-table calibration in this module: the
 stated intercept of -6 yields a ~0.9% marginal event rate, which is
@@ -19,6 +21,8 @@ the default reproduces the published grids as closely as attainable, and
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .model import (
     DistributionSpec,
@@ -51,28 +55,41 @@ TABLE5_AB = [
     (-0.5, 0.5),
 ]
 
-
-def _shared_blocks():
-    exposure_error = ErrorModel(
+_BASE = Scenario(
+    name="base",
+    outcome=OutcomeModel(
+        link=Link.IDENTITY,
+        beta0=5.0,
+        beta_x=1.0,
+        beta_c=-1.23,
+        beta_v=0.0,
+        noise=DistributionSpec.normal(0.0, 1.0),
+    ),
+    exposure_error=ErrorModel(
         kind=ErrorKind.SHARED_V,
         gamma0=0.0,
         gamma1=1.0,
         gammaV=0.23,
         noiseU=DistributionSpec.normal(0.0, 0.3),
-    )
-    confounder_error = ErrorModel(
+    ),
+    confounder_error=ErrorModel(
         kind=ErrorKind.NON_BERKSON_LINEAR,
         gamma0=0.7,
         gamma1=0.89,
         noiseU=DistributionSpec.normal(0.0, 0.15),
-    )
-    v_error = ErrorModel(
+    ),
+    v_error=ErrorModel(
         kind=ErrorKind.NON_BERKSON_LINEAR,
         gamma0=1.3,
         gamma1=1.12,
         noiseU=DistributionSpec.normal(0.0, 0.12),
-    )
-    return exposure_error, confounder_error, v_error
+    ),
+    x_model=StructuralSpec(
+        intercept=5.0, coef_c=0.3, coef_v=0.0, noise=DistributionSpec.normal(0.0, 0.5)
+    ),
+    c_model=StructuralSpec(noise=DistributionSpec.gamma(1.0, 1.0)),
+    v_model=DistributionSpec.gamma(2.0, 1.0),
+)
 
 
 def table3_scenario(
@@ -83,25 +100,11 @@ def table3_scenario(
 ) -> Scenario:
     """Continuous-outcome scenario #1..#3 (a, b per TABLE3_AB)."""
     a, b = TABLE3_AB[idx]
-    exposure_error, confounder_error, v_error = _shared_blocks()
-    return Scenario(
+    return replace(
+        _BASE,
         name=f"table3-{idx}",
-        outcome=OutcomeModel(
-            link=Link.IDENTITY,
-            beta0=5.0,
-            beta_x=1.0,
-            beta_c=-1.23,
-            beta_v=b,
-            noise=DistributionSpec.normal(0.0, 1.0),
-        ),
-        exposure_error=exposure_error,
-        confounder_error=confounder_error,
-        v_error=v_error,
-        x_model=StructuralSpec(
-            intercept=5.0, coef_c=0.3, coef_v=a, noise=DistributionSpec.normal(0.0, 0.5)
-        ),
-        c_model=StructuralSpec(noise=DistributionSpec.gamma(1.0, 1.0)),
-        v_model=DistributionSpec.gamma(2.0, 1.0),
+        outcome=replace(_BASE.outcome, beta_v=b),
+        x_model=replace(_BASE.x_model, coef_v=a),
         n=n,
         replications=replications,
         seed=seed,
@@ -116,29 +119,11 @@ def table4_scenario(
     intercept: float = BINARY_INTERCEPT,
 ) -> Scenario:
     """Binary-outcome variant of the table3 scenarios."""
-    a, b = TABLE3_AB[idx]
-    exposure_error, confounder_error, v_error = _shared_blocks()
-    return Scenario(
+    s = table3_scenario(idx, n=n, replications=replications, seed=seed)
+    return replace(
+        s,
         name=f"table4-{idx}",
-        outcome=OutcomeModel(
-            link=Link.LOGIT,
-            beta0=intercept,
-            beta_x=0.3,
-            beta_c=-1.23,
-            beta_v=b,
-            noise=DistributionSpec.normal(0.0, 1.0),
-        ),
-        exposure_error=exposure_error,
-        confounder_error=confounder_error,
-        v_error=v_error,
-        x_model=StructuralSpec(
-            intercept=5.0, coef_c=0.3, coef_v=a, noise=DistributionSpec.normal(0.0, 0.5)
-        ),
-        c_model=StructuralSpec(noise=DistributionSpec.gamma(1.0, 1.0)),
-        v_model=DistributionSpec.gamma(2.0, 1.0),
-        n=n,
-        replications=replications,
-        seed=seed,
+        outcome=replace(s.outcome, link=Link.LOGIT, beta0=intercept, beta_x=0.3),
     )
 
 
@@ -151,40 +136,13 @@ def table5_scenario(
     intercept: float = BINARY_INTERCEPT,
 ) -> Scenario:
     """Differential/non-differential confounder-error worlds (binary outcome)."""
-    exposure_error = ErrorModel(
-        kind=ErrorKind.SHARED_V,
-        gamma0=0.0,
-        gamma1=1.0,
-        gammaV=-0.05,
-        noiseU=DistributionSpec.normal(0.0, 0.3),
-    )
-    confounder_error = ErrorModel(
-        kind=ErrorKind.SHARED_V,
-        gamma0=0.7,
-        gamma1=0.89,
-        gammaV=0.56,
-        noiseU=DistributionSpec.normal(0.0, 0.15),
-    )
-    _, _, v_error = _shared_blocks()
-    return Scenario(
+    s = table4_scenario(1, n=n, replications=replications, seed=seed, intercept=intercept)
+    return replace(
+        s,
         name=f"table5-a{a}-b{b}",
-        outcome=OutcomeModel(
-            link=Link.LOGIT,
-            beta0=intercept,
-            beta_x=0.3,
-            beta_c=-1.23,
-            beta_v=b,
-            noise=DistributionSpec.normal(0.0, 1.0),
-        ),
-        exposure_error=exposure_error,
-        confounder_error=confounder_error,
-        v_error=v_error,
-        x_model=StructuralSpec(
-            intercept=5.0, coef_c=0.3, coef_v=0.0, noise=DistributionSpec.normal(0.0, 0.5)
-        ),
-        c_model=StructuralSpec(coef_v=a, noise=DistributionSpec.gamma(1.0, 1.0)),
-        v_model=DistributionSpec.gamma(2.0, 1.0),
-        n=n,
-        replications=replications,
-        seed=seed,
+        outcome=replace(s.outcome, beta_v=b),
+        exposure_error=replace(s.exposure_error, gammaV=-0.05),
+        confounder_error=replace(s.confounder_error, kind=ErrorKind.SHARED_V, gammaV=0.56),
+        x_model=replace(s.x_model, coef_v=0.0),
+        c_model=replace(s.c_model, coef_v=a),
     )

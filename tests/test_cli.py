@@ -148,6 +148,7 @@ def test_out_of_range_seed_is_data_error(scenario_file, tmp_path, monkeypatch, c
             for method in ("naive", "ipw", "gcomp")
             for delta in ("nan", "inf")
         ),
+        (["reproduce", "--table", "table2", "--runs", "0"], "error: runs must be >= 1"),
     ],
 )
 def test_zero_and_non_finite_inputs_are_data_errors(
@@ -164,6 +165,40 @@ def test_zero_and_non_finite_inputs_are_data_errors(
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, header",
+    [
+        (["simulate", "--scenario", "SCENARIO", "--methods", "naive_cep", "--jobs", "1",
+          "--out", "-"], 0, "scenario,method,estimand,mean,mc_sd,runs"),
+        (["simulate", "--scenario", "SCENARIO", "--methods", "naive_cep", "--jobs", "1",
+          "--out", "results.csv", "--emit-csv", "-"], 0, "X,Xep,C,Cep,V,Vep,Y\n"),
+        (["reproduce", "--table", "table2", "--n", "2000", "--out", "-"], 3,
+         "scenario,method,estimand,mean,mc_sd,runs,paper_value,abs_diff,pass"),
+        (["exchprob", "--table2", "--n", "2000", "--out", "-"], 0, "xep,x,y,p,mode"),
+        (["bias", "--gamma1", "1", "--var-x", "0.5", "--var-u", "0.5", "--out", "-"], 0,
+         "quantity,value"),
+        (["bias", "--figure2", "-"], 0, "gamma1,p,lambda"),
+        (["calibrate", "--in", "DATA", "--out", "-"], 0, "X,Xep,C,Cep,V,Vep,Y,"),
+        (["calibrate", "--in", "DATA", "--out", "calibrated.csv", "--coef-out", "-"], 0,
+         "target,term,coefficient,residual_sd"),
+        (["estimate", "--method", "naive", "--in", "DATA", "--exposure", "X",
+          "--adjust", "C,V", "--out", "-"], 0, "method,estimand,delta,value"),
+    ],
+    ids=["simulate", "simulate-emit-csv", "reproduce", "exchprob", "bias", "bias-figure2", "calibrate",
+         "calibrate-coef", "estimate"],
+)
+def test_out_dash_writes_to_stdout(
+    argv, code, header, scenario_file, dataset_csv, tmp_path, monkeypatch, capsys
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    paths = {"SCENARIO": str(scenario_file), "DATA": str(dataset_csv)}
+    assert dispatch([paths.get(a, a) for a in argv]) == code
+    assert capsys.readouterr().out.startswith(header)
+    assert not (work / "-").exists()
 
 
 def test_reproduce_exit_codes_and_determinism(tmp_path, capsys):

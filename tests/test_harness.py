@@ -18,7 +18,7 @@ from peclab.harness import (
     reproduce,
     run_study,
 )
-from peclab.model import DistributionSpec, Estimand
+from peclab.model import DistributionSpec, Estimand, ErrorKind
 
 RD = Estimand.RISK_DIFFERENCE
 RR = Estimand.RISK_RATIO
@@ -183,6 +183,21 @@ def test_worker_error_keeps_its_class_and_attributes(monkeypatch):
     assert str(err.value) == "scenario table3-1: IRLS did not converge"
     assert err.value.trace == [-3.0, -2.5]
     assert err.value.__cause__.trace == [-3.0, -2.5]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_berkson_confounder_error_rejected_before_any_worker(jobs, monkeypatch):
+    from peclab import harness
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("a worker pool or a draw was started for an invalid scenario")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(harness, "generate_scenario", forbidden)
+    s = worlds.table3_scenario(1, n=200, replications=2, seed=3)
+    s = replace(s, confounder_error=replace(s.confounder_error, kind=ErrorKind.PURE_BERKSON))
+    with pytest.raises(ParameterError, match=r"^scenario table3-1: confounder_error\.kind "):
+        run_study(s, ["naive_cep"], jobs=jobs)
 
 
 def test_reproduce_table2_report_shape():

@@ -138,6 +138,44 @@ def test_nonzero_mean_outcome_noise_rejected():
     assert any("mean 0" in v for v in validate_scenario(bad))
 
 
+def test_berkson_confounder_and_v_errors_rejected_by_section():
+    s = worlds.table3_scenario(1)
+    for section in ("confounder_error", "v_error"):
+        berkson = replace(getattr(s, section), kind=ErrorKind.PURE_BERKSON)
+        messages = validate_scenario(replace(s, **{section: berkson}))
+        assert [m for m in messages if m.startswith(f"{section}.kind")] == [
+            f"{section}.kind must not be pureBerkson (only exposure_error can be)"
+        ]
+    berkson_exposure = replace(s.exposure_error, kind=ErrorKind.PURE_BERKSON)
+    assert validate_scenario(replace(s, exposure_error=berkson_exposure)) == []
+
+
+def test_out_of_range_seed_rejected():
+    s = worlds.table3_scenario(1)
+    for seed in (-1, 2**64):
+        assert validate_scenario(replace(s, seed=seed)) == [
+            f"seed {seed} is outside [0, 2**64)"
+        ]
+    for seed in (0, 2**64 - 1):
+        assert validate_scenario(replace(s, seed=seed)) == []
+
+
+def test_table5_world_is_the_table4_world_with_its_edits():
+    text = format_scenario(worlds.table5_scenario(0.5, -0.5)).splitlines()
+    for line in (
+        "c_model.coef_v = 0.5",
+        "confounder_error.kind = sharedV",
+        "confounder_error.gammaV = 0.56",
+        "exposure_error.gammaV = -0.05",
+        "x_model.coef_v = 0.0",
+        "outcome.link = logit",
+        "outcome.beta0 = -4.3",
+        "outcome.beta_x = 0.3",
+        "outcome.beta_v = -0.5",
+    ):
+        assert line in text
+
+
 # ---------------------------------------------------------------------------
 # Scenario file format round-trip
 
