@@ -222,6 +222,8 @@ class ErrorModel:
 
     def violations(self, label: str) -> list[str]:
         v = [f"{label}.noiseU: {msg}" for msg in self.noiseU.violations()]
+        if not v and abs(self.noiseU.mean()) > 1e-9:
+            v.append(f"{label}.noiseU must have mean 0")
         if self.kind in (ErrorKind.NON_BERKSON_LINEAR, ErrorKind.SHARED_V, ErrorKind.PURE_BERKSON):
             if self.gamma1 == 0:
                 v.append(f"{label}.gamma1 must be nonzero")

@@ -99,10 +99,12 @@ def _gammas(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
         u = gen.random(m)
         ok = v > 0
         x2 = x * x
-        squeeze = u < 1.0 - 0.0331 * x2 * x2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slow = np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(np.where(ok, v, 1.0)))
-        accept = ok & (squeeze | slow)
+        accept = ok & (u < 1.0 - 0.0331 * x2 * x2)
+        # the log test only where v > 0 and the squeeze rejected
+        slow = np.flatnonzero(ok & ~accept)
+        vs = v[slow]
+        with np.errstate(divide="ignore"):
+            accept[slow] = np.log(u[slow]) < 0.5 * x2[slow] + d * (1.0 - vs + np.log(vs))
         take = np.flatnonzero(accept)[: n - filled]
         out[filled : filled + take.size] = d * v[take]
         filled += take.size

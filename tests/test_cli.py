@@ -116,6 +116,19 @@ def test_invalid_scenario_is_data_error(tmp_path, capsys):
     assert "n must be" in capsys.readouterr().err
 
 
+def test_nonzero_mean_error_noise_is_data_error(tmp_path, capsys):
+    s = worlds.table3_scenario(1, n=800, replications=2, seed=3)
+    text = format_scenario(s).replace(
+        "exposure_error.noiseU = normal(0.0, 0.3)", "exposure_error.noiseU = normal(0.5, 0.3)"
+    )
+    assert text != format_scenario(s)
+    path = tmp_path / "shifted.txt"
+    path.write_text(text)
+    assert dispatch(["simulate", "--scenario", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert "exposure_error.noiseU must have mean 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_out_of_range_seed_is_data_error(scenario_file, tmp_path, monkeypatch, capsys):
     table2 = ["reproduce", "--table", "table2", "--n", "1000", "--jobs", "1"]
     for seed in ("-1", str(2**64)):

@@ -138,6 +138,19 @@ def test_nonzero_mean_outcome_noise_rejected():
     assert any("mean 0" in v for v in validate_scenario(bad))
 
 
+def test_nonzero_mean_error_noise_rejected():
+    s = worlds.table3_scenario(1)
+    shifted = replace(s.exposure_error, noiseU=DistributionSpec.normal(0.5, 0.3))
+    assert validate_scenario(replace(s, exposure_error=shifted)) == [
+        "exposure_error.noiseU must have mean 0"
+    ]
+    # a noise that is already invalid gets its own message, not this one
+    broken = replace(s.exposure_error, noiseU=DistributionSpec.normal(0.5, -1.0))
+    assert validate_scenario(replace(s, exposure_error=broken)) == [
+        "exposure_error.noiseU: normal sigma must be >= 0"
+    ]
+
+
 def test_berkson_confounder_and_v_errors_rejected_by_section():
     s = worlds.table3_scenario(1)
     for section in ("confounder_error", "v_error"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from peclab.errors import ParameterError, SeparationError, SingularDesignError
 from peclab.regress import (
     _constant_columns,
+    _log_likelihood,
     _sigmoid,
     design_with_intercept,
     logistic_irls,
@@ -18,6 +19,25 @@ from peclab.regress import (
 
 def _rng():
     return np.random.default_rng(20250809)
+
+
+# ---------------------------------------------------------------------------
+# Designs
+
+
+def test_design_is_column_major_and_equals_column_stack():
+    rng = _rng()
+    x, z = rng.normal(size=300), rng.normal(size=300)
+    a = design_with_intercept(x, z)
+    assert a.flags.f_contiguous
+    assert np.array_equal(a, np.column_stack([np.ones(300), x, z]))
+    assert np.array_equal(design_with_intercept(), np.ones((0, 1)))
+
+
+@pytest.mark.parametrize("other", [np.ones(1), np.ones(4), np.ones((5, 2)), np.float64(1.0)])
+def test_design_rejects_columns_of_another_shape(other):
+    with pytest.raises(ParameterError, match="equal length"):
+        design_with_intercept(np.arange(5.0), other)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +235,43 @@ def test_sigmoid_bit_equal_to_masked_formula():
     e = np.exp(eta[~pos])
     expected[~pos] = e / (1.0 + e)
     assert np.array_equal(_sigmoid(eta), expected)
+
+
+def test_log_likelihood_matches_signed_margin_formula():
+    eta = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0, 745.0, -745.0])
+    for yv in (0.0, 1.0):
+        for one in eta:
+            e_, y_ = np.array([one]), np.array([yv])
+            e = np.exp(-np.abs(e_))
+            s = (2.0 * y_ - 1.0) * e_
+            expected = float(-np.sum(np.maximum(-s, 0.0) + np.log1p(e)))
+            got = _log_likelihood(y_, e_, e)
+            assert got == pytest.approx(expected, rel=1e-13, abs=0.0), (yv, one)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
+def test_response_not_coded_zero_one_rejected(bad):
+    y = np.array([0.0, 1.0, 0.0, 1.0, bad, 1.0])
+    with pytest.raises(ParameterError, match="coded 0/1"):
+        logistic_irls(design_with_intercept(np.arange(6.0)), y)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0])
+def test_all_zero_or_all_one_response_rejected(level):
+    with pytest.raises(ParameterError, match="constant"):
+        logistic_irls(design_with_intercept(np.arange(6.0)), np.full(6, level))
+
+
+def test_logistic_fit_same_on_row_and_column_major_designs():
+    rng = _rng()
+    n = 5000
+    x, z = rng.normal(size=n), rng.normal(size=n)
+    y = (rng.uniform(size=n) < 1 / (1 + np.exp(-(-1.0 + 0.8 * x - 0.5 * z)))).astype(float)
+    design = design_with_intercept(x, z)
+    by_col = logistic_irls(np.asfortranarray(design), y)
+    by_row = logistic_irls(np.ascontiguousarray(design), y)
+    assert np.array_equal(by_col.coefficients, by_row.coefficients)
+    assert by_col.iterations == by_row.iterations
 
 
 def test_logistic_rank_read_from_r_names_duplicated_column(monkeypatch):

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from peclab.errors import ParameterError
 from peclab.model import DistributionSpec
-from peclab.rng import ColumnTag, StreamKey, sample
+from peclab.rng import ColumnTag, StreamKey, _gammas, _normals, generator, sample
 
 
 def test_point_mass_degenerate():
@@ -62,6 +64,44 @@ def test_gamma_moments_within_four_se():
         # m4 = 3 var^2 + 6 var^2 / shape * scale^2 ... use the empirical m4
         m4 = np.mean((draws - mean) ** 4)
         assert abs(draws.var() - var) < 4 * np.sqrt((m4 - var**2) / n)
+
+
+def _eager_gammas(gen, shape, n):
+    """Marsaglia-Tsang with the log test evaluated on every candidate."""
+    boost = shape < 1.0
+    a = shape + 1.0 if boost else shape
+    d = a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        m = max(n - filled, 16)
+        x = _normals(gen, m)
+        v = (1.0 + c * x) ** 3
+        u = gen.random(m)
+        ok = v > 0
+        x2 = x * x
+        squeeze = u < 1.0 - 0.0331 * x2 * x2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slow = np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(np.where(ok, v, 1.0)))
+        accept = ok & (squeeze | slow)
+        take = np.flatnonzero(accept)[: n - filled]
+        out[filled : filled + take.size] = d * v[take]
+        filled += take.size
+    if boost:
+        u = 1.0 - gen.random(n)
+        out *= u ** (1.0 / shape)
+    return out
+
+
+@pytest.mark.parametrize("shape", [0.3, 0.5, 1.0, 2.0, 7.5])
+def test_gammas_bit_equal_to_eager_log_test(shape):
+    for rep in range(5):
+        for n in (1, 7, 10_000):
+            key = StreamKey(2024, rep, ColumnTag.V)
+            got = _gammas(generator(key), shape, n)
+            want = _eager_gammas(generator(key), shape, n)
+            assert np.array_equal(got, want)
 
 
 def test_gamma_all_positive():
