@@ -9,11 +9,14 @@ P_RDq = gamma1^(2q) Var(X^q) / Var(Xep^q).
 The decomposition operations reconstruct the naive exposure coefficient from
 plug-in OLS fits: the calibration model, the pseudo-confounder projection,
 and the calibration-residual projection (exposure-error route), or the
-confounder-calibration residual projection (confounder-error route).
+confounder-calibration residual projection (confounder-error route). Each
+distinct regressor set is built and factorised once; responses that share
+it go through one multi-response ``ols``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,14 +36,28 @@ class BiasFactorReport:
     surrogate_upper: float
 
 
+def _closed_form(numerator: float, denominator: float, gamma1: float, **variances: float) -> float:
+    """numerator / denominator once gamma1 is finite, each named variance is
+    finite and >= 0, and the denominator (the measured variance) is finite
+    and nonzero."""
+    if not math.isfinite(gamma1):
+        raise ParameterError(f"gamma1 must be finite, got {gamma1}")
+    for name, value in variances.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+    if denominator == 0 or not math.isfinite(denominator):
+        raise ParameterError(
+            "degenerate error model: the measured variance gamma1^(2q) Var(X^q) + Var(U) "
+            f"is {denominator}; it must be finite and nonzero"
+        )
+    return numerator / denominator
+
+
 def lambda_closed_form(gamma1: float, var_x: float, var_u: float) -> float:
     """gamma1 Var(X|z) / (gamma1^2 Var(X|z) + Var(U))."""
-    if var_x < 0 or var_u < 0:
-        raise ParameterError("variances must be >= 0")
-    denom = gamma1 * gamma1 * var_x + var_u
-    if denom == 0:
-        raise ParameterError("degenerate error model: gamma1^2 Var(X) + Var(U) = 0")
-    return gamma1 * var_x / denom
+    return _closed_form(
+        gamma1 * var_x, gamma1 * gamma1 * var_x + var_u, gamma1, var_x=var_x, var_u=var_u
+    )
 
 
 def p_rd_identity(gamma1: float, var_x: float, var_u: float) -> float:
@@ -49,13 +66,8 @@ def p_rd_identity(gamma1: float, var_x: float, var_u: float) -> float:
 
     Computed as the single ratio so 0 <= P_RD <= 1 holds exactly in floats.
     """
-    if var_x < 0 or var_u < 0:
-        raise ParameterError("variances must be >= 0")
     signal = gamma1 * gamma1 * var_x
-    denom = signal + var_u
-    if denom == 0:
-        raise ParameterError("degenerate error model: gamma1^2 Var(X) + Var(U) = 0")
-    return signal / denom
+    return _closed_form(signal, signal + var_u, gamma1, var_x=var_x, var_u=var_u)
 
 
 def p_rd_polynomial(q: int, gamma1: float, var_xq: float, var_uq: float) -> float:
@@ -67,13 +79,8 @@ def p_rd_polynomial(q: int, gamma1: float, var_xq: float, var_uq: float) -> floa
     """
     if q < 1:
         raise ParameterError("q must be >= 1")
-    if var_xq < 0 or var_uq < 0:
-        raise ParameterError("variances must be >= 0")
     signal = gamma1 ** (2 * q) * var_xq
-    denom = signal + var_uq
-    if denom == 0:
-        raise ParameterError("degenerate polynomial error model: zero total variance")
-    return signal / denom
+    return _closed_form(signal, signal + var_uq, gamma1, var_xq=var_xq, var_uq=var_uq)
 
 
 def p_rd_polynomial_from_data(q: int, x, xep, gamma1: float | None = None) -> float:
@@ -135,11 +142,10 @@ def predict_naive_slope_rr(beta1: float, gamma1: float, p_rr: float, link: Link)
 
 
 def report(gamma1: float, var_x: float, var_u: float) -> BiasFactorReport:
-    lam = lambda_closed_form(gamma1, var_x, var_u)
-    p_rd = lam * gamma1
-    lo, hi = surrogate_bounds(min(max(p_rd, 0.0), 1.0), gamma1)
+    p_rd = p_rd_identity(gamma1, var_x, var_u)
+    lo, hi = surrogate_bounds(p_rd, gamma1)
     return BiasFactorReport(
-        lambda_=lam,
+        lambda_=lambda_closed_form(gamma1, var_x, var_u),
         gamma1=gamma1,
         p_rd=p_rd,
         r_squared_check=p_rd,
@@ -207,26 +213,22 @@ def epc_decomposition(d: Dataset, adjustment: list[str]) -> EpcDecomposition:
     d.require("X", "Xep", "V", "Y", *adjustment)
     v_adjusted = "V" in adjustment
     z = [d[c] for c in adjustment]
-    xep = d["Xep"]
-    v = d["V"]
+    x, v, y = d["X"], d["V"], d["Y"]
     # V enters the calibration once, whether or not it sits in z'
-    calib_cols = [xep, v] + [d[c] for c in adjustment if c != "V"]
+    calib_design = design_with_intercept(d["Xep"], v, *[d[c] for c in adjustment if c != "V"])
+    naive_design = design_with_intercept(d["Xep"], *z)
 
-    correct = ols(design_with_intercept(d["X"], *z), d["Y"])
-    beta1 = float(correct.coefficients[1])
-
-    calib = ols(design_with_intercept(*calib_cols), d["X"])
+    beta1 = float(ols(design_with_intercept(x, *z), y).coefficients[1])
+    calib = ols(calib_design, x)
     gamma1_star = float(calib.coefficients[1])
     gamma_v_star = float(calib.coefficients[2])
-    u_star = d["X"] - calib.predict(design_with_intercept(*calib_cols))
+    u_star = x - calib.predict(calib_design)
 
-    rho_v = 0.0 if v_adjusted else float(
-        ols(design_with_intercept(xep, *z), v).coefficients[1]
-    )
-    rho_u = float(ols(design_with_intercept(xep, *z), u_star).coefficients[1])
-
+    # U*, Y and (unless z' holds it) V share the naive design
+    fits = ols(naive_design, np.column_stack([u_star, y] + ([] if v_adjusted else [v])))
+    rho_u, direct = (float(f.coefficients[1]) for f in fits[:2])
+    rho_v = 0.0 if v_adjusted else float(fits[2].coefficients[1])
     predicted = beta1 * (gamma1_star + gamma_v_star * rho_v + rho_u)
-    direct = float(ols(design_with_intercept(xep, *z), d["Y"]).coefficients[1])
     return EpcDecomposition(
         beta1=beta1,
         gamma1_star=gamma1_star,
@@ -259,26 +261,25 @@ def ec_decomposition(d: Dataset, adjustment: list[str] | None = None) -> EcDecom
     extra = list(adjustment or [])
     d.require("X", "Xep", "C", "Cep", "Y", *extra)
     z = [d[c] for c in extra]
-    xep = d["Xep"]
-    cep = d["Cep"]
+    x, c, y = d["X"], d["C"], d["Y"]
+    c_design = design_with_intercept(d["Cep"], *z)
+    naive_design = design_with_intercept(d["Xep"], d["Cep"], *z)
 
-    correct = ols(design_with_intercept(d["X"], d["C"], *z), d["Y"])
+    correct = ols(design_with_intercept(x, c, *z), y)
     beta1 = float(correct.coefficients[1])
     beta_c = float(correct.coefficients[2])
+    uc_star = c - ols(c_design, c).predict(c_design)
 
-    x_calib = ols(design_with_intercept(xep, cep, *z), d["X"])
+    # X, U_C* and Y share the naive design; U* is its one second solve
+    x_calib, ec_fit, naive = ols(naive_design, np.column_stack([x, uc_star, y]))
     gamma1_star = float(x_calib.coefficients[1])
-    u_star = d["X"] - x_calib.predict(design_with_intercept(xep, cep, *z))
-
-    c_calib = ols(design_with_intercept(cep, *z), d["C"])
-    uc_star = d["C"] - c_calib.predict(design_with_intercept(cep, *z))
-
-    rho_u = float(ols(design_with_intercept(xep, cep, *z), u_star).coefficients[1])
-    rho_ec = float(ols(design_with_intercept(xep, cep, *z), uc_star).coefficients[1])
+    u_star = x - x_calib.predict(naive_design)
+    rho_u = float(ols(naive_design, u_star).coefficients[1])
+    rho_ec = float(ec_fit.coefficients[1])
 
     ec_term = beta_c * rho_ec
     predicted = beta1 * (gamma1_star + rho_u) + ec_term
-    direct = float(ols(design_with_intercept(xep, cep, *z), d["Y"]).coefficients[1])
+    direct = float(naive.coefficients[1])
     return EcDecomposition(
         beta1=beta1,
         beta_c=beta_c,

@@ -65,7 +65,7 @@ def g_computation(
     """
     names, observed = _model_inputs(d, exposure_col, adjustment_cols, delta)
     fit = logistic_irls(observed, d["Y"], column_names=names)
-    shifted = observed.copy()
+    shifted = observed.copy(order="K")
     shifted[:, 1] += delta
     p0 = fit.predict_proba(observed).mean()
     p1 = fit.predict_proba(shifted).mean()

@@ -10,8 +10,12 @@ reads as probability 0. Two estimators fill it and are never mixed:
 * the analytic product table, cell = P(Y(x) = y | z) * P(Y(xep) = y | z)
   with the conditional law of the true exposure given the measured one built
   from the error model (non-Berkson: f_X * f_U / normalizer; pure Berkson:
-  f_U shifted), integrals by composite trapezoid on [mu - 8 sigma,
-  mu + 8 sigma] with 4001 nodes.
+  f_U shifted). z is held fixed: j(z) folds into the outcome's beta0 and a V
+  loading of the error into its gamma0, so gammaV must be 0.
+
+Every analytic integral runs over one law rule, ``_law``: a discrete law is
+its support, a zero-variance law its mean with weight 1, and any other law
+QUAD_NODES trapezoid nodes on mean +- QUAD_SIGMAS sd weighted by its density.
 """
 
 from __future__ import annotations
@@ -144,38 +148,36 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
 # Analytic product mode
 
 
-def _noise_pmf(spec: DistributionSpec, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    values, probs = spec.support()
-    return values * scale, probs
+def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
+    h = grid[1] - grid[0]
+    w = np.full(grid.shape, h)
+    w[0] = w[-1] = h / 2.0
+    return w
 
 
-def _p_outcome_eq(
-    outcome: OutcomeModel, x: np.ndarray, y_support: np.ndarray, z_offset: float
-) -> np.ndarray:
-    """P(Y(x) = y | z) as a (y, x) array, identity link with discrete noise."""
-    w_vals, w_probs = _noise_pmf(outcome.noise, outcome.noise_scale)
-    base = outcome.linear_predictor(x) + z_offset
-    out = np.zeros((y_support.size, base.size))
-    for wv, wp in zip(w_vals, w_probs):
-        out += np.where(_keyed(base + wv) == y_support[:, None], wp, 0.0)
-    return out
-
-
-def _p_outcome_one(outcome: OutcomeModel, x: np.ndarray, z_offset: float) -> np.ndarray:
-    """P(Y(x) = 1 | z) elementwise over x, logit link."""
-    base = outcome.linear_predictor(x) + z_offset
-    if outcome.noise.is_discrete():
-        w_vals, w_probs = _noise_pmf(outcome.noise, outcome.noise_scale)
-        out = np.zeros_like(base)
-        for wv, wp in zip(w_vals, w_probs):
-            out += wp / (1.0 + np.exp(-(base + wv)))
-        return out
-    mu, sigma = outcome.noise.mean(), np.sqrt(outcome.noise.variance())
+def _law(spec: DistributionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) that integrate against ``spec``: a discrete law's
+    support, a zero-variance law's mean with weight 1, and otherwise
+    QUAD_NODES trapezoid nodes on mean +- QUAD_SIGMAS sd weighted by the
+    density."""
+    if spec.is_discrete():
+        return spec.support()
+    mu, sigma = spec.mean(), np.sqrt(spec.variance())
     if sigma == 0:
-        return 1.0 / (1.0 + np.exp(-(base + outcome.noise_scale * mu)))
-    w = np.linspace(mu - QUAD_SIGMAS * sigma, mu + QUAD_SIGMAS * sigma, QUAD_NODES)
-    integrand = 1.0 / (1.0 + np.exp(-(base[:, None] + outcome.noise_scale * w[None, :])))
-    return integrand @ (_trapezoid_weights(w) * outcome.noise.density(w))
+        return np.array([mu]), np.array([1.0])
+    pts = np.linspace(mu - QUAD_SIGMAS * sigma, mu + QUAD_SIGMAS * sigma, QUAD_NODES)
+    return pts, _trapezoid_weights(pts) * spec.density(pts)
+
+
+def _p_outcome(outcome: OutcomeModel, x: np.ndarray, y_support: np.ndarray) -> np.ndarray:
+    """P(Y(x) = y | z) as a (y, x) array, the outcome noise integrated out
+    over its law; under logit y_support is (0, 1)."""
+    eps, wts = _law(outcome.noise)
+    lp = outcome.linear_predictor(x[:, None], eps=eps)
+    if outcome.link is Link.LOGIT:
+        p1 = (1.0 / (1.0 + np.exp(-lp))) @ wts
+        return np.stack([1.0 - p1, p1])
+    return (_keyed(lp) == y_support[:, None, None]) @ wts
 
 
 def _conditional_true_given_measured(
@@ -185,24 +187,10 @@ def _conditional_true_given_measured(
     quadrature coefficients for continuous pieces."""
     if error.kind is ErrorKind.PURE_BERKSON:
         # X = gamma0 + gamma1 * xep + U
-        center = error.gamma0 + error.gamma1 * xep
-        if error.noiseU.is_discrete():
-            u_vals, u_probs = error.noiseU.support()
-            return center + u_vals, u_probs.copy()
-        mu, sigma = error.noiseU.mean(), np.sqrt(error.noiseU.variance())
-        u = np.linspace(mu - QUAD_SIGMAS * sigma, mu + QUAD_SIGMAS * sigma, QUAD_NODES)
-        dens = error.noiseU.density(u)
-        w = _trapezoid_weights(u) * dens
-        return center + u, w / w.sum()
-
-    if error.kind is not ErrorKind.NON_BERKSON_LINEAR:
-        raise CapabilityError(
-            f"analytic mode supports nonBerksonLinear and pureBerkson errors, not {error.kind.value}; "
-            "fold any V loading into gamma0 for a fixed z"
-        )
-
-    # Xep = gamma0 + gamma1 * X + U -> weight f_X(x) f_U(xep - gamma0 - gamma1 x)
-    if error.noiseU.is_discrete():
+        u, w = _law(error.noiseU)
+        pts = error.gamma0 + error.gamma1 * xep + u
+    elif error.noiseU.is_discrete():
+        # Xep = gamma0 + gamma1 * X + U: one point x = (xep - gamma0 - u) / gamma1 per u
         u_vals, u_probs = error.noiseU.support()
         pts = (xep - error.gamma0 - u_vals) / error.gamma1
         if x_marginal.is_discrete():
@@ -212,28 +200,14 @@ def _conditional_true_given_measured(
         else:
             fx = x_marginal.density(pts)
         w = fx * u_probs
-    elif x_marginal.is_discrete():
-        x_vals, x_probs = x_marginal.support()
-        pts = x_vals.astype(float)
-        w = x_probs * error.noiseU.density(xep - error.gamma0 - error.gamma1 * pts)
     else:
-        mu, sigma = x_marginal.mean(), np.sqrt(x_marginal.variance())
-        pts = np.linspace(mu - QUAD_SIGMAS * sigma, mu + QUAD_SIGMAS * sigma, QUAD_NODES)
-        dens = x_marginal.density(pts) * error.noiseU.density(
-            xep - error.gamma0 - error.gamma1 * pts
-        )
-        w = _trapezoid_weights(pts) * dens
+        # weight f_X(x) f_U(xep - gamma0 - gamma1 x) over the law of X
+        pts, px = _law(x_marginal)
+        w = px * error.noiseU.density(xep - error.gamma0 - error.gamma1 * pts)
     total = w.sum()
     if total <= 0:
         raise SupportError(f"Xep = {xep} has zero density under the error model")
     return pts, w / total
-
-
-def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    h = grid[1] - grid[0]
-    w = np.full(grid.shape, h)
-    w[0] = w[-1] = h / 2.0
-    return w
 
 
 def analytic_product_table(
@@ -242,15 +216,15 @@ def analytic_product_table(
     x_marginal: DistributionSpec,
     xep_support,
     x_support=None,
-    y_support=None,
-    z_offset: float = 0.0,
 ) -> ExchProbTable:
     """Product-form table cell = P(Y(x)=y|z) * P(Y(xep)=y|z).
 
-    z is held fixed: fold j(z) into ``z_offset`` (and any V loading of the
-    error model into its gamma0). Identity link requires discrete outcome
-    noise; logit link takes discrete or continuous noise. Supports are
-    sorted and de-duplicated.
+    z is held fixed: fold j(z) into ``outcome.beta0`` and any V loading of
+    the error model into its gamma0 (gammaV must be 0). Every integral runs
+    over a law's points and weights: a discrete law's support, a
+    zero-variance law's mean, else trapezoid nodes on mean +- QUAD_SIGMAS sd.
+    Identity link requires discrete outcome noise; logit link takes discrete
+    or continuous noise. Supports are sorted and de-duplicated.
     """
     xep_support = _support(xep_support)
     if x_support is None:
@@ -263,30 +237,23 @@ def analytic_product_table(
         raise CapabilityError(f"analytic mode does not support the {outcome.link.value} link")
     if outcome.link is Link.IDENTITY and not outcome.noise.is_discrete():
         raise CapabilityError("identity link needs discrete outcome noise in analytic mode")
+    if error.kind is ErrorKind.NONE or error.gammaV != 0:
+        raise CapabilityError(
+            "analytic mode needs a nonBerksonLinear, sharedV or pureBerkson error with "
+            f"gammaV = 0, got {error.kind.value} with gammaV = {error.gammaV}; "
+            "fold gammaV * V into gamma0 for a fixed z"
+        )
+    if outcome.link is Link.LOGIT:
+        y_support = np.array([0.0, 1.0])
+    else:
+        y_support = _support(outcome.linear_predictor(x_support[:, None], eps=_law(outcome.noise)[0]))
+    # p_true[x, y] = P(Y(x) = y | z); p_measured[xep, y] = P(Y(xep) = y | z) averages
+    # that law over the weighted points of X | Xep
+    p_true = _p_outcome(outcome, x_support, y_support).T
     conditionals = [
         _conditional_true_given_measured(error, x_marginal, float(xep)) for xep in xep_support
     ]
-    # p_true[x, y] = P(Y(x) = y | z); p_measured[xep, y] = P(Y(xep) = y | z) averages
-    # that law over the weighted points of X | Xep, one dot product per y column
-    if outcome.link is Link.IDENTITY:
-        if y_support is None:
-            w_vals, _ = _noise_pmf(outcome.noise, outcome.noise_scale)
-            y_support = (outcome.linear_predictor(x_support) + z_offset)[:, None] + w_vals
-        y_support = _support(y_support)
-        p_true = _p_outcome_eq(outcome, x_support, y_support, z_offset).T
-        p_measured = np.array([
-            [np.dot(p, wts) for p in _p_outcome_eq(outcome, pts, y_support, z_offset)]
-            for pts, wts in conditionals
-        ])
-    else:
-        y_support = np.array([0.0, 1.0])
-        p1_true = _p_outcome_one(outcome, x_support, z_offset)
-        p1_measured = np.array(
-            [np.dot(_p_outcome_one(outcome, pts, z_offset), wts) for pts, wts in conditionals]
-        )
-        p_true = np.stack([1.0 - p1_true, p1_true], axis=-1)
-        p_measured = np.stack([1.0 - p1_measured, p1_measured], axis=-1)
-
+    p_measured = np.array([_p_outcome(outcome, pts, y_support) @ wts for pts, wts in conditionals])
     return ExchProbTable(
         xep_support=xep_support,
         x_support=x_support,

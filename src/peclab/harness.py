@@ -329,10 +329,6 @@ class ReproReport:
                 f"{c.runs},{_fmt(c.paper_value)},{_fmt(c.abs_diff)},{str(c.passed).lower()}\n"
             )
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            self.write_csv(fh)
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".6g")

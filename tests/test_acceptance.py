@@ -361,7 +361,8 @@ def test_criterion_9_engines():
 def test_criterion_10_reproduce_bit_identical(tmp_path):
     paths = [tmp_path / "r1.csv", tmp_path / "r2.csv"]
     for p in paths:
-        reproduce("table2", n=400_000, seed=worlds.DEFAULT_SEED).to_csv(p)
+        with open(p, "w", encoding="utf-8", newline="\n") as fh:
+            reproduce("table2", n=400_000, seed=worlds.DEFAULT_SEED).write_csv(fh)
     identical = paths[0].read_bytes() == paths[1].read_bytes()
     assert _report("criterion10 bit-identical reproduce CSVs", identical)
     # and through the harness study path

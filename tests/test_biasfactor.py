@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peclab import worlds
+from peclab import biasfactor, worlds
 from peclab.biasfactor import (
     ec_decomposition,
     epc_decomposition,
@@ -13,6 +13,7 @@ from peclab.biasfactor import (
     p_rd_polynomial,
     p_rd_polynomial_from_data,
     predict_naive_slope_rr,
+    report,
     report_from_data,
     surrogate_bounds,
     surrogate_ratio,
@@ -68,6 +69,39 @@ def test_p_rd_matches_fitted_r_squared():
 def test_degenerate_denominator_raises():
     with pytest.raises(ParameterError):
         lambda_closed_form(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("form", [lambda_closed_form, p_rd_identity])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((float("nan"), 1.0, 1.0), "gamma1 must be finite, got nan"),
+        ((float("-inf"), 1.0, 1.0), "gamma1 must be finite, got -inf"),
+        ((1.0, float("inf"), 1.0), "var_x must be finite and >= 0, got inf"),
+        ((1.0, 1.0, float("nan")), "var_u must be finite and >= 0, got nan"),
+        ((1.0, -0.5, 1.0), "var_x must be finite and >= 0, got -0.5"),
+        ((0.0, 1.0, 0.0), "the measured variance"),
+        ((1e200, 1.0, 1.0), "is inf; it must be finite and nonzero"),
+    ],
+)
+def test_closed_forms_name_the_bad_input(form, args, message):
+    with pytest.raises(ParameterError, match=message):
+        form(*args)
+
+
+def test_polynomial_names_the_bad_input():
+    with pytest.raises(ParameterError, match="var_xq must be finite and >= 0, got inf"):
+        p_rd_polynomial(2, 1.0, float("inf"), 1.0)
+    with pytest.raises(ParameterError, match="var_uq must be finite and >= 0, got -1.0"):
+        p_rd_polynomial(2, 1.0, 1.0, -1.0)
+
+
+def test_report_takes_p_rd_from_the_single_ratio():
+    # lambda * gamma1 is 0.42363112391930840 here, one bit off the ratio
+    rep = report(0.7, 0.3, 0.2)
+    assert rep.p_rd == rep.r_squared_check == p_rd_identity(0.7, 0.3, 0.2)
+    assert rep.lambda_ == lambda_closed_form(0.7, 0.3, 0.2)
+    assert report(2.0, 1.0, 0.0).p_rd == 1.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -372,3 +406,34 @@ def test_ec_reconstructs_every_table5_world():
         ds = generate_scenario(s, 0)
         dec = ec_decomposition(ds, ["V"])
         assert dec.predicted_naive == pytest.approx(dec.direct_naive, abs=0.01), (a, b)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls biasfactor makes to one of its regression helpers."""
+    calls = []
+    real = getattr(biasfactor, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(biasfactor, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("adjustment", [["Cep"], ["Cep", "V"]])
+def test_epc_fits_three_designs_once_each(adjustment, monkeypatch):
+    ds = generate_scenario(worlds.table3_scenario(2, n=3000, seed=1004), 0)
+    fits = _counting(monkeypatch, "ols")
+    builds = _counting(monkeypatch, "design_with_intercept")
+    epc_decomposition(ds, adjustment)
+    assert (len(fits), len(builds)) == (3, 3)
+
+
+@pytest.mark.parametrize("adjustment", [None, ["V"]])
+def test_ec_fits_three_designs_in_four_solves(adjustment, monkeypatch):
+    ds = generate_scenario(worlds.table5_scenario(0.5, 0.0, n=3000, seed=1002), 0)
+    fits = _counting(monkeypatch, "ols")
+    builds = _counting(monkeypatch, "design_with_intercept")
+    ec_decomposition(ds, adjustment)
+    assert (len(fits), len(builds)) == (4, 3)

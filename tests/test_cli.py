@@ -162,6 +162,12 @@ def test_out_of_range_seed_is_data_error(scenario_file, tmp_path, monkeypatch, c
             for delta in ("nan", "inf")
         ),
         (["reproduce", "--table", "table2", "--runs", "0"], "error: runs must be >= 1"),
+        (["bias", "--gamma1", "nan", "--var-x", "1", "--var-u", "1"],
+         "error: gamma1 must be finite, got nan"),
+        (["bias", "--gamma1", "1", "--var-x", "inf", "--var-u", "0.5"],
+         "error: var_x must be finite and >= 0, got inf"),
+        (["bias", "--gamma1", "1", "--var-x", "0.5", "--var-u", "nan"],
+         "error: var_u must be finite and >= 0, got nan"),
     ],
 )
 def test_zero_and_non_finite_inputs_are_data_errors(

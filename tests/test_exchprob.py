@@ -202,6 +202,78 @@ def test_unsupported_combinations_raise():
         )
 
 
+def test_analytic_mode_rejects_gamma_v_and_kind_none():
+    for kind in (ErrorKind.NON_BERKSON_LINEAR, ErrorKind.PURE_BERKSON):
+        error = ErrorModel(kind=kind, gammaV=0.23, noiseU=DistributionSpec.rounded_uniform(-1, 1))
+        with pytest.raises(CapabilityError, match="gammaV = 0.23; fold gammaV"):
+            analytic_product_table(TABLE2_OUTCOME, error, X_MARGINAL, xep_support=[9])
+    with pytest.raises(CapabilityError, match="got none"):
+        analytic_product_table(TABLE2_OUTCOME, ErrorModel(), X_MARGINAL, xep_support=[9])
+
+
+def test_shared_v_without_loading_is_non_berkson():
+    shared = ErrorModel(
+        kind=ErrorKind.SHARED_V, gamma1=1.0, noiseU=DistributionSpec.rounded_uniform(-1, 1)
+    )
+    xeps = [7, 8, 9, 10, 11]
+    got = analytic_product_table(TABLE2_OUTCOME, shared, X_MARGINAL, xep_support=xeps)
+    want = analytic_product_table(TABLE2_OUTCOME, CLASSICAL_UNIT_ERROR, X_MARGINAL, xep_support=xeps)
+    assert list(got.rows()) == list(want.rows())
+
+
+def _sigmoid(t):
+    return 1.0 / (1.0 + np.exp(-t))
+
+
+def test_logit_normal_classical_error_against_gauss_hermite():
+    # X ~ N(mx, sx^2), Xep = g0 + g1 X + U with U ~ N(0, su^2): X | Xep = e is
+    # normal (conjugate), so P(Y(e) = 1) is one Gaussian integral over
+    # b0 + bx X + W, done here by Gauss-Hermite
+    mx, sx, g0, g1, su, b0, bx, sw = 9.0, 1.0, 0.1, 0.9, 0.8, -2.0, 0.4, 1.0
+    outcome = OutcomeModel(link=Link.LOGIT, beta0=b0, beta_x=bx,
+                           noise=DistributionSpec.normal(0, sw))
+    error = ErrorModel(kind=ErrorKind.NON_BERKSON_LINEAR, gamma0=g0, gamma1=g1,
+                       noiseU=DistributionSpec.normal(0, su))
+    xeps, xs = [8.0, 9.0, 10.5], [7.5, 9.0, 10.0]
+    table = analytic_product_table(
+        outcome, error, DistributionSpec.normal(mx, sx), xep_support=xeps, x_support=xs
+    )
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    weights = weights / weights.sum()
+
+    def p1(mean, sd):
+        return float(weights @ _sigmoid(mean + sd * nodes))
+
+    var_cond = 1.0 / (1.0 / sx**2 + g1**2 / su**2)
+    for e in xeps:
+        m = var_cond * (mx / sx**2 + g1 * (e - g0) / su**2)
+        p_meas = p1(b0 + bx * m, np.sqrt(bx**2 * var_cond + sw**2))
+        for x in xs:
+            p_true = p1(b0 + bx * x, sw)
+            assert table.cell(e, x, 1.0) == pytest.approx(p_true * p_meas, abs=1e-10)
+            assert table.cell(e, x, 0.0) == pytest.approx((1 - p_true) * (1 - p_meas), abs=1e-10)
+
+
+def test_logit_discrete_noise_against_hand_sum():
+    outcome = OutcomeModel(link=Link.LOGIT, beta0=-1.3, beta_x=0.25,
+                           noise=DistributionSpec.rounded_uniform(-1, 1), noise_scale=0.7)
+    table = analytic_product_table(
+        outcome, CLASSICAL_UNIT_ERROR, X_MARGINAL, xep_support=[7, 8, 9, 10, 11]
+    )
+    three_point = {-1: 0.25, 0: 0.5, 1: 0.25}
+
+    def p1(x):
+        return sum(p * _sigmoid(-1.3 + 0.25 * x + 0.7 * w) for w, p in three_point.items())
+
+    for e in (7, 8, 9, 10, 11):
+        # X | Xep = e over X in {8, 9, 10} with U = e - X in {-1, 0, 1}
+        joint = {x: three_point[x - 9] * three_point.get(e - x, 0.0) for x in (8, 9, 10)}
+        p_meas = sum(p * p1(x) for x, p in joint.items()) / sum(joint.values())
+        for x in (8, 9, 10):
+            assert table.cell(e, x, 1.0) == pytest.approx(p1(x) * p_meas, abs=1e-14)
+            assert table.cell(e, x, 0.0) == pytest.approx((1 - p1(x)) * (1 - p_meas), abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # AEE from the table
 
