@@ -70,6 +70,15 @@ def p_rd_identity(gamma1: float, var_x: float, var_u: float) -> float:
     return _closed_form(signal, signal + var_u, gamma1, var_x=var_x, var_u=var_u)
 
 
+def _gamma1_power(gamma1: float, q: int) -> float:
+    """gamma1^(2q); inf where the power of a finite gamma1 overflows, which
+    float ** raises as OverflowError, so the variance checks see it."""
+    try:
+        return gamma1 ** (2 * q)
+    except OverflowError:
+        return math.inf
+
+
 def p_rd_polynomial(q: int, gamma1: float, var_xq: float, var_uq: float) -> float:
     """P_RD for the highest polynomial power q.
 
@@ -79,7 +88,7 @@ def p_rd_polynomial(q: int, gamma1: float, var_xq: float, var_uq: float) -> floa
     """
     if q < 1:
         raise ParameterError("q must be >= 1")
-    signal = gamma1 ** (2 * q) * var_xq
+    signal = _gamma1_power(gamma1, q) * var_xq
     return _closed_form(signal, signal + var_uq, gamma1, var_xq=var_xq, var_uq=var_uq)
 
 
@@ -96,7 +105,7 @@ def p_rd_polynomial_from_data(q: int, x, xep, gamma1: float | None = None) -> fl
     xepq = xep**q
     var_xq = float(np.var(xq))
     var_total = float(np.var(xepq))
-    var_uq = max(var_total - gamma1 ** (2 * q) * var_xq, 0.0)
+    var_uq = max(var_total - _gamma1_power(gamma1, q) * var_xq, 0.0)
     return p_rd_polynomial(q, gamma1, var_xq, var_uq)
 
 

@@ -143,7 +143,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None or "PECLAB_SEED" in os.environ:
         scenario = dataclasses.replace(scenario, seed=_resolve_seed(args.seed))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    results = run_study(scenario, methods, jobs=args.jobs)
+    results = run_study([scenario], methods, jobs=args.jobs)
     # written once run_study has accepted the scenario and the methods
     if args.emit_csv:
         world = generate_scenario(scenario, 0)

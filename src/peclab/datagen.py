@@ -4,10 +4,15 @@ continuous simulation worlds.
 Generation order is fixed by the structural dependencies: C, V first, then X
 (or the measured exposure under pure Berkson wiring), then Y, then the
 error-prone columns. Every draw is keyed by (seed, replication, column), so
-replications are independent and reproducible in isolation.
+replications are independent and reproducible in isolation. The scenario is
+not part of the key: scenarios at one seed, n and replication draw the same
+values for a column of the same law, which generate_scenario's ``draws``
+dict lets them share.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -47,52 +52,69 @@ def _apply_error(
     error: ErrorModel,
     true_vals: np.ndarray,
     v: np.ndarray,
-    key: StreamKey,
+    draw: Callable[[ColumnTag, DistributionSpec], np.ndarray],
+    tag: ColumnTag,
 ) -> np.ndarray:
     """Measured column for a non-Berkson error model (or the identity); the
     scenario validator has already rejected Berkson confounder and V errors."""
-    n = true_vals.shape[0]
     if error.kind is ErrorKind.NONE:
         return true_vals.copy()
-    u = sample(error.noiseU, key, n)
+    u = draw(tag, error.noiseU)
     return error.gamma0 + error.gamma1 * true_vals + error.gammaV * v + u
 
 
-def generate_scenario(s: Scenario, replication_index: int = 0) -> Dataset:
+def generate_scenario(
+    s: Scenario, replication_index: int = 0, draws: dict | None = None
+) -> Dataset:
     """Materialize one replication of a scenario.
 
     The outcome link decides the response type: identity gives an additive
     continuous Y, logit a Bernoulli draw at the logistic mean (noise inside
     the linear predictor), log a Bernoulli draw at exp(lp) for rare-outcome
     worlds.
+
+    ``draws`` maps (column tag, law) to a keyed draw of this replication; the
+    law is None for the Bernoulli uniforms. A draw found there is reused and
+    one not found is made and stored, so scenarios that share the seed, n and
+    ``replication_index`` can pass one dict and draw each stream once. Every
+    stream is a pure function of (seed, replication, tag, law, n), so the
+    columns are bit-identical to those of a call without the dict. Stored
+    draws are read-only: a column such as V is the draw itself.
     """
     check_scenario(s)
     n = s.n
-    key = lambda tag: StreamKey(s.seed, replication_index, tag)
+    draws = {} if draws is None else draws
 
-    c_base = sample(s.c_model.noise, key(ColumnTag.C), n)
-    v = sample(s.v_model, key(ColumnTag.V), n)
-    c = s.c_model.intercept + s.c_model.coef_v * v + c_base
+    def draw(tag: ColumnTag, spec: DistributionSpec | None) -> np.ndarray:
+        values = draws.get((tag, spec))
+        if values is None:
+            key = StreamKey(s.seed, replication_index, tag)
+            values = uniforms(key, n) if spec is None else sample(spec, key, n)
+            values.flags.writeable = False
+            draws[(tag, spec)] = values
+        return values
+
+    v = draw(ColumnTag.V, s.v_model)
+    c = s.c_model.intercept + s.c_model.coef_v * v + draw(ColumnTag.C, s.c_model.noise)
 
     x_mean = s.x_model.intercept + s.x_model.coef_c * c + s.x_model.coef_v * v
-    x_draw = x_mean + sample(s.x_model.noise, key(ColumnTag.X_NOISE), n)
+    x_draw = x_mean + draw(ColumnTag.X_NOISE, s.x_model.noise)
 
     if s.exposure_error.kind is ErrorKind.PURE_BERKSON:
         # the structural equation generates the measured value; truth is
         # measured-plus-noise
         xep = x_draw
-        u = sample(s.exposure_error.noiseU, key(ColumnTag.U_X), n)
         x = (
             s.exposure_error.gamma0
             + s.exposure_error.gamma1 * xep
             + s.exposure_error.gammaV * v
-            + u
+            + draw(ColumnTag.U_X, s.exposure_error.noiseU)
         )
     else:
         x = x_draw
-        xep = _apply_error(s.exposure_error, x, v, key(ColumnTag.U_X))
+        xep = _apply_error(s.exposure_error, x, v, draw, ColumnTag.U_X)
 
-    eps = sample(s.outcome.noise, key(ColumnTag.Y_NOISE), n)
+    eps = draw(ColumnTag.Y_NOISE, s.outcome.noise)
     lp = s.outcome.linear_predictor(x, c=c, v=v, eps=eps)
     if s.outcome.link is Link.IDENTITY:
         y = lp
@@ -106,10 +128,9 @@ def generate_scenario(s: Scenario, replication_index: int = 0) -> Dataset:
                     "log link produced probabilities > 1; the outcome model is "
                     "valid only for rare outcomes"
                 )
-        y = (uniforms(key(ColumnTag.BERNOULLI), n) < p).astype(float)
+        y = (draw(ColumnTag.BERNOULLI, None) < p).astype(float)
 
-    cep = _apply_error(s.confounder_error, c, v, key(ColumnTag.U_C))
-    vep = _apply_error(s.v_error, v, v, key(ColumnTag.U_V))
+    cep = _apply_error(s.confounder_error, c, v, draw, ColumnTag.U_C)
+    vep = _apply_error(s.v_error, v, v, draw, ColumnTag.U_V)
 
     return Dataset({"X": x, "Xep": xep, "C": c, "Cep": cep, "V": v, "Vep": vep, "Y": y})
-

@@ -1,13 +1,23 @@
 """Monte Carlo orchestration and golden-table reproduction.
 
 A method is a row of data in METHODS: an estimator kind (naive, ipw or
-gcomp), an exposure column and its adjustment columns. run_study runs a
-scenario's replications; each one generates a world, calibrates it when a
+gcomp), an exposure column and its adjustment columns. run_study runs the
+replications of one or more scenarios that share seed, n and replications;
+each replication generates every scenario's world, calibrates it when a
 method names a calibrated column, and calls each method's estimator. It
 aggregates per-method means and dispersions in replication-index order, so
 results are deterministic regardless of worker count. reproduce runs the
-canonical configuration for one published table and reports a cell-by-cell
-diff at the acceptance tolerances.
+canonical configuration for one published table, all of its scenarios in
+one run_study call and one process pool, and reports a cell-by-cell diff at
+the acceptance tolerances.
+
+Every keyed draw is (seed, replication, column), without the scenario, so
+the scenarios of a table share common random numbers by construction; a
+replication draws each stream once and every scenario's world is built from
+it, with the same values each scenario would draw alone. Their Monte Carlo
+errors are therefore correlated: a claim that compares two scenarios of a
+table (table5's directional claim, for one) needs the standard error of the
+paired per-replication differences, not one from each scenario's mc_sd.
 """
 
 from __future__ import annotations
@@ -64,12 +74,14 @@ METHODS: dict[str, tuple[str, str, tuple[str, ...]]] = {
 }
 
 
-def _replicate(scenario: Scenario, rep: int, method_names: list[str]) -> dict:
+def _replicate(
+    scenario: Scenario, rep: int, method_names: list[str], draws: dict | None = None
+) -> dict:
     """{(method, estimand): value} for one replication. The world is
     calibrated when a method names a column it lacks; that adds every *_RC
     column, so it happens at most once. The estimators are this module's
     globals, looked up at call time."""
-    ds = generate_scenario(scenario, rep)
+    ds = generate_scenario(scenario, rep, draws)
     out = {}
     for name in method_names:
         kind, exposure, adjust = METHODS[name]
@@ -84,57 +96,89 @@ def _replicate(scenario: Scenario, rep: int, method_names: list[str]) -> dict:
     return out
 
 
-def _replicate_star(args):
-    return _replicate(*args)
+class _ScenarioFailed(Exception):
+    """A replication's PeclabError, args (scenario name, error); run_study
+    unwraps it, so only the name crosses the pool beside the error."""
+
+
+def _replicate_all(args) -> list[dict]:
+    """One replication of every scenario, in order, on one dict of draws
+    that lives as long as the replication."""
+    scenarios, rep, method_names = args
+    draws = {}
+    out = []
+    for scenario in scenarios:
+        try:
+            out.append(_replicate(scenario, rep, method_names, draws))
+        except PeclabError as exc:
+            raise _ScenarioFailed(scenario.name, exc) from None
+    return out
 
 
 def run_study(
-    scenario: Scenario, methods: list[str], jobs: int = 1
+    scenarios: list[Scenario], methods: list[str], jobs: int = 1
 ) -> list[StudyResult]:
-    """Generate -> (calibrate) -> estimate per replication; aggregate in
-    replication order. Deterministic for a fixed scenario seed. A
-    replication's PeclabError reaches the caller as its own class, with its
-    attributes, and a message prefixed by the scenario name."""
+    """Generate -> (calibrate) -> estimate per replication; aggregate each
+    scenario in replication order, scenario after scenario.
+
+    The scenarios must share seed, n and replications. A replication draws
+    each keyed stream once and builds every scenario's world from it, so the
+    scenarios use common random numbers, exactly the values each would draw
+    alone. Deterministic for a fixed seed at any ``jobs``. A replication's
+    PeclabError reaches the caller as its own class, with its attributes,
+    and a message prefixed by the name of the scenario that raised it."""
+    if not scenarios:
+        raise ParameterError("scenarios must be non-empty")
     if not methods:
         raise ParameterError("methods must be non-empty")
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
     # checked here, once, so a bad scenario fails before any worker starts
-    check_scenario(scenario)
+    for scenario in scenarios:
+        check_scenario(scenario)
+    for field in ("seed", "n", "replications"):
+        values = [getattr(s, field) for s in scenarios]
+        if len(set(values)) > 1:
+            raise ParameterError(
+                f"scenarios of one study must share {field}, got "
+                + ", ".join(f"{s.name} {v}" for s, v in zip(scenarios, values))
+            )
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ParameterError(f"unknown method(s): {', '.join(unknown)}")
-    reps = scenario.replications
-    tasks = [(scenario, rep, methods) for rep in range(reps)]
+    reps = scenarios[0].replications
+    tasks = [(scenarios, rep, methods) for rep in range(reps)]
     try:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 per_rep = list(
-                    pool.map(_replicate_star, tasks, chunksize=max(1, reps // (4 * jobs)))
+                    pool.map(_replicate_all, tasks, chunksize=max(1, reps // (4 * jobs)))
                 )
         else:
-            per_rep = [_replicate_star(t) for t in tasks]
-    except PeclabError as exc:
+            per_rep = [_replicate_all(t) for t in tasks]
+    except _ScenarioFailed as failed:
+        name, exc = failed.args
         # a copy keeps the class and its attributes (columns, trace)
         err = copy.copy(exc)
-        err.args = (f"scenario {scenario.name}: {exc}",)
+        err.args = (f"scenario {name}: {exc}",)
         raise err from exc
 
     results = []
-    for name in methods:
-        keys = [k for k in per_rep[0] if k[0] == name]
-        for key in keys:
-            values = np.array([r[key] for r in per_rep])
-            results.append(
-                StudyResult(
-                    scenario_name=scenario.name,
-                    method=name,
-                    estimand=key[1],
-                    mean_estimate=float(values.mean()),
-                    mc_sd=float(values.std(ddof=1)) if reps > 1 else 0.0,
-                    replications=reps,
+    for i, scenario in enumerate(scenarios):
+        for name in methods:
+            keys = [k for k in per_rep[0][i] if k[0] == name]
+            for key in keys:
+                values = np.array([r[i][key] for r in per_rep])
+                results.append(
+                    StudyResult(
+                        scenario_name=scenario.name,
+                        method=name,
+                        estimand=key[1],
+                        mean_estimate=float(values.mean()),
+                        mc_sd=float(values.std(ddof=1)) if reps > 1 else 0.0,
+                        replications=reps,
+                    )
                 )
-            )
     return results
 
 
@@ -374,14 +418,15 @@ def _reproduce_table2(n: int, seed: int) -> list[CellCheck]:
 
 
 def _reproduce_study(study: StudyTable, n: int, runs: int, seed: int, jobs: int) -> list[CellCheck]:
-    methods = study.methods
+    scenarios = [
+        study.build(key, n=n, replications=runs, seed=seed) for key in study.published
+    ]
+    results = run_study(scenarios, study.methods, jobs=jobs)
+    by_key = {(r.scenario_name, r.method, r.estimand): r for r in results}
     cells = []
-    for key, published_cells in study.published.items():
-        scenario = study.build(key, n=n, replications=runs, seed=seed)
-        results = run_study(scenario, methods, jobs=jobs)
-        by_key = {(r.method, r.estimand): r for r in results}
+    for scenario, published_cells in zip(scenarios, study.published.values()):
         for (method, estimand), published in published_cells.items():
-            r = by_key[(method, estimand)]
+            r = by_key[(scenario.name, method, estimand)]
             cells.append(
                 CellCheck(
                     scenario.name, method, estimand.value, r.mean_estimate,

@@ -369,8 +369,8 @@ def test_criterion_10_reproduce_bit_identical(tmp_path):
     s = worlds.table3_scenario(1, n=2000, replications=4, seed=worlds.DEFAULT_SEED)
     from peclab.harness import run_study
 
-    a = run_study(s, ["naive_cep", "rc"], jobs=1)
-    b = run_study(s, ["naive_cep", "rc"], jobs=2)
+    a = run_study([s], ["naive_cep", "rc"], jobs=1)
+    b = run_study([s], ["naive_cep", "rc"], jobs=2)
     same = [(r.method, r.estimand, r.mean_estimate) for r in a] == [
         (r.method, r.estimand, r.mean_estimate) for r in b
     ]

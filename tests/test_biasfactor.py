@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from peclab.biasfactor import (
     surrogate_ratio,
 )
 from peclab.datagen import generate_scenario
-from peclab.errors import ParameterError
+from peclab.errors import ParameterError, PeclabError
 from peclab.model import Dataset, Link
 from peclab.regress import design_with_intercept, logistic_irls, ols
 
@@ -94,6 +96,24 @@ def test_polynomial_names_the_bad_input():
         p_rd_polynomial(2, 1.0, float("inf"), 1.0)
     with pytest.raises(ParameterError, match="var_uq must be finite and >= 0, got -1.0"):
         p_rd_polynomial(2, 1.0, 1.0, -1.0)
+
+
+def test_polynomial_power_overflow_is_the_degenerate_variance_error():
+    # gamma1^(2q) overflows a float here; float ** raises OverflowError
+    degenerate = (
+        r"^degenerate error model: the measured variance gamma1\^\(2q\) Var\(X\^q\) "
+        r"\+ Var\(U\) is inf; it must be finite and nonzero$"
+    )
+    x = np.linspace(1.0, 2.0, 50)
+    for call in (
+        lambda: p_rd_polynomial(2, 1e100, 1.0, 1.0),
+        lambda: p_rd_polynomial(3, -1e60, 1.0, 0.0),
+        lambda: p_rd_polynomial_from_data(2, x, x + 0.1, gamma1=1e100),
+    ):
+        with pytest.raises(PeclabError) as err:
+            call()
+        assert type(err.value) is ParameterError
+        assert re.match(degenerate, str(err.value))
 
 
 def test_report_takes_p_rd_from_the_single_ratio():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from conftest import ks_critical, two_sample_ks
 from peclab import worlds
 from peclab.datagen import generate_scenario, generate_table2_world
 from peclab.errors import ParameterError
+from peclab.harness import STUDY_TABLES
 from peclab.model import DistributionSpec, ErrorKind, ErrorModel, Link, OutcomeModel, Scenario, StructuralSpec
 from peclab.regress import design_with_intercept, ols
+from peclab.rng import ColumnTag
 from table2_oracle import aee_exact, conditional_joint_cells
 
 
@@ -60,6 +64,40 @@ def test_generate_scenario_is_deterministic():
     b = generate_scenario(s, 3)
     for name in a.names:
         np.testing.assert_array_equal(a[name], b[name])
+
+
+@pytest.mark.parametrize("rep", [0, 3])
+@pytest.mark.parametrize("table", ["table3", "table4", "table5"])
+def test_shared_draws_are_bit_identical(table, rep):
+    # the scenarios of a table draw in table order from one dict, as a study
+    # replication does; table5 builds C = aV + the shared base draw
+    study = STUDY_TABLES[table]
+    shared = {}
+    for key in study.published:
+        s = study.build(key, n=500, replications=1, seed=worlds.DEFAULT_SEED)
+        together = generate_scenario(s, rep, shared)
+        alone = generate_scenario(s, rep)
+        assert together.names == alone.names
+        for name in alone.names:
+            assert together[name].tobytes() == alone[name].tobytes(), (s.name, name)
+    # 7 sampled streams, plus the Bernoulli uniforms in the binary tables
+    assert len(shared) == (7 if table == "table3" else 8)
+    assert together["V"] is shared[(ColumnTag.V, s.v_model)]
+    for values in shared.values():
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
+def test_shared_draws_are_keyed_by_law():
+    # same tag, other law: the second scenario draws its own X noise
+    s = worlds.table3_scenario(1, n=500, seed=worlds.DEFAULT_SEED)
+    wider = replace(s, x_model=replace(s.x_model, noise=DistributionSpec.normal(0.0, 0.7)))
+    shared = {}
+    generate_scenario(s, 2, shared)
+    together, alone = generate_scenario(wider, 2, shared), generate_scenario(wider, 2)
+    for name in alone.names:
+        assert together[name].tobytes() == alone[name].tobytes(), name
+    assert len(shared) == 8
 
 
 def test_invalid_scenario_raises_with_violations():

@@ -32,19 +32,19 @@ def test_published_grid_has_45_cells():
 
 def test_single_replication_mean_equals_estimate_and_zero_sd():
     s = worlds.table3_scenario(1, n=2000, replications=1, seed=7)
-    results = run_study(s, ["naive_cep"])
+    results = run_study([s], ["naive_cep"])
     assert len(results) == 1
     r = results[0]
     assert r.replications == 1
     assert r.mc_sd == 0.0
-    again = run_study(s, ["naive_cep"])[0]
+    again = run_study([s], ["naive_cep"])[0]
     assert again.mean_estimate == r.mean_estimate
 
 
 def test_run_study_deterministic():
     s = worlds.table3_scenario(2, n=2000, replications=6, seed=11)
-    a = run_study(s, ["naive_cep", "rc"])
-    b = run_study(s, ["naive_cep", "rc"])
+    a = run_study([s], ["naive_cep", "rc"])
+    b = run_study([s], ["naive_cep", "rc"])
     for ra, rb in zip(a, b):
         assert ra.mean_estimate == rb.mean_estimate
         assert ra.mc_sd == rb.mc_sd
@@ -52,8 +52,8 @@ def test_run_study_deterministic():
 
 def test_parallel_jobs_reduce_identically():
     s = worlds.table3_scenario(1, n=2000, replications=8, seed=13)
-    serial = run_study(s, STUDY_TABLES["table3"].methods, jobs=1)
-    parallel = run_study(s, STUDY_TABLES["table3"].methods, jobs=2)
+    serial = run_study([s], STUDY_TABLES["table3"].methods, jobs=1)
+    parallel = run_study([s], STUDY_TABLES["table3"].methods, jobs=2)
     assert [(r.method, r.estimand, r.mean_estimate, r.mc_sd) for r in serial] == [
         (r.method, r.estimand, r.mean_estimate, r.mc_sd) for r in parallel
     ]
@@ -61,8 +61,8 @@ def test_parallel_jobs_reduce_identically():
 
 def test_two_seeds_agree_within_clt_band():
     kwargs = dict(n=2000, replications=40)
-    a = run_study(worlds.table3_scenario(1, seed=101, **kwargs), ["naive_cep"])[0]
-    b = run_study(worlds.table3_scenario(1, seed=202, **kwargs), ["naive_cep"])[0]
+    a = run_study([worlds.table3_scenario(1, seed=101, **kwargs)], ["naive_cep"])[0]
+    b = run_study([worlds.table3_scenario(1, seed=202, **kwargs)], ["naive_cep"])[0]
     band = 4 * (a.mc_sd + b.mc_sd) / np.sqrt(kwargs["replications"])
     assert abs(a.mean_estimate - b.mean_estimate) < band
 
@@ -88,14 +88,14 @@ def test_replication_estimates_uncorrelated():
 def test_unknown_method_rejected():
     s = worlds.table3_scenario(1, n=100, replications=1)
     with pytest.raises(ParameterError):
-        run_study(s, ["definitely_not_a_method"])
+        run_study([s], ["definitely_not_a_method"])
     with pytest.raises(ParameterError):
-        run_study(s, [])
+        run_study([s], [])
 
 
 def test_binary_methods_return_both_estimands():
     s = worlds.table4_scenario(1, n=4000, replications=2, seed=19)
-    results = run_study(s, ["gcomp_true_cv"])
+    results = run_study([s], ["gcomp_true_cv"])
     estimands = {r.estimand for r in results}
     assert estimands == {Estimand.RISK_DIFFERENCE, Estimand.RISK_RATIO}
 
@@ -137,7 +137,7 @@ def test_every_method_row_runs(name, monkeypatch):
     kind = METHODS[name][0]
     calibrations = _counting_calibrations(monkeypatch)
     build = worlds.table4_scenario if kind == "gcomp" else worlds.table3_scenario
-    results = run_study(build(1, n=2000, replications=2, seed=23), [name])
+    results = run_study([build(1, n=2000, replications=2, seed=23)], [name])
     assert {r.estimand for r in results} == ({RD, RR} if kind == "gcomp" else {RD})
     assert all(np.isfinite(r.mean_estimate) for r in results)
     # one calibration per replication for the rows on calibrated columns
@@ -147,25 +147,30 @@ def test_every_method_row_runs(name, monkeypatch):
 def test_calibration_runs_once_per_replication(monkeypatch):
     calibrations = _counting_calibrations(monkeypatch)
     s = worlds.table3_scenario(1, n=2000, replications=3, seed=23)
-    run_study(s, STUDY_TABLES["table3"].methods)  # rc and ipw_rc share it
+    run_study([s], STUDY_TABLES["table3"].methods)  # rc and ipw_rc share it
     assert len(calibrations) == 3
 
 
 def test_worker_error_reaches_caller_alike_at_any_jobs():
-    # a constant confounder makes the oracle's design singular in C
-    s = worlds.table3_scenario(1, n=500, replications=2, seed=3)
-    s = replace(s, c_model=replace(s.c_model, noise=DistributionSpec.point_mass(0.0)))
-    errors = []
-    for jobs in (1, 2):
-        with pytest.raises(SingularDesignError) as err:
-            run_study(s, ["oracle_true"], jobs=jobs)
-        assert err.value.columns == ["C"]
-        errors.append(err.value)
-    assert str(errors[0]) == str(errors[1])
-    assert str(errors[0]).startswith("scenario table3-1: design matrix is rank deficient")
-    for exc in errors:
-        assert isinstance(exc.__cause__, SingularDesignError)
-        assert exc.__cause__.columns == ["C"]
+    # a constant confounder makes the oracle's design singular in C; alone,
+    # and as the second scenario of a table after one that runs cleanly
+    def singular(idx):
+        s = worlds.table3_scenario(idx, n=500, replications=2, seed=3)
+        return replace(s, c_model=replace(s.c_model, noise=DistributionSpec.point_mass(0.0)))
+
+    good = worlds.table3_scenario(1, n=500, replications=2, seed=3)
+    for scenarios, failing in (([singular(1)], "table3-1"), ([good, singular(2)], "table3-2")):
+        errors = []
+        for jobs in (1, 2):
+            with pytest.raises(SingularDesignError) as err:
+                run_study(scenarios, ["oracle_true"], jobs=jobs)
+            assert err.value.columns == ["C"]
+            errors.append(err.value)
+        assert str(errors[0]) == str(errors[1])
+        assert str(errors[0]).startswith(f"scenario {failing}: design matrix is rank deficient")
+        for exc in errors:
+            assert isinstance(exc.__cause__, SingularDesignError)
+            assert exc.__cause__.columns == ["C"]
     trace = pickle.loads(pickle.dumps(ConvergenceError("no", trace=[1.0, 2.0]))).trace
     assert trace == [1.0, 2.0]
 
@@ -179,14 +184,13 @@ def test_worker_error_keeps_its_class_and_attributes(monkeypatch):
     monkeypatch.setattr(harness, "naive_regression_aee", diverge)
     s = worlds.table3_scenario(1, n=200, replications=1, seed=3)
     with pytest.raises(ConvergenceError) as err:
-        run_study(s, ["naive_cep"], jobs=1)
+        run_study([s], ["naive_cep"], jobs=1)
     assert str(err.value) == "scenario table3-1: IRLS did not converge"
     assert err.value.trace == [-3.0, -2.5]
     assert err.value.__cause__.trace == [-3.0, -2.5]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_berkson_confounder_error_rejected_before_any_worker(jobs, monkeypatch):
+def _forbid_workers_and_draws(monkeypatch):
     from peclab import harness
 
     def forbidden(*args, **kwargs):
@@ -194,10 +198,67 @@ def test_berkson_confounder_error_rejected_before_any_worker(jobs, monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", forbidden)
     monkeypatch.setattr(harness, "generate_scenario", forbidden)
-    s = worlds.table3_scenario(1, n=200, replications=2, seed=3)
-    s = replace(s, confounder_error=replace(s.confounder_error, kind=ErrorKind.PURE_BERKSON))
-    with pytest.raises(ParameterError, match=r"^scenario table3-1: confounder_error\.kind "):
-        run_study(s, ["naive_cep"], jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_berkson_confounder_error_rejected_before_any_worker(jobs, monkeypatch):
+    _forbid_workers_and_draws(monkeypatch)
+
+    def berkson(idx):
+        s = worlds.table3_scenario(idx, n=200, replications=2, seed=3)
+        return replace(s, confounder_error=replace(s.confounder_error, kind=ErrorKind.PURE_BERKSON))
+
+    good = worlds.table3_scenario(1, n=200, replications=2, seed=3)
+    for scenarios, failing in (([berkson(1)], "table3-1"), ([good, berkson(2)], "table3-2")):
+        with pytest.raises(ParameterError, match=rf"^scenario {failing}: confounder_error\.kind "):
+            run_study(scenarios, ["naive_cep"], jobs=jobs)
+
+
+@pytest.mark.parametrize("field", ["seed", "n", "replications"])
+def test_run_study_rejects_scenarios_that_disagree(field, monkeypatch):
+    _forbid_workers_and_draws(monkeypatch)
+    a = worlds.table3_scenario(1, n=200, replications=2, seed=3)
+    b = replace(worlds.table3_scenario(2, n=200, replications=2, seed=3), **{field: 4})
+    with pytest.raises(ParameterError, match=f"^scenarios of one study must share {field}, "):
+        run_study([a, b], ["naive_cep"], jobs=2)
+    with pytest.raises(ParameterError, match="^scenarios must be non-empty$"):
+        run_study([], ["naive_cep"], jobs=2)
+
+
+def test_table5_draws_each_stream_once_per_replication_in_one_pool(monkeypatch):
+    from collections import Counter
+
+    from peclab import datagen, harness
+
+    calls = {"sample": Counter(), "uniforms": Counter()}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            key = args[1] if name == "sample" else args[0]
+            calls[name][key.replication_index] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(datagen, "sample", counting("sample", datagen.sample))
+    monkeypatch.setattr(datagen, "uniforms", counting("uniforms", datagen.uniforms))
+    serial = io.StringIO()
+    reproduce("table5", n=500, runs=2, seed=worlds.DEFAULT_SEED, jobs=1).write_csv(serial)
+    # 7 scenarios x 2 replications, each of the 8 streams drawn once per replication
+    assert calls == {"sample": Counter({0: 7, 1: 7}), "uniforms": Counter({0: 1, 1: 1})}
+
+    pools = []
+    pool_class = harness.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return pool_class(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+    parallel = io.StringIO()
+    reproduce("table5", n=500, runs=2, seed=worlds.DEFAULT_SEED, jobs=2).write_csv(parallel)
+    assert pools == [{"max_workers": 2}]
+    assert parallel.getvalue() == serial.getvalue()
 
 
 def test_reproduce_table2_report_shape():
