@@ -7,11 +7,14 @@ The polynomial extension treats the highest power q via
 P_RDq = gamma1^(2q) Var(X^q) / Var(Xep^q).
 
 The decomposition operations reconstruct the naive exposure coefficient from
-plug-in OLS fits: the calibration model, the pseudo-confounder projection,
-and the calibration-residual projection (exposure-error route), or the
-confounder-calibration residual projection (confounder-error route). Each
-distinct regressor set is built and factorised once; responses that share
-it go through one multi-response ``ols``.
+plug-in OLS fits: beta1 (gamma1* + gammaV* rhoV) through the calibration
+model and the pseudo-confounder projection (exposure-error route), or
+beta1 gamma1* + betaC rhoEC through the calibration model and the
+confounder-calibration residual projection (confounder-error route). The
+calibration residual U* has no term: its design contains every naive
+regressor, so by the normal equations its naive-design coefficient is zero.
+Each distinct regressor set is built and factorised once; responses that
+share it go through one multi-response ``ols``.
 """
 
 from __future__ import annotations
@@ -197,27 +200,26 @@ def figure2_grid(gammas=(0.5, 0.75, 1.0, 1.5, 2.0), points: int = 101):
 @dataclass(frozen=True)
 class EpcDecomposition:
     """Exposure-error route: beta1_ep = beta1 * (gamma1_star
-    + gamma_v_star * rho_v + rho_u)."""
+    + gamma_v_star * rho_v)."""
 
     beta1: float
     gamma1_star: float
     gamma_v_star: float
     rho_v: float
-    rho_u: float
     predicted_naive: float
     direct_naive: float
 
 
 def epc_decomposition(d: Dataset, adjustment: list[str]) -> EpcDecomposition:
-    """Reconstruct the naive exposure coefficient through the calibration fit,
-    the pseudo-confounder projection (V on Xep + z'), and the calibration
-    residual projection (U* on Xep + z').
+    """Reconstruct the naive exposure coefficient through the calibration fit
+    (X on Xep, V and z' minus V) and the pseudo-confounder projection (V on
+    Xep + z').
 
     The reconstruction is an identity only when the correct outcome model's
     residual is unrelated to the measured exposure given z'; worlds where V
     affects the outcome directly need V inside ``adjustment``. In that case
     the pseudo-confounder projection is structurally zero (V is conditioned
-    away) and only the calibration-residual route remains.
+    away) and only gamma1_star remains.
     """
     d.require("X", "Xep", "V", "Y", *adjustment)
     v_adjusted = "V" in adjustment
@@ -231,19 +233,17 @@ def epc_decomposition(d: Dataset, adjustment: list[str]) -> EpcDecomposition:
     calib = ols(calib_design, x)
     gamma1_star = float(calib.coefficients[1])
     gamma_v_star = float(calib.coefficients[2])
-    u_star = x - calib.predict(calib_design)
 
-    # U*, Y and (unless z' holds it) V share the naive design
-    fits = ols(naive_design, np.column_stack([u_star, y] + ([] if v_adjusted else [v])))
-    rho_u, direct = (float(f.coefficients[1]) for f in fits[:2])
-    rho_v = 0.0 if v_adjusted else float(fits[2].coefficients[1])
-    predicted = beta1 * (gamma1_star + gamma_v_star * rho_v + rho_u)
+    # Y and (unless z' holds it) V share the naive design
+    fits = ols(naive_design, np.column_stack([y] + ([] if v_adjusted else [v])))
+    direct = float(fits[0].coefficients[1])
+    rho_v = 0.0 if v_adjusted else float(fits[1].coefficients[1])
+    predicted = beta1 * (gamma1_star + gamma_v_star * rho_v)
     return EpcDecomposition(
         beta1=beta1,
         gamma1_star=gamma1_star,
         gamma_v_star=gamma_v_star,
         rho_v=rho_v,
-        rho_u=rho_u,
         predicted_naive=predicted,
         direct_naive=direct,
     )
@@ -251,13 +251,12 @@ def epc_decomposition(d: Dataset, adjustment: list[str]) -> EpcDecomposition:
 
 @dataclass(frozen=True)
 class EcDecomposition:
-    """Confounder-error route: beta1_ep ~= beta1 * (gamma1_star + rho_u)
+    """Confounder-error route: beta1_ep ~= beta1 * gamma1_star
     + beta_c * rho_ec, with beta_c * rho_ec the residual-confounding term."""
 
     beta1: float
     beta_c: float
     gamma1_star: float
-    rho_u: float
     rho_ec: float
     ec_term: float
     predicted_naive: float
@@ -266,7 +265,8 @@ class EcDecomposition:
 
 def ec_decomposition(d: Dataset, adjustment: list[str] | None = None) -> EcDecomposition:
     """Reconstruct the naive exposure coefficient when the confounder is
-    error-prone. ``adjustment`` lists z minus C columns (defaults to none)."""
+    error-prone. ``adjustment`` lists z minus C columns (defaults to none).
+    The exposure calibration is X on the naive design itself."""
     extra = list(adjustment or [])
     d.require("X", "Xep", "C", "Cep", "Y", *extra)
     z = [d[c] for c in extra]
@@ -279,21 +279,18 @@ def ec_decomposition(d: Dataset, adjustment: list[str] | None = None) -> EcDecom
     beta_c = float(correct.coefficients[2])
     uc_star = c - ols(c_design, c).predict(c_design)
 
-    # X, U_C* and Y share the naive design; U* is its one second solve
+    # X, U_C* and Y share the naive design
     x_calib, ec_fit, naive = ols(naive_design, np.column_stack([x, uc_star, y]))
     gamma1_star = float(x_calib.coefficients[1])
-    u_star = x - x_calib.predict(naive_design)
-    rho_u = float(ols(naive_design, u_star).coefficients[1])
     rho_ec = float(ec_fit.coefficients[1])
 
     ec_term = beta_c * rho_ec
-    predicted = beta1 * (gamma1_star + rho_u) + ec_term
+    predicted = beta1 * gamma1_star + ec_term
     direct = float(naive.coefficients[1])
     return EcDecomposition(
         beta1=beta1,
         beta_c=beta_c,
         gamma1_star=gamma1_star,
-        rho_u=rho_u,
         rho_ec=rho_ec,
         ec_term=ec_term,
         predicted_naive=predicted,

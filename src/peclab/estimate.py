@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .model import Dataset
-from .regress import logistic_irls, ols, wls, design_with_intercept
+from .model import Dataset, DistributionSpec
+from .regress import _sigmoid, logistic_irls, ols, wls, design_with_intercept
 
 
 def _model_inputs(
@@ -59,22 +59,17 @@ def g_computation(
     """Delta-shift standardization with a logistic outcome model.
 
     p1 averages predicted probabilities with the exposure shifted by delta
-    for every row, p0 with the exposure as observed. Returns the risk
+    for every row, p0 with the exposure as observed; the shift moves every
+    row's linear predictor by delta * beta_x. Returns the risk
     difference p1 - p0 and the risk ratio p1 / p0, both from one fit of the
     outcome model (logistic_irls rejects an outcome not coded 0/1).
     """
     names, observed = _model_inputs(d, exposure_col, adjustment_cols, delta)
     fit = logistic_irls(observed, d["Y"], column_names=names)
-    shifted = observed.copy(order="K")
-    shifted[:, 1] += delta
-    p0 = fit.predict_proba(observed).mean()
-    p1 = fit.predict_proba(shifted).mean()
+    eta = fit.predict(observed)
+    p0 = _sigmoid(eta).mean()
+    p1 = _sigmoid(eta + delta * fit.coefficients[1]).mean()
     return float(p1 - p0), float(p1 / p0)
-
-
-def _normal_pdf(x, mu, sigma):
-    z = (np.asarray(x, dtype=float) - mu) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
 def stabilized_weights(
@@ -86,12 +81,17 @@ def stabilized_weights(
     """Marginal over conditional normal GPS density of the treatment.
 
     The conditional density is N(covariate OLS prediction, its residual
-    variance); the marginal one N(mean, sd) of the treatment. The weights
-    are optionally truncated at their ``truncate_quantile`` quantile.
+    variance), an intercept-only fit when there are no covariates; the
+    marginal one N(mean, sd) of the treatment. The weights are optionally
+    truncated at their ``truncate_quantile`` quantile.
     """
+    if truncate_quantile is not None and not 0.0 < truncate_quantile <= 1.0:
+        raise ParameterError("truncate_quantile must be in (0, 1]")
     d.require(treatment_col, *covariate_cols)
     t = d[treatment_col]
-    design = design_with_intercept(*[d[c] for c in covariate_cols])
+    # with no columns design_with_intercept has no rows to size its ones by
+    covariates = [d[c] for c in covariate_cols]
+    design = design_with_intercept(*covariates) if covariates else np.ones((d.n, 1))
     fit = ols(design, t, column_names=("intercept", *covariate_cols))
     sigma = float(np.sqrt(fit.residual_variance))
     sd = float(np.std(t, ddof=1))
@@ -99,10 +99,9 @@ def stabilized_weights(
         raise ParameterError("treatment column is constant")
     if sigma <= 1e-8 * sd:
         raise ParameterError("treatment has zero residual variance given the covariates")
-    w = _normal_pdf(t, float(t.mean()), sd) / _normal_pdf(t, fit.predict(design), sigma)
+    marginal = DistributionSpec.normal(float(t.mean()), sd).density(t)
+    w = marginal / DistributionSpec.normal(0.0, sigma).density(t - fit.predict(design))
     if truncate_quantile is not None:
-        if not 0.0 < truncate_quantile <= 1.0:
-            raise ParameterError("truncate_quantile must be in (0, 1]")
         w = np.minimum(w, np.quantile(w, truncate_quantile))
     return w
 
@@ -114,8 +113,9 @@ def ipw_gps_aee(
     delta: float = 1.0,
     truncate_quantile: float | None = None,
 ) -> float:
-    """Stabilized-IPW marginal slope of Y on the treatment, scaled by delta."""
-    names, design = _model_inputs(d, treatment_col, covariate_cols, delta)
+    """Stabilized-IPW marginal slope of Y on the treatment, scaled by delta:
+    the covariates enter the GPS weights, the outcome design is [1, T]."""
+    names, design = _model_inputs(d, treatment_col, [], delta)
     w = stabilized_weights(d, treatment_col, covariate_cols, truncate_quantile)
-    fit = wls(design[:, :2], d["Y"], w, column_names=names[:2])
+    fit = wls(design, d["Y"], w, column_names=names)
     return float(fit.coefficients[1]) * delta

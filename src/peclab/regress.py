@@ -21,7 +21,7 @@ design took more than twice as long.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,20 +171,14 @@ def wls(design, response, weights, column_names=None) -> RegressionFit:
         raise ParameterError("weights must be positive and finite")
     sw = np.sqrt(w)
     fit = ols(a * sw[:, None], y * sw, column_names=column_names)
-    # recompute the goodness-of-fit pieces in the weighted geometry
-    resid = y - a @ fit.coefficients
-    rss = float(w @ resid**2)
+    # the scaled fit's residuals are sqrt(w_i) r_i, so its RSS is already the
+    # weighted sum_i w_i r_i^2; only the TSS needs the weighted geometry
+    n, p = a.shape
+    rss = fit.residual_variance * (n - p)
     ybar = float(w @ y / w.sum())
     tss = float(w @ (y - ybar) ** 2)
     r2 = 0.0 if tss == 0 else max(0.0, min(1.0, 1.0 - rss / tss))
-    n, p = a.shape
-    return RegressionFit(
-        coefficients=fit.coefficients,
-        residual_variance=rss / (n - p),
-        r_squared=r2,
-        converged=True,
-        iterations=1,
-    )
+    return replace(fit, r_squared=r2)
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -238,9 +232,12 @@ def logistic_irls(design, response, column_names=None) -> RegressionFit:
     mu = _sigmoid_from(eta, e)
     trace = [ll]
 
-    for it in range(1, IRLS_MAX_ITER + 1):
+    # one score per pass, read by every check at its top: a saturated optimum
+    # is separation even at the iteration cap
+    for it in range(IRLS_MAX_ITER + 1):
         score = a.T @ (y - mu)
-        if np.max(np.abs(score)) < IRLS_TOL:
+        max_score = np.max(np.abs(score))
+        if max_score < IRLS_TOL:
             if np.max(np.abs(y - mu)) < 1e-6:
                 # the "optimum" is a saturated perfect fit, which only an
                 # unbounded likelihood produces
@@ -248,7 +245,18 @@ def logistic_irls(design, response, column_names=None) -> RegressionFit:
                     "fitted probabilities reproduce the response exactly; "
                     "the response is perfectly separated"
                 )
-            return RegressionFit(coefficients=beta, converged=True, iterations=it - 1)
+            return RegressionFit(coefficients=beta, converged=True, iterations=it)
+        if np.linalg.norm(beta) > SEPARATION_NORM:
+            raise SeparationError(
+                "coefficients diverged with an undiminished gradient; "
+                "the response looks perfectly separated"
+            )
+        if it == IRLS_MAX_ITER:
+            raise ConvergenceError(
+                f"IRLS did not converge in {IRLS_MAX_ITER} iterations "
+                f"(max |score| = {max_score:.3g})",
+                trace=trace,
+            )
         w = np.clip(mu * (1.0 - mu), 1e-12, None)
         h = (a * w[:, None]).T @ a
         try:
@@ -271,21 +279,6 @@ def logistic_irls(design, response, column_names=None) -> RegressionFit:
         beta, eta, ll = cand, cand_eta, cand_ll
         mu = _sigmoid_from(eta, cand_e)
         trace.append(ll)
-        if np.linalg.norm(beta) > SEPARATION_NORM:
-            if np.max(np.abs(a.T @ (y - mu))) > IRLS_TOL:
-                raise SeparationError(
-                    "coefficients diverged with an undiminished gradient; "
-                    "the response looks perfectly separated"
-                )
-
-    score = a.T @ (y - mu)
-    if np.max(np.abs(score)) < IRLS_TOL:
-        return RegressionFit(coefficients=beta, converged=True, iterations=IRLS_MAX_ITER)
-    raise ConvergenceError(
-        f"IRLS did not converge in {IRLS_MAX_ITER} iterations "
-        f"(max |score| = {np.max(np.abs(score)):.3g})",
-        trace=trace,
-    )
 
 
 def design_with_intercept(*columns) -> np.ndarray:

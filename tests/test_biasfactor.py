@@ -451,9 +451,31 @@ def test_epc_fits_three_designs_once_each(adjustment, monkeypatch):
 
 
 @pytest.mark.parametrize("adjustment", [None, ["V"]])
-def test_ec_fits_three_designs_in_four_solves(adjustment, monkeypatch):
+def test_ec_fits_three_designs_in_three_solves(adjustment, monkeypatch):
     ds = generate_scenario(worlds.table5_scenario(0.5, 0.0, n=3000, seed=1002), 0)
     fits = _counting(monkeypatch, "ols")
     builds = _counting(monkeypatch, "design_with_intercept")
     ec_decomposition(ds, adjustment)
-    assert (len(fits), len(builds)) == (4, 3)
+    assert (len(fits), len(builds)) == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "scenario, calib_cols, naive_cols",
+    [
+        # EPC: X on [Xep, V, z' minus V], naive design [Xep, z']
+        (worlds.table3_scenario(2, n=3000, seed=1005), ["Xep", "V", "Cep"], ["Xep", "Cep"]),
+        (worlds.table3_scenario(2, n=3000, seed=1005), ["Xep", "V", "Cep"], ["Xep", "Cep", "V"]),
+        # EC: X on the naive design [Xep, Cep, z] itself
+        (worlds.table5_scenario(0.5, 0.0, n=3000, seed=1005), ["Xep", "Cep"], ["Xep", "Cep"]),
+        (worlds.table5_scenario(0.5, 0.0, n=3000, seed=1005), ["Xep", "Cep", "V"], ["Xep", "Cep", "V"]),
+    ],
+)
+def test_calibration_residual_has_no_naive_design_term(scenario, calib_cols, naive_cols):
+    # why the decompositions carry no rho_u: the calibration design spans
+    # every naive regressor, so by the normal equations its residual U* is
+    # orthogonal to the naive design and projects on it with coefficient zero
+    ds = generate_scenario(scenario, 0)
+    calib_design = design_with_intercept(*[ds[c] for c in calib_cols])
+    u_star = ds["X"] - ols(calib_design, ds["X"]).predict(calib_design)
+    rho_u = ols(design_with_intercept(*[ds[c] for c in naive_cols]), u_star).coefficients[1]
+    assert abs(rho_u) < 1e-12

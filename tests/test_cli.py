@@ -327,6 +327,20 @@ def test_estimate_missing_column_is_data_error(dataset_csv, capsys):
     assert "Treatment" in capsys.readouterr().err
 
 
+def test_estimate_ipw_without_adjustment(dataset_csv, capsys):
+    assert dispatch(["estimate", "--method", "naive", "--in", str(dataset_csv),
+                     "--exposure", "X"]) == 0
+    naive = capsys.readouterr().out.splitlines()
+    assert dispatch(["estimate", "--method", "ipw", "--in", str(dataset_csv),
+                     "--exposure", "X"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "method,estimand,delta,value"
+    # unit weights: the IPW slope is the naive one
+    assert float(lines[1].split(",")[-1]) == pytest.approx(
+        float(naive[1].split(",")[-1]), rel=1e-9
+    )
+
+
 def test_estimate_gcomp_on_binary_csv(tmp_path, capsys):
     ds = generate_scenario(worlds.table4_scenario(1, n=5000, seed=23), 0)
     path = tmp_path / "binary.csv"

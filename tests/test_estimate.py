@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peclab import worlds
+from peclab import estimate, worlds
 from peclab.datagen import generate_scenario
 from peclab.errors import ParameterError, SchemaError
 from peclab.estimate import g_computation, ipw_gps_aee, naive_regression_aee, stabilized_weights
@@ -106,6 +106,33 @@ def test_gcomp_rd_and_rr_come_from_one_fit():
     assert rr == float(p1 / p0)
 
 
+def _shifted_design_reference(ds, exposure, adjust, delta):
+    """g-computation as the mean predicted risk on a copy of the design with
+    the exposure column shifted by delta."""
+    adjusted = [ds[c] for c in adjust]
+    observed = design_with_intercept(ds[exposure], *adjusted)
+    fit = logistic_irls(observed, ds["Y"])
+    p0 = fit.predict_proba(observed).mean()
+    p1 = fit.predict_proba(design_with_intercept(ds[exposure] + delta, *adjusted)).mean()
+    return p1 - p0, p1 / p0
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+@pytest.mark.parametrize(
+    "scenario",
+    [worlds.table4_scenario(i, n=3000, seed=47) for i in (1, 2, 3)]
+    + [worlds.table5_scenario(a, b, n=3000, seed=47) for a, b in [(0.5, -0.5), (-0.5, 0.5)]],
+    ids=lambda s: s.name,
+)
+def test_gcomp_shifted_predictor_matches_shifted_design(scenario, delta):
+    ds = generate_scenario(scenario, 0)
+    for exposure, adjust in [("X", ["C", "V"]), ("Xep", ["Cep"])]:
+        rd, rr = g_computation(ds, exposure, adjust, delta=delta)
+        want_rd, want_rr = _shifted_design_reference(ds, exposure, adjust, delta)
+        assert rd == pytest.approx(want_rd, rel=1e-12, abs=0)
+        assert rr == pytest.approx(want_rr, rel=1e-12, abs=0)
+
+
 def test_gcomp_requires_binary_outcome():
     ds = _no_confounding_world()
     with pytest.raises(ParameterError):
@@ -198,6 +225,31 @@ def test_ipw_truncation_option_caps_weights():
     assert w_cap.max() <= np.quantile(w_raw, 0.995) + 1e-12
     with pytest.raises(ParameterError):
         stabilized_weights(ds, "X", ["C", "V"], truncate_quantile=1.5)
+
+
+def test_truncation_quantile_rejected_before_the_gps_fit(monkeypatch):
+    ds = _no_confounding_world(n=200)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the GPS was fitted before the quantile was checked")
+
+    monkeypatch.setattr(estimate, "ols", no_fit)
+    for q in (0.0, 1.5, float("nan")):
+        with pytest.raises(ParameterError, match="truncate_quantile"):
+            stabilized_weights(ds, "X", ["C", "V"], truncate_quantile=q)
+        with pytest.raises(ParameterError, match="truncate_quantile"):
+            ipw_gps_aee(ds, "X", ["C", "V"], truncate_quantile=q)
+
+
+def test_gps_without_covariates_is_intercept_only():
+    # N(mean, sd) over the intercept-only fit N(mean, residual sd): the same
+    # density, so every weight is 1 and IPW is the unweighted slope
+    ds = _no_confounding_world()
+    w = stabilized_weights(ds, "X", [])
+    assert np.max(np.abs(w - 1.0)) < 1e-12
+    assert ipw_gps_aee(ds, "X", []) == pytest.approx(
+        naive_regression_aee(ds, "X", []), rel=1e-12
+    )
 
 
 def test_estimator_coherence_on_linear_no_error_world():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peclab.errors import ParameterError, SeparationError, SingularDesignError
+from peclab import regress
+from peclab.errors import (
+    ConvergenceError,
+    ParameterError,
+    SeparationError,
+    SingularDesignError,
+)
 from peclab.regress import (
     _constant_columns,
     _log_likelihood,
@@ -212,6 +218,10 @@ def test_closed_form_weighted_slope():
     yw = np.sum(w * y) / w.sum()
     slope = np.sum(w * (x - xw) * (y - yw)) / np.sum(w * (x - xw) ** 2)
     assert fit.coefficients[1] == pytest.approx(slope, rel=1e-10)
+    # the goodness of fit is read in the weighted geometry
+    rss = np.sum(w * (y - fit.coefficients[0] - fit.coefficients[1] * x) ** 2)
+    assert fit.residual_variance == pytest.approx(rss / 28, rel=1e-10)
+    assert fit.r_squared == pytest.approx(1 - rss / np.sum(w * (y - yw) ** 2), rel=1e-10)
 
 
 def test_nonpositive_weights_rejected():
@@ -354,6 +364,27 @@ def test_separation_detected():
     y = (x > 0).astype(float)
     with pytest.raises(SeparationError):
         logistic_irls(design_with_intercept(x), y)
+
+
+@pytest.mark.parametrize("cap", [17, 18, 100])
+def test_separation_detected_at_the_iteration_cap(cap, monkeypatch):
+    # the score first falls below the tolerance on the 17th step; a fit that
+    # ends at the cap is still checked for a saturated optimum
+    monkeypatch.setattr(regress, "IRLS_MAX_ITER", cap)
+    x = np.arange(8.0)
+    with pytest.raises(SeparationError, match="perfectly separated"):
+        logistic_irls(design_with_intercept(x), (x > 3.5).astype(float))
+
+
+def test_iteration_cap_raises_convergence_error_with_trace(monkeypatch):
+    monkeypatch.setattr(regress, "IRLS_MAX_ITER", 2)
+    rng = _rng()
+    x = rng.normal(size=500)
+    y = (rng.random(500) < 1 / (1 + np.exp(-x))).astype(float)
+    with pytest.raises(ConvergenceError, match=r"did not converge in 2 iterations") as err:
+        logistic_irls(design_with_intercept(x), y)
+    # the starting log-likelihood and one per step
+    assert len(err.value.trace) == 3
 
 
 def test_constant_response_rejected():
