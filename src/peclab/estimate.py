@@ -8,6 +8,12 @@ g-computation the (risk difference, risk ratio) pair from one fit. The
 column names label the fitted designs, so a rank-deficient design is
 reported by column.
 
+Every linear fit on a dataset's columns (the naive outcome model and the
+GPS model) comes from the dataset's QR factor (``Dataset.factor``), on a
+generated world and on a CSV alike, and every logistic design is
+rank-checked there. Each column space is fitted once per factor: a design
+on calibrated columns takes the fit of the measured columns it maps from.
+
 The GPS uses a homoscedastic normal conditional density (exact for the
 canonical worlds, whose treatment is conditionally normal). IPW weights are
 stabilized by the marginal normal density; truncation at an upper weight
@@ -23,19 +29,19 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import Dataset, DistributionSpec
-from .regress import _sigmoid, logistic_irls, ols, wls, design_with_intercept
+# ols stays bound here: perfbench/spans.py wraps estimate.ols by name
+from .regress import INTERCEPT, _sigmoid, design_with_intercept, logistic_irls, ols, wls  # noqa: F401
 
 
 def _model_inputs(
     d: Dataset, exposure_col: str, adjustment_cols: list[str], delta: float
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """The checks every estimator shares, then the names and the design
-    (intercept, exposure, adjustment columns) of its outcome model."""
+) -> tuple[str, ...]:
+    """The checks every estimator shares, then the columns (intercept,
+    exposure, adjustment columns) of its outcome model."""
     if not (math.isfinite(delta) and delta > 0):
         raise ParameterError("delta must be finite and > 0")
     d.require("Y", exposure_col, *adjustment_cols)
-    names = ("intercept", exposure_col, *adjustment_cols)
-    return names, design_with_intercept(*[d[c] for c in names[1:]])
+    return (INTERCEPT, exposure_col, *adjustment_cols)
 
 
 def naive_regression_aee(
@@ -45,9 +51,8 @@ def naive_regression_aee(
     delta: float = 1.0,
 ) -> float:
     """Exposure coefficient of the linear outcome regression, scaled by delta."""
-    names, design = _model_inputs(d, exposure_col, adjustment_cols, delta)
-    fit = ols(design, d["Y"], column_names=names)
-    return float(fit.coefficients[1]) * delta
+    names = _model_inputs(d, exposure_col, adjustment_cols, delta)
+    return float(d.factor().fit(names, "Y").coefficients[1]) * delta
 
 
 def g_computation(
@@ -63,13 +68,27 @@ def g_computation(
     row's linear predictor by delta * beta_x. Returns the risk
     difference p1 - p0 and the risk ratio p1 / p0, both from one fit of the
     outcome model (logistic_irls rejects an outcome not coded 0/1).
+
+    The model is fitted on the design's basis (``ColumnFactor.basis``), once
+    per factor; a design that maps from it has the same linear predictor and
+    the coefficients M^-1 beta_basis.
     """
-    names, observed = _model_inputs(d, exposure_col, adjustment_cols, delta)
-    fit = logistic_irls(observed, d["Y"], column_names=names)
-    eta = fit.predict(observed)
+    names = _model_inputs(d, exposure_col, adjustment_cols, delta)
+    factor = d.factor()
+    basis, m = factor.basis(names)
+    fit, eta = factor.memo("logit", (*basis, "Y"), lambda: _logistic_fit(d, factor, basis))
+    beta_x = factor.mapped(names, m, fit.coefficients)[1]
     p0 = _sigmoid(eta).mean()
-    p1 = _sigmoid(eta + delta * fit.coefficients[1]).mean()
+    p1 = _sigmoid(eta + delta * beta_x).mean()
     return float(p1 - p0), float(p1 / p0)
+
+
+def _logistic_fit(d: Dataset, factor, basis: tuple[str, ...]):
+    """The logistic fit of Y on the basis columns (intercept first), rank
+    checked on the factor, and its linear predictor."""
+    design = design_with_intercept(*[d[c] for c in basis[1:]])
+    fit = logistic_irls(design, d["Y"], column_names=basis, r=factor.block(basis))
+    return fit, fit.predict(design)
 
 
 def stabilized_weights(
@@ -89,10 +108,7 @@ def stabilized_weights(
         raise ParameterError("truncate_quantile must be in (0, 1]")
     d.require(treatment_col, *covariate_cols)
     t = d[treatment_col]
-    # with no columns design_with_intercept has no rows to size its ones by
-    covariates = [d[c] for c in covariate_cols]
-    design = design_with_intercept(*covariates) if covariates else np.ones((d.n, 1))
-    fit = ols(design, t, column_names=("intercept", *covariate_cols))
+    fit = d.factor().fit((INTERCEPT, *covariate_cols), treatment_col)
     sigma = float(np.sqrt(fit.residual_variance))
     sd = float(np.std(t, ddof=1))
     if sd <= 0:
@@ -100,6 +116,9 @@ def stabilized_weights(
     if sigma <= 1e-8 * sd:
         raise ParameterError("treatment has zero residual variance given the covariates")
     marginal = DistributionSpec.normal(float(t.mean()), sd).density(t)
+    # with no columns design_with_intercept has no rows to size its ones by
+    covariates = [d[c] for c in covariate_cols]
+    design = design_with_intercept(*covariates) if covariates else np.ones((d.n, 1))
     w = marginal / DistributionSpec.normal(0.0, sigma).density(t - fit.predict(design))
     if truncate_quantile is not None:
         w = np.minimum(w, np.quantile(w, truncate_quantile))
@@ -115,7 +134,7 @@ def ipw_gps_aee(
 ) -> float:
     """Stabilized-IPW marginal slope of Y on the treatment, scaled by delta:
     the covariates enter the GPS weights, the outcome design is [1, T]."""
-    names, design = _model_inputs(d, treatment_col, [], delta)
+    names = _model_inputs(d, treatment_col, [], delta)
     w = stabilized_weights(d, treatment_col, covariate_cols, truncate_quantile)
-    fit = wls(design, d["Y"], w, column_names=names)
+    fit = wls(design_with_intercept(d[treatment_col]), d["Y"], w, column_names=names)
     return float(fit.coefficients[1]) * delta

@@ -11,6 +11,16 @@ canonical configuration for one published table, all of its scenarios in
 one run_study call and one process pool, and reports a cell-by-cell diff at
 the acceptance tolerances.
 
+A replication factorises its world once: the first fit on a generated
+world builds the dataset's QR factor (``Dataset.factor``), the calibration
+is solved on it, and the calibrated columns join it as coordinates on the
+measured columns. Every linear fit and every logistic rank check of the
+replication then reads that factor, and each column space is fitted once,
+so ``rc`` and ``gcomp_rc`` take the fits of ``naive_cep_vep`` and
+``gcomp_cep_vep`` (or make them, when those methods are not run): a table3
+world has three tall QRs (the world and the two weighted IPW outcome
+designs), a table4 or table5 world three IRLS fits.
+
 Every keyed draw is (seed, replication, column), without the scenario, so
 the scenarios of a table share common random numbers by construction; a
 replication draws each stream once and every scenario's world is built from

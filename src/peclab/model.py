@@ -1,9 +1,10 @@
 """Core domain types: distributions, outcome/error models, scenarios, datasets.
 
 All types are immutable value objects after construction and safe to share
-across threads. Scenarios round-trip through a line-oriented text format
-(``section.key = value``, see docs/scenario-format.md); datasets round-trip
-through CSV with the canonical column header ``X,Xep,C,Cep,V,Vep,Y``.
+across threads; a Dataset only caches its regression factor on first use.
+Scenarios round-trip through a line-oriented text format (``section.key =
+value``, see docs/scenario-format.md); datasets round-trip through CSV with
+the canonical column header ``X,Xep,C,Cep,V,Vep,Y``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, ScenarioFormatError, SchemaError
+from .regress import ColumnFactor
 
 # Canonical dataset column order. Generated datasets may omit the C/V block
 # (the discrete exposure-only world has no confounders).
 COLUMN_ORDER = ("X", "Xep", "C", "Cep", "V", "Vep", "Y")
+# The error-prone columns lead a dataset's regression factor, so the
+# calibration design [1, Xep, Cep, Vep] is its leading block.
+MEASURED_COLUMNS = ("Xep", "Cep", "Vep")
 
 
 class Link(str, Enum):
@@ -311,12 +316,26 @@ def check_scenario(s: Scenario) -> None:
 # Dataset
 
 
+def _checked_column(name: str, col, n: int | None) -> np.ndarray:
+    """The column as a float vector, of length ``n`` when one is given."""
+    arr = np.asarray(col, dtype=float)
+    if arr.ndim != 1:
+        raise SchemaError(f"column {name!r} is not a vector")
+    if n is not None and arr.shape[0] != n:
+        raise SchemaError(f"column {name!r} has length {arr.shape[0]}, expected {n}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"column {name!r} contains NaN or infinite values")
+    return arr
+
+
 class Dataset:
     """Columnar table of generated or user-supplied variables.
 
     Columns are float vectors of equal length keyed by the canonical names in
     COLUMN_ORDER plus any derived columns (X_RC, ...). Instances are treated
     as immutable; derived columns are added by constructing a new Dataset.
+    The one mutable part is a cache: the regression factor of the columns
+    (``factor``), built on first use.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]):
@@ -325,19 +344,12 @@ class Dataset:
         clean: dict[str, np.ndarray] = {}
         n = None
         for name, col in columns.items():
-            arr = np.asarray(col, dtype=float)
-            if arr.ndim != 1:
-                raise SchemaError(f"column {name!r} is not a vector")
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
-                raise SchemaError(
-                    f"column {name!r} has length {arr.shape[0]}, expected {n}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise SchemaError(f"column {name!r} contains NaN or infinite values")
-            clean[name] = arr
+            clean[name] = _checked_column(name, col, n)
+            n = clean[name].shape[0]
         self._columns = clean
+        # derived column -> {column: coefficient}, and the factor once built
+        self._coordinates: dict[str, dict[str, float]] = {}
+        self._factor: ColumnFactor | None = None
 
     @property
     def n(self) -> int:
@@ -363,8 +375,45 @@ class Dataset:
         if missing:
             raise SchemaError(f"dataset is missing column(s): {', '.join(missing)}")
 
-    def with_columns(self, new: dict[str, np.ndarray]) -> "Dataset":
-        return Dataset({**self._columns, **new})
+    def with_columns(
+        self, new: dict[str, np.ndarray], coordinates: dict | None = None
+    ) -> "Dataset":
+        """This dataset plus the ``new`` columns. Only the new columns are
+        checked: the old ones were checked when they were added.
+
+        ``coordinates`` maps a new column that is a linear combination of
+        this dataset's columns to its coefficients ({column: coefficient},
+        "intercept" for the ones column); its values must be that
+        combination. When every new column has them and none replaces an old
+        column, the result's factor is this dataset's, with the new columns
+        as coordinates, and it shares this dataset's fits.
+        """
+        out = object.__new__(Dataset)
+        out._columns = dict(self._columns)
+        for name, col in new.items():
+            out._columns[name] = _checked_column(name, col, self.n)
+        coordinates = coordinates or {}
+        if any(name in self._columns for name in new):
+            # an old column changed: the result factorises its columns afresh
+            out._coordinates, out._factor = {}, None
+            return out
+        added = {name: coordinates[name] for name in new if name in coordinates}
+        out._coordinates = {**self._coordinates, **added}
+        shared = self._factor is not None and len(added) == len(new)
+        out._factor = self._factor.derive(added) if shared else None
+        return out
+
+    def factor(self) -> ColumnFactor:
+        """The regression factor of this dataset: one QR of the ones column
+        and every column not held as coordinates, the measured columns
+        first, with the coordinate columns derived on it."""
+        if self._factor is None:
+            base = [c for c in self.names if c not in self._coordinates]
+            self._factor = ColumnFactor.of(
+                {c: self._columns[c] for c in base if c in MEASURED_COLUMNS},
+                {c: self._columns[c] for c in base if c not in MEASURED_COLUMNS},
+            ).derive(self._coordinates)
+        return self._factor
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

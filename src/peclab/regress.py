@@ -1,14 +1,28 @@
-"""Small dense regression engines: OLS, weighted least squares, and logistic
-regression via iteratively reweighted least squares.
+"""Small dense regression engines: OLS, weighted least squares, logistic
+regression via iteratively reweighted least squares, and one QR factor per
+dataset that serves every linear fit among its columns.
 
 Linear solves go through a Householder QR decomposition rather than the
 normal equations. Q is never formed: each response column has the p
 Householder reflectors applied to it in turn, which gives Q'y, and the
 coefficients solve R beta = (Q'y)[:p]. One QR serves every response that
 shares a design. The design and its R factor share their singular values,
-so rank is read from the small p x p R (smallest singular value above 1e-10
-times the largest), for logistic fits too; only a failed check scans the
-design to name the offending columns.
+so rank is read from the small R (smallest singular value above 1e-10 times
+the largest), for logistic fits too, and a failed check names the offending
+columns from the SVDs of R's column subsets, never from the tall design.
+
+ColumnFactor is one QR per world. It holds the R of A = [1, Xep, Cep, Vep,
+X, C, V, Y] (a dataset's columns, the measured ones first) and stores each
+calibrated column as coordinates on A's columns: X_RC = [1, Xep, Cep, Vep]
+gamma has the R column R_meas gamma. With A = QR every design among these
+columns is A_S = Q R_S, so a linear fit is a least-squares problem on the
+few rows of R_S: coefficients, residual variance, R^2 and the rank check
+all come from it, and no linear fit after the factor touches a row. Each column
+space is fitted once per factor. A design that is an invertible map M of
+the columns its coordinates rest on, design = basis M, takes that basis
+fit: beta = M^-1 beta_basis, with the same fitted values, so regression
+calibration's [1, X_RC, C_RC, V_RC] reuses the fit on [1, Xep, Cep, Vep],
+linear or logistic, and a singular M is a rank-deficient design.
 
 Designs are column-major (Fortran order): ``design_with_intercept`` writes
 its columns into one in place. The passes these kernels make run down
@@ -25,12 +39,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, SeparationError, SingularDesignError
+from .errors import (
+    ConvergenceError,
+    ParameterError,
+    SchemaError,
+    SeparationError,
+    SingularDesignError,
+)
 
 RANK_RTOL = 1e-10
 IRLS_TOL = 1e-6
 IRLS_MAX_ITER = 100
 SEPARATION_NORM = 1e3
+INTERCEPT = "intercept"
 
 
 @dataclass(frozen=True)
@@ -49,9 +70,6 @@ class RegressionFit:
 
     def predict(self, design: np.ndarray) -> np.ndarray:
         return np.asarray(design, dtype=float) @ self.coefficients
-
-    def predict_proba(self, design: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.predict(design))
 
 
 def _as_design(design) -> np.ndarray:
@@ -79,26 +97,29 @@ def _constant_columns(a: np.ndarray) -> np.ndarray:
     return np.ptp(np.asfortranarray(a), axis=0) == 0
 
 
-def _check_rank(design: np.ndarray, factor: np.ndarray, column_names=None) -> None:
+def _check_rank(r: np.ndarray, column_names=None) -> None:
     """Raise SingularDesignError naming the offending columns when the design
-    is rank deficient. ``factor`` is the R of the design's QR, which has the
-    design's singular values in a p x p matrix."""
-    sv = np.linalg.svd(factor, compute_uv=False)
+    is rank deficient. ``r`` has one column per design column and the
+    design's singular values: the R of the design's QR, or the block of a
+    ColumnFactor that holds its columns. Each column subset of ``r`` has the
+    singular values of the same subset of the design, so the columns are
+    named from ``r`` too."""
+    sv = np.linalg.svd(r, compute_uv=False)
     if sv[0] == 0 or sv[-1] <= RANK_RTOL * sv[0]:
-        bad = _offending_columns(design, column_names)
+        bad = _offending_columns(r, column_names)
         raise SingularDesignError(
             f"design matrix is rank deficient (offending columns: {', '.join(bad)})",
             columns=bad,
         )
 
 
-def _offending_columns(design: np.ndarray, column_names=None) -> list[str]:
+def _offending_columns(r: np.ndarray, column_names=None) -> list[str]:
     """Columns whose addition does not increase numerical rank (greedy scan)."""
-    names = column_names or [f"col{i}" for i in range(design.shape[1])]
+    names = column_names or [f"col{i}" for i in range(r.shape[1])]
     bad = []
-    kept = np.empty((design.shape[0], 0))
-    for i in range(design.shape[1]):
-        trial = np.column_stack([kept, design[:, i]])
+    kept = np.empty((r.shape[0], 0))
+    for i in range(r.shape[1]):
+        trial = np.column_stack([kept, r[:, i]])
         sv = np.linalg.svd(trial, compute_uv=False)
         if sv[-1] <= RANK_RTOL * sv[0]:
             bad.append(str(names[i]))
@@ -125,7 +146,7 @@ def ols(design, response, column_names=None) -> RegressionFit | list[RegressionF
     # raw mode returns the reflectors and R in h (p x n) without forming Q
     h, tau = np.linalg.qr(a, mode="raw")
     r = np.triu(h[:, :p].T)
-    _check_rank(a, r, column_names)
+    _check_rank(r, column_names)
     has_intercept = bool(np.any(_constant_columns(a)))
     if y.ndim == 2:
         return [_solve_qr(a, h, tau, r, col, has_intercept) for col in np.ascontiguousarray(y.T)]
@@ -133,20 +154,22 @@ def ols(design, response, column_names=None) -> RegressionFit | list[RegressionF
 
 
 def _apply_qt(h: np.ndarray, tau: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(Q'y)[:p] for one response vector: reflector j is I - tau_j v v' with
-    v = (1, h[j, j+1:]) acting on entries j onwards."""
+    """Q'y for one response vector, with the full Q of the reflectors:
+    reflector j is I - tau_j v v' with v = (1, h[j, j+1:]) acting on entries
+    j onwards. The first p entries are R's coordinates of y; the rest hold
+    what the design leaves unexplained."""
     z = y.copy()
     for j, t in enumerate(tau):
         v = h[j, j + 1:]
         w = t * (z[j] + v @ z[j + 1:])
         z[j] -= w
         z[j + 1:] -= w * v
-    return z[: tau.size]
+    return z
 
 
 def _solve_qr(a, h, tau, r, y, has_intercept: bool) -> RegressionFit:
     n, p = a.shape
-    beta = np.linalg.solve(r, _apply_qt(h, tau, y))
+    beta = np.linalg.solve(r, _apply_qt(h, tau, y)[:p])
     resid = y - a @ beta
     rss = float(resid @ resid)
     tss = float(np.sum((y - y.mean()) ** 2)) if has_intercept else float(y @ y)
@@ -199,12 +222,16 @@ def _log_likelihood(y: np.ndarray, eta: np.ndarray, e: np.ndarray) -> float:
     return float(y @ eta - np.maximum(eta, 0.0).sum() - np.log1p(e).sum())
 
 
-def logistic_irls(design, response, column_names=None) -> RegressionFit:
+def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
     """Maximum-likelihood logistic regression.
 
     Starts from zero slopes with the intercept at logit(mean(y)), Newton
     steps with step-halving whenever the log-likelihood would decrease,
     converged when every score component is below 1e-6.
+
+    The rank check reads ``r``, a matrix with the design's singular values
+    (the block of a ColumnFactor that holds the design's columns), or the R
+    of the design's own QR when ``r`` is absent.
     """
     # every product below runs down the design's columns
     a = np.asfortranarray(_as_design(design))
@@ -219,7 +246,7 @@ def logistic_irls(design, response, column_names=None) -> RegressionFit:
     events = y.sum()
     if events == 0 or events == n:
         raise ParameterError("logistic response is constant")
-    _check_rank(a, np.linalg.qr(a, mode="r"), column_names)
+    _check_rank(np.linalg.qr(a, mode="r") if r is None else r, column_names)
 
     beta = np.zeros(p)
     const_cols = np.flatnonzero(_constant_columns(a))
@@ -283,14 +310,177 @@ def logistic_irls(design, response, column_names=None) -> RegressionFit:
 
 def design_with_intercept(*columns) -> np.ndarray:
     """Stack columns after a leading ones column, into a column-major array
-    written in place (no row-major intermediate to convert)."""
+    written in place (no row-major intermediate to convert). The first
+    column sizes the design, so there must be one."""
+    if not columns:
+        raise ParameterError("a design needs at least one column besides the intercept")
     cols = [np.asarray(c, dtype=float) for c in columns]
-    n = cols[0].shape[0] if cols else 0
+    n = cols[0].shape[0] if cols[0].ndim else 0
     # the writes below would broadcast a length-1 column down all n rows
     if any(c.shape != (n,) for c in cols):
         raise ParameterError("design columns must be vectors of equal length")
+    return _with_intercept(n, cols)
+
+
+def _with_intercept(n: int, cols) -> np.ndarray:
     out = np.empty((n, len(cols) + 1), order="F")
     out[:, 0] = 1.0
     for j, c in enumerate(cols, start=1):
         out[:, j] = c
     return out
+
+
+def _lead_factor(n: int, lead: list, others: list, r: np.ndarray) -> np.ndarray:
+    """Write into r's first p rows the R of the design [1, *lead] and the
+    coordinates of the other columns on it, exactly as ``ols`` factorises
+    that design and reflects a response; return the other columns' trailing
+    rows, the part of them the design leaves unexplained (column-major).
+    The tall temporaries die here, before the caller factorises the
+    trailing rows: with every tall array of the factor live at once, a
+    table4 world took some 360 page faults to build it, and none this way."""
+    h, tau = np.linalg.qr(_with_intercept(n, lead), mode="raw")
+    p = tau.size
+    r[:p, :p] = np.triu(h[:, :p].T)
+    trailing = np.empty((n - p, len(others)), order="F")
+    for j, c in enumerate(others):
+        z = _apply_qt(h, tau, c)
+        r[:p, p + j] = z[:p]
+        trailing[:, j] = z[p:]
+    return trailing
+
+
+class ColumnFactor:
+    """The R of one Householder QR of A = [1, lead columns, other columns],
+    with further columns stored as coordinates on A's columns.
+
+    Any design whose columns are A's columns, or linear combinations of
+    them, is A_S = Q R_S with R_S = R times the design's coordinates, so
+    ``fit`` solves a linear fit on R_S's few rows. The lead columns are
+    factorised first, by the Householder QR ``ols`` runs, and the
+    reflectors are then applied to the other columns as ``ols`` applies
+    them to a response; so a fit on [1, lead columns] solves the triangular
+    system ``ols`` solves and has its coefficients. The trailing rows of
+    the other columns then get a QR of their own, which completes R.
+
+    A factor memoises its fits: every factor derived from it shares them,
+    keyed by the fitted columns' coordinates.
+    """
+
+    def __init__(self, names, r, n, coordinates, fits):
+        self.names = names
+        self.r = r
+        self.n = n
+        self._coordinates = coordinates
+        self._fits = fits
+
+    @classmethod
+    def of(cls, lead: dict, others: dict) -> "ColumnFactor":
+        """Factorise [1, *lead, *others], dicts of equal-length column vectors."""
+        if INTERCEPT in lead or INTERCEPT in others:
+            raise SchemaError(f"column name {INTERCEPT!r} is taken by the ones column of every design")
+        names = (INTERCEPT, *lead, *others)
+        cols = [np.asarray(c, dtype=float) for c in (*lead.values(), *others.values())]
+        n, width = cols[0].shape[0], len(names)
+        if n <= width:
+            # too few rows to split: one QR of the whole, R is n x width
+            r = np.linalg.qr(_with_intercept(n, cols), mode="r")
+        else:
+            r = np.zeros((width, width))
+            p = len(lead) + 1
+            trailing = _lead_factor(n, cols[: p - 1], cols[p - 1:], r)
+            if others:
+                h, _ = np.linalg.qr(trailing, mode="raw")
+                r[p:, p:] = np.triu(h[:, : width - p].T)
+        unit = np.eye(width)
+        return cls(names, r, n, {name: unit[:, j] for j, name in enumerate(names)}, {})
+
+    def derive(self, coordinates: dict) -> "ColumnFactor":
+        """A factor that also holds the given columns, each a linear
+        combination {column: coefficient} of this factor's columns; it
+        shares R and the memoised fits."""
+        known = dict(self._coordinates)
+        for name, combination in coordinates.items():
+            known[name] = sum(coef * self._coordinate(src) for src, coef in combination.items())
+        return ColumnFactor(self.names, self.r, self.n, known, self._fits)
+
+    def _coordinate(self, column: str) -> np.ndarray:
+        try:
+            return self._coordinates[column]
+        except KeyError:
+            raise SchemaError(f"dataset has no column {column!r}") from None
+
+    def coordinates(self, columns) -> np.ndarray:
+        """The named columns' coordinates on A's columns, one per column."""
+        return np.column_stack([self._coordinate(c) for c in columns])
+
+    def block(self, columns) -> np.ndarray:
+        """R_S: the named columns' R columns, which have their singular values."""
+        return self.r @ self.coordinates(columns)
+
+    def basis(self, design) -> tuple[tuple[str, ...], np.ndarray | None]:
+        """The columns whose fit serves the design, and the map M with
+        design = basis M. The basis is the set of A's columns that the
+        design's coordinates rest on, in A's order. M is None when the design
+        is its own basis or rests on more columns than it has (then it is
+        fitted as it is)."""
+        design = tuple(design)
+        c = self.coordinates(design)
+        support = np.flatnonzero(np.any(c != 0, axis=1))
+        basis = tuple(self.names[i] for i in support)
+        if basis == design or support.size != len(design):
+            return design, None
+        return basis, c[support]
+
+    def mapped(self, design, m: np.ndarray | None, coefficients: np.ndarray) -> np.ndarray:
+        """The design's coefficients from its basis fit's: M^-1 beta_basis.
+        A singular M is a rank-deficient design, reported by its columns."""
+        if m is None:
+            return coefficients
+        _check_rank(self.block(design), tuple(design))
+        return np.linalg.solve(m, coefficients)
+
+    def memo(self, kind: str, columns, compute):
+        """compute(), once per (kind, the columns' coordinates) for this
+        factor and every factor derived from it."""
+        key = (kind, self.coordinates(columns).tobytes())
+        if key not in self._fits:
+            self._fits[key] = compute()
+        return self._fits[key]
+
+    def fit(self, design, response: str) -> RegressionFit:
+        """Least squares of the response column on the design's columns,
+        from R alone: the design is fitted on its basis (see ``basis``),
+        once per factor, and mapped."""
+        design = tuple(design)
+        basis, m = self.basis(design)
+        fit = self.memo("ols", (*basis, response), lambda: self._solve(basis, response))
+        if m is None:
+            return fit
+        return replace(fit, coefficients=self.mapped(design, m, fit.coefficients))
+
+    def _solve(self, design: tuple[str, ...], response: str) -> RegressionFit:
+        """residual_variance = RSS/(n-p); r_squared = 1 - RSS/TSS with TSS
+        centred when the design holds the intercept, A's first column."""
+        n, p = self.n, len(design)
+        if n <= p:
+            raise ParameterError(f"need n > p, got n={n}, p={p}")
+        bt = self.block((*design, response))
+        b, t = bt[:, :p], bt[:, p]
+        _check_rank(b, design)
+        if b[p:].any():
+            q, rb = np.linalg.qr(b)
+            beta = np.linalg.solve(rb, q.T @ t)
+        else:
+            # a leading block of R is the triangular system ols solves
+            beta = np.linalg.solve(b[:p], t[:p])
+        resid = t - b @ beta
+        rss = float(resid @ resid)
+        tss = float(t[1:] @ t[1:]) if INTERCEPT in design else float(t @ t)
+        r2 = 0.0 if tss == 0 else max(0.0, min(1.0, 1.0 - rss / tss))
+        return RegressionFit(
+            coefficients=beta,
+            residual_variance=rss / (n - p),
+            r_squared=r2,
+            converged=True,
+            iterations=1,
+        )

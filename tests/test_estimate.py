@@ -6,7 +6,7 @@ from peclab.datagen import generate_scenario
 from peclab.errors import ParameterError, SchemaError
 from peclab.estimate import g_computation, ipw_gps_aee, naive_regression_aee, stabilized_weights
 from peclab.model import Dataset
-from peclab.regress import design_with_intercept, logistic_irls, ols
+from peclab.regress import _sigmoid, design_with_intercept, logistic_irls, ols
 
 
 def _no_confounding_world(n=20_000, seed=7):
@@ -91,17 +91,24 @@ def test_gcomp_rare_outcome_rr_close_to_exp_beta():
     assert abs(np.mean(rrs) - np.exp(0.3)) / np.exp(0.3) < 0.05
 
 
-def test_gcomp_rd_and_rr_come_from_one_fit():
+def test_gcomp_rd_and_rr_come_from_one_fit(monkeypatch):
     s = worlds.table4_scenario(2, n=5_000, seed=45)
     ds = generate_scenario(s, 0)
     delta = 0.8
+    fits = []
+
+    def recording_irls(design, response, **kwargs):
+        fit = logistic_irls(design, response, **kwargs)
+        fits.append((np.array(design), fit))
+        return fit
+
+    monkeypatch.setattr(estimate, "logistic_irls", recording_irls)
     rd, rr = g_computation(ds, "X", ["C", "V"], delta=delta)
-    fit = logistic_irls(
-        design_with_intercept(ds["X"], ds["C"], ds["V"]), ds["Y"],
-        column_names=("intercept", "X", "C", "V"),
-    )
-    p0 = fit.predict_proba(design_with_intercept(ds["X"], ds["C"], ds["V"])).mean()
-    p1 = fit.predict_proba(design_with_intercept(ds["X"] + delta, ds["C"], ds["V"])).mean()
+    assert len(fits) == 1
+    design, fit = fits[0]
+    eta = fit.predict(design)
+    p0 = _sigmoid(eta).mean()
+    p1 = _sigmoid(eta + delta * fit.coefficients[1]).mean()
     assert rd == float(p1 - p0)
     assert rr == float(p1 / p0)
 
@@ -112,8 +119,8 @@ def _shifted_design_reference(ds, exposure, adjust, delta):
     adjusted = [ds[c] for c in adjust]
     observed = design_with_intercept(ds[exposure], *adjusted)
     fit = logistic_irls(observed, ds["Y"])
-    p0 = fit.predict_proba(observed).mean()
-    p1 = fit.predict_proba(design_with_intercept(ds[exposure] + delta, *adjusted)).mean()
+    p0 = _sigmoid(fit.predict(observed)).mean()
+    p1 = _sigmoid(fit.predict(design_with_intercept(ds[exposure] + delta, *adjusted))).mean()
     return p1 - p0, p1 / p0
 
 

@@ -113,8 +113,9 @@ def test_table4_replication_fits_each_outcome_model_once(monkeypatch):
     monkeypatch.setattr(peclab.estimate, "logistic_irls", counting_irls)
     s = worlds.table4_scenario(1, n=4000, replications=1, seed=19)
     out = _replicate(s, 0, STUDY_TABLES["table4"].methods)
-    assert len(fits) == 4
-    assert len(set(fits)) == 4
+    # gcomp_rc's design maps from gcomp_cep_vep's, so it takes that fit
+    assert len(fits) == 3
+    assert len(set(fits)) == 3
     assert len(out) == 8
 
 
