@@ -122,13 +122,22 @@ def sample(spec: DistributionSpec, key: StreamKey, n: int) -> np.ndarray:
     if spec.family == "pointMass":
         return np.full(n, spec.p1)
     gen = generator(key)
+    # scaled and shifted in place: the same bits as p1 + p2 * z, with no
+    # tall temporaries
     if spec.family == "normal":
-        return spec.p1 + spec.p2 * _normals(gen, n)
+        z = _normals(gen, n)
+        z *= spec.p2
+        z += spec.p1
+        return z
     if spec.family == "gamma":
-        return spec.p2 * _gammas(gen, spec.p1, n)
+        z = _gammas(gen, spec.p1, n)
+        z *= spec.p2
+        return z
     if spec.family == "roundedUniform":
-        u = spec.p1 + (spec.p2 - spec.p1) * gen.random(n)
-        return np.rint(u)
+        u = gen.random(n)
+        u *= spec.p2 - spec.p1
+        u += spec.p1
+        return np.rint(u, out=u)
     raise ParameterError(f"unknown distribution family {spec.family!r}")
 
 

@@ -6,7 +6,7 @@ from peclab.datagen import generate_scenario
 from peclab.errors import ParameterError, SchemaError
 from peclab.estimate import g_computation, ipw_gps_aee, naive_regression_aee, stabilized_weights
 from peclab.model import Dataset
-from peclab.regress import _sigmoid, design_with_intercept, logistic_irls, ols
+from peclab.regress import ColumnFactor, _sigmoid, design_with_intercept, logistic_irls, ols
 
 
 def _no_confounding_world(n=20_000, seed=7):
@@ -240,7 +240,7 @@ def test_truncation_quantile_rejected_before_the_gps_fit(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("the GPS was fitted before the quantile was checked")
 
-    monkeypatch.setattr(estimate, "ols", no_fit)
+    monkeypatch.setattr(ColumnFactor, "fit", no_fit)
     for q in (0.0, 1.5, float("nan")):
         with pytest.raises(ParameterError, match="truncate_quantile"):
             stabilized_weights(ds, "X", ["C", "V"], truncate_quantile=q)

@@ -6,6 +6,8 @@ from peclab import worlds
 from peclab.datagen import generate_table2_world
 from peclab.errors import CapabilityError, DiscretenessError, StratumError, SupportError
 from peclab.exchprob import (
+    KEY_DECIMALS,
+    MAX_SUPPORT,
     TableMode,
     aee_from_table,
     analytic_product_table,
@@ -103,8 +105,61 @@ def test_continuous_columns_rejected():
 
 def test_requested_support_with_empty_stratum():
     ds = three_point_world(5000, 12)
-    with pytest.raises(StratumError):
-        empirical_table(ds, xep_support=[7, 8, 9, 10, 11, 12])
+    with pytest.raises(StratumError, match=r"^empty stratum\(s\) at Xep = \[6\.0, 12\.0\]$"):
+        empirical_table(ds, xep_support=[6, 7, 8, 9, 10, 11, 12.0000000001])
+    table = empirical_table(ds, xep_support=[7, 8, 9, 10, 11])
+    assert table.xep_support.tolist() == [7.0, 8.0, 9.0, 10.0, 11.0]
+
+
+def _unique_inverse_table(d):
+    """Reference: supports and cells from np.unique(return_inverse=True)."""
+    (xv, xi), (ev, ei), (yv, yi) = (
+        np.unique(np.round(d[c], KEY_DECIMALS), return_inverse=True) for c in ("X", "Xep", "Y")
+    )
+    shape = (ev.size, xv.size, yv.size)
+    counts = np.bincount((ei * xv.size + xi) * yv.size + yi, minlength=np.prod(shape))
+    counts = counts.reshape(shape)
+    return ev, xv, yv, counts / counts.sum(axis=(1, 2), keepdims=True)
+
+
+def _odd_discrete_columns(rng, n):
+    negative = rng.integers(-6, 4, n) * 0.5
+    signed_zero = rng.choice([-0.0, 0.0, 1.0, -1.0], n)
+    # 0.1 + 1e-12 and 0.1 - 3e-11 key to 0.1, 0.3 + 4e-10 to 0.3
+    collapsing = rng.choice([0.1, 0.1 + 1e-12, 0.1 - 3e-11, 0.3, 0.3 + 4e-10, -0.7], n)
+    single = np.full(n, 2.5)
+    return [negative, signed_zero, collapsing, single]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_empirical_table_matches_unique_inverse_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 4000
+    cols = _odd_discrete_columns(rng, n)
+    for x, xep, y in [
+        (cols[0], cols[1], cols[2]),
+        (cols[2], cols[0], cols[1]),
+        (cols[1], cols[2], cols[3]),
+        (cols[3], cols[3], cols[0]),
+    ]:
+        ds = Dataset({"X": x, "Xep": xep, "Y": y})
+        table = empirical_table(ds)
+        ev, xv, yv, probs = _unique_inverse_table(ds)
+        np.testing.assert_array_equal(table.xep_support, ev)
+        np.testing.assert_array_equal(table.x_support, xv)
+        np.testing.assert_array_equal(table.y_support, yv)
+        assert table.probs.tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("column", ["X", "Xep", "Y"])
+def test_support_over_max_support_is_not_discrete(column):
+    n = 5 * MAX_SUPPORT
+    base = {c: np.zeros(n) for c in ("X", "Xep", "Y")}
+    base[column] = np.arange(n) % MAX_SUPPORT * 0.25
+    assert empirical_table(Dataset(base)).probs.size == MAX_SUPPORT
+    base[column] = np.arange(n) % (MAX_SUPPORT + 1) * 0.25
+    with pytest.raises(DiscretenessError, match=f"column {column} has {MAX_SUPPORT + 1} distinct"):
+        empirical_table(Dataset(base))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from peclab import worlds
 from peclab.cli import build_parser
+from peclab.datagen import generate_table2_world
 from peclab.errors import ConvergenceError, ParameterError, SingularDesignError
 from peclab.harness import (
     METHODS,
@@ -19,6 +20,7 @@ from peclab.harness import (
     run_study,
 )
 from peclab.model import DistributionSpec, Estimand, ErrorKind
+from peclab.regress import design_with_intercept, ols
 
 RD = Estimand.RISK_DIFFERENCE
 RR = Estimand.RISK_RATIO
@@ -271,6 +273,28 @@ def test_reproduce_table2_report_shape():
     lines = fh.getvalue().splitlines()
     assert lines[0] == "scenario,method,estimand,mean,mc_sd,runs,paper_value,abs_diff,pass"
     assert len(lines) == 51
+
+
+@pytest.mark.parametrize("seed", [worlds.DEFAULT_SEED, 12])
+def test_table2_calibration_cells_match_tall_ols(seed):
+    # one QR of [1, Xep, X] serves both fits: (gamma0, gamma1) are ols's bit
+    # for bit, the R^2 of Xep on [1, X] agrees to rounding
+    n = 100_000
+    ds = generate_table2_world(n, seed)
+    cells = {(c.method, c.estimand): c.mean for c in reproduce("table2", n=n, seed=seed).cells}
+    g0, g1 = ols(design_with_intercept(ds["Xep"]), ds["X"]).coefficients
+    assert cells[("calibration", "gamma0")] == float(g0)
+    assert cells[("calibration", "gamma1")] == float(g1)
+    r2 = ols(design_with_intercept(ds["X"]), ds["Xep"]).r_squared
+    assert abs(cells[("p_rd", "r_squared")] - r2) <= 1e-12
+
+
+def test_table2_rank_deficient_fit_names_the_column():
+    # at this seed and size X is constant while Xep covers 9..11, so the
+    # tabulation succeeds and the R^2 design [1, X] is singular
+    with pytest.raises(SingularDesignError) as err:
+        reproduce("table2", n=3, seed=152)
+    assert err.value.columns == ["X"]
 
 
 def test_reproduce_rejects_unknown_table():

@@ -114,3 +114,25 @@ def test_invalid_spec_raises():
         sample(DistributionSpec.gamma(-1.0, 1.0), StreamKey(1, 0, 1), 5)
     with pytest.raises(ParameterError):
         StreamKey(1, -1, 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 10_001])
+def test_in_place_scaling_keeps_the_expression_bits(n):
+    # each family's output equals its scaled-and-shifted expression bit for
+    # bit; odd n takes Box-Muller's z[:n] view of an even-length array
+    key = StreamKey(31, 2, ColumnTag.X_NOISE)
+    cases = [
+        (DistributionSpec.normal(0.3, 1.7), lambda s, g: s.p1 + s.p2 * _normals(g, n)),
+        (DistributionSpec.normal(-2.0, 0.1), lambda s, g: s.p1 + s.p2 * _normals(g, n)),
+        (DistributionSpec.gamma(2.5, 0.4), lambda s, g: s.p2 * _gammas(g, s.p1, n)),
+        (DistributionSpec.gamma(0.5, 3.0), lambda s, g: s.p2 * _gammas(g, s.p1, n)),
+        (DistributionSpec.rounded_uniform(8, 10),
+         lambda s, g: np.rint(s.p1 + (s.p2 - s.p1) * g.random(n))),
+        (DistributionSpec.rounded_uniform(-2.5, 3.5),
+         lambda s, g: np.rint(s.p1 + (s.p2 - s.p1) * g.random(n))),
+    ]
+    for spec, expression in cases:
+        got = sample(spec, key, n)
+        want = expression(spec, generator(key))
+        assert got.shape == (n,) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), spec
