@@ -13,8 +13,14 @@ beta1 gamma1* + betaC rhoEC through the calibration model and the
 confounder-calibration residual projection (confounder-error route). The
 calibration residual U* has no term: its design contains every naive
 regressor, so by the normal equations its naive-design coefficient is zero.
-Each distinct regressor set is built and factorised once; responses that
-share it go through one multi-response ``ols``.
+rhoEC is the Xep coefficient of U_C* = C - P_[1,Cep,z] C on the naive
+design [1, Xep, Cep, z]. The projection P_[1,Cep,z] C lies in the span of
+naive-design columns other than Xep, so by the same argument its Xep
+coefficient is zero, and rhoEC is the Xep coefficient of C itself.
+
+Every fit among a dataset's columns, here and in ``report_from_data``, reads
+the dataset's factor (``Dataset.factor``): no tall design is built, and each
+column space is fitted once per factor.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import Dataset, Link
-from .regress import ols, design_with_intercept
+from .regress import INTERCEPT, design_with_intercept, ols
 
 
 @dataclass(frozen=True)
@@ -166,20 +172,21 @@ def report(gamma1: float, var_x: float, var_u: float) -> BiasFactorReport:
     )
 
 
-def report_from_data(x, xep, adjust=None) -> BiasFactorReport:
-    """Data-driven report: gamma1 and Var(U) from the measured-on-true fit,
-    Var(X|z) from the residual variance of X on the adjustment columns."""
-    x = np.asarray(x, dtype=float)
-    xep = np.asarray(xep, dtype=float)
-    adj = [np.asarray(a, dtype=float) for a in (adjust or [])]
-    meas_fit = ols(design_with_intercept(x, *adj), xep)
+def report_from_data(d: Dataset, adjustment=()) -> BiasFactorReport:
+    """Data-driven report: gamma1 and Var(U) from the fit of Xep on X and
+    the adjustment columns, Var(X|z) from the residual variance of X on the
+    adjustment columns (on the intercept alone, its sample variance)."""
+    d.require("X", "Xep", *adjustment)
+    exposure = [c for c in adjustment if c in ("X", "Xep")]
+    if exposure:
+        raise ParameterError(
+            f"adjustment must not hold the exposure column(s): {', '.join(exposure)}"
+        )
+    factor = d.factor()
+    meas_fit = factor.fit((INTERCEPT, "X", *adjustment), "Xep")
+    var_x = float(factor.fit((INTERCEPT, *adjustment), "X").residual_variance)
     gamma1 = float(meas_fit.coefficients[1])
     var_u = float(meas_fit.residual_variance)
-    if adj:
-        x_fit = ols(design_with_intercept(*adj), x)
-        var_x = float(x_fit.residual_variance)
-    else:
-        var_x = float(np.var(x, ddof=1))
     return replace(report(gamma1, var_x, var_u), r_squared_check=float(meas_fit.r_squared))
 
 
@@ -222,22 +229,15 @@ def epc_decomposition(d: Dataset, adjustment: list[str]) -> EpcDecomposition:
     away) and only gamma1_star remains.
     """
     d.require("X", "Xep", "V", "Y", *adjustment)
-    v_adjusted = "V" in adjustment
-    z = [d[c] for c in adjustment]
-    x, v, y = d["X"], d["V"], d["Y"]
+    factor = d.factor()
+    naive = (INTERCEPT, "Xep", *adjustment)
+    beta1 = float(factor.fit((INTERCEPT, "X", *adjustment), "Y").coefficients[1])
     # V enters the calibration once, whether or not it sits in z'
-    calib_design = design_with_intercept(d["Xep"], v, *[d[c] for c in adjustment if c != "V"])
-    naive_design = design_with_intercept(d["Xep"], *z)
-
-    beta1 = float(ols(design_with_intercept(x, *z), y).coefficients[1])
-    calib = ols(calib_design, x)
+    calib = factor.fit((INTERCEPT, "Xep", "V", *[c for c in adjustment if c != "V"]), "X")
     gamma1_star = float(calib.coefficients[1])
     gamma_v_star = float(calib.coefficients[2])
-
-    # Y and (unless z' holds it) V share the naive design
-    fits = ols(naive_design, np.column_stack([y] + ([] if v_adjusted else [v])))
-    direct = float(fits[0].coefficients[1])
-    rho_v = 0.0 if v_adjusted else float(fits[1].coefficients[1])
+    rho_v = 0.0 if "V" in adjustment else float(factor.fit(naive, "V").coefficients[1])
+    direct = float(factor.fit(naive, "Y").coefficients[1])
     predicted = beta1 * (gamma1_star + gamma_v_star * rho_v)
     return EpcDecomposition(
         beta1=beta1,
@@ -267,26 +267,20 @@ def ec_decomposition(d: Dataset, adjustment: list[str] | None = None) -> EcDecom
     """Reconstruct the naive exposure coefficient when the confounder is
     error-prone. ``adjustment`` lists z minus C columns (defaults to none).
     The exposure calibration is X on the naive design itself."""
-    extra = list(adjustment or [])
+    extra = adjustment or []
     d.require("X", "Xep", "C", "Cep", "Y", *extra)
-    z = [d[c] for c in extra]
-    x, c, y = d["X"], d["C"], d["Y"]
-    c_design = design_with_intercept(d["Cep"], *z)
-    naive_design = design_with_intercept(d["Xep"], d["Cep"], *z)
-
-    correct = ols(design_with_intercept(x, c, *z), y)
+    factor = d.factor()
+    naive = (INTERCEPT, "Xep", "Cep", *extra)
+    correct = factor.fit((INTERCEPT, "X", "C", *extra), "Y")
     beta1 = float(correct.coefficients[1])
     beta_c = float(correct.coefficients[2])
-    uc_star = c - ols(c_design, c).predict(c_design)
-
-    # X, U_C* and Y share the naive design
-    x_calib, ec_fit, naive = ols(naive_design, np.column_stack([x, uc_star, y]))
-    gamma1_star = float(x_calib.coefficients[1])
-    rho_ec = float(ec_fit.coefficients[1])
+    gamma1_star = float(factor.fit(naive, "X").coefficients[1])
+    # the Xep coefficient of U_C* is C's (see the module docstring)
+    rho_ec = float(factor.fit(naive, "C").coefficients[1])
+    direct = float(factor.fit(naive, "Y").coefficients[1])
 
     ec_term = beta_c * rho_ec
     predicted = beta1 * gamma1_star + ec_term
-    direct = float(naive.coefficients[1])
     return EcDecomposition(
         beta1=beta1,
         beta_c=beta_c,

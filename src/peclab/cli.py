@@ -210,10 +210,8 @@ def _cmd_bias(args) -> int:
         if args.gamma1 is None and args.from_csv is None:
             return EXIT_OK
     if args.from_csv is not None:
-        ds = Dataset.from_csv(args.from_csv)
-        ds.require("X", "Xep")
         adjust = [c.strip() for c in args.adjust.split(",") if c.strip()]
-        rep = report_from_data(ds["X"], ds["Xep"], [ds[c] for c in adjust])
+        rep = report_from_data(Dataset.from_csv(args.from_csv), adjust)
     else:
         if args.gamma1 is None or args.var_x is None or args.var_u is None:
             raise PeclabError("bias needs either --from-csv or all of --gamma1/--var-x/--var-u")

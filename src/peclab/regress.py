@@ -3,13 +3,13 @@ regression via iteratively reweighted least squares, and one QR factor per
 dataset that serves every linear fit among its columns.
 
 Linear solves go through a Householder QR decomposition rather than the
-normal equations. Q is never formed: each response column has the p
-Householder reflectors applied to it in turn, which gives Q'y, and the
-coefficients solve R beta = (Q'y)[:p]. One QR serves every response that
-shares a design. The design and its R factor share their singular values,
-so rank is read from the small R (smallest singular value above 1e-10 times
-the largest), for logistic fits too, and a failed check names the offending
-columns from the SVDs of R's column subsets, never from the tall design.
+normal equations. Q is never formed: the response has the p Householder
+reflectors applied to it in turn, which gives Q'y, and the coefficients
+solve R beta = (Q'y)[:p]. The design and its R factor share their singular
+values, so rank is read from the small R (smallest singular value above
+1e-10 times the largest), for logistic fits too, and a failed check names
+the offending columns from the SVDs of R's column subsets, never from the
+tall design.
 
 ColumnFactor is one QR per world. It holds the R of A = [1, Xep, Cep, Vep,
 X, C, V, Y] (a dataset's columns, the measured ones first) and stores each
@@ -80,12 +80,12 @@ def _as_design(design) -> np.ndarray:
 
 
 def _as_response(response, n: int) -> np.ndarray:
-    """The response as floats: a vector, or an (n, k) matrix of k responses,
-    with one row per design row."""
+    """The response as a float vector with one entry per design row."""
     y = np.asarray(response, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[0] != n:
-        rows = y.shape[0] if y.ndim else 0
-        raise ParameterError(f"response has {rows} rows but the design has {n}")
+    if y.ndim != 1:
+        raise ParameterError(f"response must be a vector, got {y.ndim} dimension(s)")
+    if y.shape[0] != n:
+        raise ParameterError(f"response has {y.shape[0]} rows but the design has {n}")
     return y
 
 
@@ -128,16 +128,10 @@ def _offending_columns(r: np.ndarray, column_names=None) -> list[str]:
     return bad
 
 
-def ols(design, response, column_names=None) -> RegressionFit | list[RegressionFit]:
+def ols(design, response, column_names=None) -> RegressionFit:
     """Least squares of response on design (intercept column included by the
     caller). residual_variance = RSS/(n-p); r_squared = 1 - RSS/TSS with TSS
-    centered when the design carries a constant column.
-
-    ``response`` is a vector, or an (n, k) matrix of k responses that share
-    the design: the design is factorised once and a list of k fits, one per
-    column, is returned. Each column is solved on its own, so its fit equals
-    the fit of that column alone.
-    """
+    centered when the design carries a constant column."""
     a = _as_design(design)
     n, p = a.shape
     if n <= p:
@@ -147,10 +141,19 @@ def ols(design, response, column_names=None) -> RegressionFit | list[RegressionF
     h, tau = np.linalg.qr(a, mode="raw")
     r = np.triu(h[:, :p].T)
     _check_rank(r, column_names)
+    beta = np.linalg.solve(r, _apply_qt(h, tau, y)[:p])
+    resid = y - a @ beta
+    rss = float(resid @ resid)
     has_intercept = bool(np.any(_constant_columns(a)))
-    if y.ndim == 2:
-        return [_solve_qr(a, h, tau, r, col, has_intercept) for col in np.ascontiguousarray(y.T)]
-    return _solve_qr(a, h, tau, r, y, has_intercept)
+    tss = float(np.sum((y - y.mean()) ** 2)) if has_intercept else float(y @ y)
+    r2 = 0.0 if tss == 0 else max(0.0, min(1.0, 1.0 - rss / tss))
+    return RegressionFit(
+        coefficients=beta,
+        residual_variance=rss / (n - p),
+        r_squared=r2,
+        converged=True,
+        iterations=1,
+    )
 
 
 def _apply_qt(h: np.ndarray, tau: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -165,22 +168,6 @@ def _apply_qt(h: np.ndarray, tau: np.ndarray, y: np.ndarray) -> np.ndarray:
         z[j] -= w
         z[j + 1:] -= w * v
     return z
-
-
-def _solve_qr(a, h, tau, r, y, has_intercept: bool) -> RegressionFit:
-    n, p = a.shape
-    beta = np.linalg.solve(r, _apply_qt(h, tau, y)[:p])
-    resid = y - a @ beta
-    rss = float(resid @ resid)
-    tss = float(np.sum((y - y.mean()) ** 2)) if has_intercept else float(y @ y)
-    r2 = 0.0 if tss == 0 else max(0.0, min(1.0, 1.0 - rss / tss))
-    return RegressionFit(
-        coefficients=beta,
-        residual_variance=rss / (n - p),
-        r_squared=r2,
-        converged=True,
-        iterations=1,
-    )
 
 
 def wls(design, response, weights, column_names=None) -> RegressionFit:
@@ -239,8 +226,6 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
     if n <= p:
         raise ParameterError(f"need n > p, got n={n}, p={p}")
     y = _as_response(response, n)
-    if y.ndim != 1:
-        raise ParameterError("logistic response must be a vector")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ParameterError("logistic response must be coded 0/1")
     events = y.sum()

@@ -23,7 +23,7 @@ from peclab.biasfactor import (
 from peclab.datagen import generate_scenario
 from peclab.errors import ParameterError, PeclabError
 from peclab.model import Dataset, Link
-from peclab.regress import design_with_intercept, logistic_irls, ols
+from peclab.regress import ColumnFactor, design_with_intercept, logistic_irls, ols
 
 
 def _rng():
@@ -318,7 +318,7 @@ def test_report_from_data_classical_error():
     rng = _rng()
     x = rng.normal(5, 1, 200_000)
     xep = x + rng.normal(0, 1, 200_000)
-    rep = report_from_data(x, xep)
+    rep = report_from_data(Dataset({"X": x, "Xep": xep}))
     assert rep.gamma1 == pytest.approx(1.0, abs=0.01)
     assert rep.lambda_ == pytest.approx(0.5, abs=0.01)
     assert rep.p_rd == pytest.approx(0.5, abs=0.01)
@@ -441,22 +441,77 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _counting_factor_calls(monkeypatch):
+    """Count the ColumnFactor.of calls (one per factorised dataset) and the
+    least-squares solves made on a factor."""
+    calls = []
+    real_of, real_solve = ColumnFactor.of.__func__, ColumnFactor._solve
+
+    def of(cls, *args, **kwargs):
+        calls.append("of")
+        return real_of(cls, *args, **kwargs)
+
+    def solve(self, *args, **kwargs):
+        calls.append("solve")
+        return real_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(ColumnFactor, "of", classmethod(of))
+    monkeypatch.setattr(ColumnFactor, "_solve", solve)
+    return calls
+
+
+def _fits_on_the_factor(monkeypatch, ds, decomposition, adjustment, solves):
+    # no tall design or ols from biasfactor: one factor for a fresh dataset,
+    # each fit solved once on it, and nothing new once the dataset holds them
+    tall = _counting(monkeypatch, "ols") + _counting(monkeypatch, "design_with_intercept")
+    calls = _counting_factor_calls(monkeypatch)
+    first = decomposition(ds, adjustment)
+    assert (len(tall), calls.count("of"), calls.count("solve")) == (0, 1, solves)
+    assert decomposition(ds, adjustment) == first
+    assert (len(tall), calls.count("of"), calls.count("solve")) == (0, 1, solves)
+
+
 @pytest.mark.parametrize("adjustment", [["Cep"], ["Cep", "V"]])
 def test_epc_fits_three_designs_once_each(adjustment, monkeypatch):
+    # [1, X, z'] -> Y, [1, Xep, V, z' minus V] -> X and [1, Xep, z'] -> Y,
+    # plus -> V unless z' holds V
     ds = generate_scenario(worlds.table3_scenario(2, n=3000, seed=1004), 0)
-    fits = _counting(monkeypatch, "ols")
-    builds = _counting(monkeypatch, "design_with_intercept")
-    epc_decomposition(ds, adjustment)
-    assert (len(fits), len(builds)) == (3, 3)
+    solves = 3 if "V" in adjustment else 4
+    _fits_on_the_factor(monkeypatch, ds, epc_decomposition, adjustment, solves)
 
 
 @pytest.mark.parametrize("adjustment", [None, ["V"]])
-def test_ec_fits_three_designs_in_three_solves(adjustment, monkeypatch):
+def test_ec_fits_two_designs_in_four_solves(adjustment, monkeypatch):
+    # [1, X, C, z] -> Y and [1, Xep, Cep, z] -> X, C, Y
     ds = generate_scenario(worlds.table5_scenario(0.5, 0.0, n=3000, seed=1002), 0)
-    fits = _counting(monkeypatch, "ols")
-    builds = _counting(monkeypatch, "design_with_intercept")
-    ec_decomposition(ds, adjustment)
-    assert (len(fits), len(builds)) == (3, 3)
+    _fits_on_the_factor(monkeypatch, ds, ec_decomposition, adjustment, 4)
+
+
+@pytest.mark.parametrize("adjustment", [None, ["V"]])
+def test_rho_ec_is_the_projection_of_the_literal_uc_star(adjustment):
+    # rho_EC is defined on U_C* = C - P_[1,Cep,z] C; the decomposition reads
+    # C's coefficient instead, which the normal equations make the same
+    ds = generate_scenario(worlds.table5_scenario(0.5, 0.0, n=3000, seed=1002), 0)
+    z = [ds[c] for c in adjustment or []]
+    c_design = design_with_intercept(ds["Cep"], *z)
+    uc_star = ds["C"] - ols(c_design, ds["C"]).predict(c_design)
+    want = ols(design_with_intercept(ds["Xep"], ds["Cep"], *z), uc_star).coefficients[1]
+    assert abs(ec_decomposition(ds, adjustment).rho_ec - want) < 1e-12
+
+
+def test_report_from_data_matches_tall_fits():
+    ds = generate_scenario(worlds.table3_scenario(1, n=3000, seed=1006), 0)
+    for adjustment in ([], ["C"], ["C", "V"]):
+        rep = report_from_data(ds, adjustment)
+        z = [ds[c] for c in adjustment]
+        meas = ols(design_with_intercept(ds["X"], *z), ds["Xep"])
+        var_x = ols(design_with_intercept(*z), ds["X"]).residual_variance if z else np.var(ds["X"], ddof=1)
+        want = report(float(meas.coefficients[1]), float(var_x), float(meas.residual_variance))
+        np.testing.assert_allclose(
+            [rep.lambda_, rep.gamma1, rep.p_rd, rep.r_squared_check],
+            [want.lambda_, want.gamma1, want.p_rd, meas.r_squared],
+            rtol=0, atol=1e-12,
+        )
 
 
 @pytest.mark.parametrize(

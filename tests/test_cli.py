@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from peclab import worlds
+from peclab.biasfactor import report_from_data
 from peclab.cli import dispatch
 from peclab.datagen import generate_scenario
-from peclab.model import format_scenario, load_scenario
+from peclab.harness import _fmt
+from peclab.model import Dataset, format_scenario, load_scenario
 
 
 @pytest.fixture()
@@ -296,6 +298,39 @@ def test_bias_figure2_csv(tmp_path):
 
 def test_bias_missing_inputs_is_data_error():
     assert dispatch(["bias", "--gamma1", "1"]) == 2
+
+
+@pytest.mark.parametrize("adjust", [[], ["C", "V"]])
+def test_bias_from_csv_writes_report_from_data(dataset_csv, tmp_path, adjust):
+    out = tmp_path / "bias.csv"
+    args = ["bias", "--from-csv", str(dataset_csv), "--out", str(out)]
+    assert dispatch(args + (["--adjust", ",".join(adjust)] if adjust else [])) == 0
+    rep = report_from_data(Dataset.from_csv(dataset_csv), adjust)
+    want = [
+        ("lambda", rep.lambda_),
+        ("gamma1", rep.gamma1),
+        ("p_rd", rep.p_rd),
+        ("r_squared_check", rep.r_squared_check),
+        ("surrogate_lower", rep.surrogate_lower),
+        ("surrogate_upper", rep.surrogate_upper),
+    ]
+    assert out.read_text().splitlines() == ["quantity,value"] + [f"{k},{_fmt(v)}" for k, v in want]
+
+
+def test_bias_from_csv_without_x_is_data_error(tmp_path, capsys):
+    ds = generate_scenario(worlds.table3_scenario(1, n=500, seed=9), 0)
+    path = tmp_path / "no_x.csv"
+    Dataset({c: ds[c] for c in ds.names if c != "X"}).to_csv(path)
+    assert dispatch(["bias", "--from-csv", str(path)]) == 2
+    assert "missing column(s): X" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adjust, column", [("Xep", "Xep"), ("X", "X"), ("C,X,Xep", "X, Xep")])
+def test_bias_from_csv_rejects_the_exposure_as_adjustment(dataset_csv, capsys, adjust, column):
+    # Xep on a design that holds it fits exactly, and X beside X is singular
+    assert dispatch(["bias", "--from-csv", str(dataset_csv), "--adjust", adjust]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().endswith(f"must not hold the exposure column(s): {column}")
 
 
 def test_calibrate_and_estimate_flow(dataset_csv, tmp_path, capsys):

@@ -116,19 +116,17 @@ def test_rank_read_from_r_names_duplicated_column(monkeypatch):
     assert shapes[0] == (4, 4)
 
 
-def test_response_matrix_fits_equal_single_fits():
+@pytest.mark.parametrize(
+    "fit",
+    [ols, lambda a, y: wls(a, y, np.ones(y.shape[0])), logistic_irls],
+    ids=["ols", "wls", "logistic_irls"],
+)
+def test_two_dimensional_response_rejected(fit):
     rng = _rng()
-    n = 500
-    x, z = rng.normal(size=n), rng.normal(size=n)
-    design = design_with_intercept(x, z)
-    ys = [1.0 + x + rng.normal(size=n), z - 2.0 * x + rng.normal(size=n)]
-    multi = ols(design, np.column_stack(ys))
-    assert len(multi) == 2
-    for fit, y in zip(multi, ys):
-        single = ols(design, y)
-        np.testing.assert_array_equal(fit.coefficients, single.coefficients)
-        assert fit.residual_variance == single.residual_variance
-        assert fit.r_squared == single.r_squared
+    a = design_with_intercept(rng.normal(size=100))
+    y = (rng.uniform(size=(100, 2)) < 0.5).astype(float)
+    with pytest.raises(ParameterError, match="^response must be a vector, got 2 dimension"):
+        fit(a, y)
 
 
 @pytest.mark.parametrize("const_at", [0, 2, None])
