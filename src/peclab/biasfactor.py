@@ -172,16 +172,25 @@ def report(gamma1: float, var_x: float, var_u: float) -> BiasFactorReport:
     )
 
 
+# a column's role, for the message that rejects it as an adjustment column
+_ROLES = {"X": "exposure", "Xep": "exposure", "Y": "outcome", "C": "confounder", "Cep": "confounder"}
+
+
+def _check_adjustment(adjustment, reserved=("X", "Xep", "Y")) -> None:
+    """Reject adjustment columns the routine's own designs already hold or
+    fit: with one of them a fit is singular, or regresses a column on itself."""
+    bad = [c for c in adjustment if c in reserved]
+    if bad:
+        roles = " or ".join(dict.fromkeys(_ROLES[c] for c in bad))
+        raise ParameterError(f"adjustment must not hold the {roles} column(s): {', '.join(bad)}")
+
+
 def report_from_data(d: Dataset, adjustment=()) -> BiasFactorReport:
     """Data-driven report: gamma1 and Var(U) from the fit of Xep on X and
     the adjustment columns, Var(X|z) from the residual variance of X on the
     adjustment columns (on the intercept alone, its sample variance)."""
     d.require("X", "Xep", *adjustment)
-    exposure = [c for c in adjustment if c in ("X", "Xep")]
-    if exposure:
-        raise ParameterError(
-            f"adjustment must not hold the exposure column(s): {', '.join(exposure)}"
-        )
+    _check_adjustment(adjustment)
     factor = d.factor()
     meas_fit = factor.fit((INTERCEPT, "X", *adjustment), "Xep")
     var_x = float(factor.fit((INTERCEPT, *adjustment), "X").residual_variance)
@@ -229,6 +238,7 @@ def epc_decomposition(d: Dataset, adjustment: list[str]) -> EpcDecomposition:
     away) and only gamma1_star remains.
     """
     d.require("X", "Xep", "V", "Y", *adjustment)
+    _check_adjustment(adjustment)
     factor = d.factor()
     naive = (INTERCEPT, "Xep", *adjustment)
     beta1 = float(factor.fit((INTERCEPT, "X", *adjustment), "Y").coefficients[1])
@@ -269,6 +279,7 @@ def ec_decomposition(d: Dataset, adjustment: list[str] | None = None) -> EcDecom
     The exposure calibration is X on the naive design itself."""
     extra = adjustment or []
     d.require("X", "Xep", "C", "Cep", "Y", *extra)
+    _check_adjustment(extra, ("X", "Xep", "Y", "C", "Cep"))
     factor = d.factor()
     naive = (INTERCEPT, "Xep", "Cep", *extra)
     correct = factor.fit((INTERCEPT, "X", "C", *extra), "Y")

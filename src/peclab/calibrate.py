@@ -2,28 +2,28 @@
 
 Condition one fits two models (true X and true C, each on every error-prone
 column); condition two adds the V model and Vep as a regressor everywhere.
-Applying the fits adds predicted-value columns X_RC, C_RC, V_RC; the truth
-then decomposes as truth = calibrated + residual with the residual
-uncorrelated with every regressor, i.e. pure Berkson form.
+A calibrated column is the fit's linear predictor, X_RC = [1, Xep, Cep, Vep]
+gamma_X, so its coordinates gamma_X describe it; the truth then decomposes as
+truth = calibrated + residual with the residual uncorrelated with every
+regressor, i.e. pure Berkson form.
 
 The fits come from the dataset's one QR factor (``Dataset.factor``), whose
 leading block is the calibration design [1, Xep, Cep, Vep], so each target
 is a triangular solve on R with the coefficients ``ols`` gives that design.
-The calibrated columns join the dataset as coordinates on those columns
-(X_RC = [1, Xep, Cep, Vep] gamma_X), so the factor, and every fit already
-made on it, serves the calibrated designs without a new QR.
+X_RC, C_RC, V_RC join the dataset as coordinates (``Dataset.with_coordinates``):
+the factor, and every fit made on it, serves the calibrated designs without
+a new QR, and a calibrated column's rows are built only when read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ParameterError, SchemaError
 from .model import Dataset
 # ols stays bound here: perfbench/spans.py wraps calibrate.ols by name
-from .regress import INTERCEPT, RegressionFit, design_with_intercept, ols  # noqa: F401
+from .regress import INTERCEPT, RegressionFit, ols  # noqa: F401
 
 # target true column -> (measured column, calibrated column)
 _TARGETS = {"X": ("Xep", "X_RC"), "C": ("Cep", "C_RC"), "V": ("Vep", "V_RC")}
@@ -47,12 +47,6 @@ class CalibrationFit:
         names = (INTERCEPT, *self.regressors)
         return {c: float(g) for c, g in zip(names, self.coefficients.coefficients)}
 
-    def predict(self, d: Dataset) -> np.ndarray:
-        d.require(*self.regressors)
-        return self.coefficients.predict(
-            design_with_intercept(*[d[c] for c in self.regressors])
-        )
-
 
 def fit_calibration(
     validation: Dataset,
@@ -65,8 +59,8 @@ def fit_calibration(
     (cross terms included), from the dataset's factor. Targets whose true
     column is absent from the dataset are skipped only if their measured
     column is also absent; a measured column without its truth is a
-    validation-data error. ``residual_sd`` is read per row, from the truth
-    minus its calibrated value, as ``ols`` reads its residuals.
+    validation-data error. ``residual_sd`` is the square root of the fit's
+    residual variance, RSS/(n - p), read from R.
 
     ``validation_fraction`` fits on the leading fraction of rows (split
     designs); the default uses the full sample.
@@ -96,27 +90,11 @@ def fit_calibration(
     regressors = tuple(_TARGETS[t][0] for t in targets)
     names = (INTERCEPT, *regressors)
     factor = d.factor()
-    design = design_with_intercept(*[d[c] for c in regressors])
-    fits = []
-    for t in targets:
-        fit = factor.fit(names, t)
-        resid = d[t] - design @ fit.coefficients
-        rss = float(resid @ resid)
-        fits.append(
-            CalibrationFit(
-                target=t,
-                regressors=regressors,
-                coefficients=fit,
-                residual_sd=float(np.sqrt(rss / (d.n - len(names)))),
-            )
-        )
-    return fits
+    fits = {t: factor.fit(names, t) for t in targets}
+    return [CalibrationFit(t, regressors, f, math.sqrt(f.residual_variance)) for t, f in fits.items()]
 
 
 def apply_calibration(fits: list[CalibrationFit], d: Dataset) -> Dataset:
-    """Add the calibrated (predicted-value) columns, as coordinates on the
-    columns they combine; true columns untouched."""
-    return d.with_columns(
-        {fit.calibrated_name: fit.predict(d) for fit in fits},
-        coordinates={fit.calibrated_name: fit.coordinates for fit in fits},
-    )
+    """Add the calibrated columns as coordinates on the columns they
+    combine; no rows are written, and true columns are untouched."""
+    return d.with_coordinates({fit.calibrated_name: fit.coordinates for fit in fits})

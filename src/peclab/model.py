@@ -1,7 +1,9 @@
 """Core domain types: distributions, outcome/error models, scenarios, datasets.
 
 All types are immutable value objects after construction and safe to share
-across threads; a Dataset only caches its regression factor on first use.
+across threads; a Dataset only caches its regression factor and the rows of
+its coordinate columns (derived columns held as linear combinations of its
+columns), each on first use.
 Scenarios round-trip through a line-oriented text format (``section.key =
 value``, see docs/scenario-format.md); datasets round-trip through CSV with
 the canonical column header ``X,Xep,C,Cep,V,Vep,Y``.
@@ -17,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, ScenarioFormatError, SchemaError
-from .regress import ColumnFactor
+from .regress import INTERCEPT, ColumnFactor, design_with_intercept
 
 # Canonical dataset column order. Generated datasets may omit the C/V block
 # (the discrete exposure-only world has no confounders).
@@ -333,9 +335,12 @@ class Dataset:
 
     Columns are float vectors of equal length keyed by the canonical names in
     COLUMN_ORDER plus any derived columns (X_RC, ...). Instances are treated
-    as immutable; derived columns are added by constructing a new Dataset.
-    The one mutable part is a cache: the regression factor of the columns
-    (``factor``), built on first use.
+    as immutable; derived columns are added by ``with_coordinates``, which
+    returns a new Dataset that holds them as coordinates on this one's
+    columns. The mutable parts are caches: the regression factor of the
+    columns (``factor``) and the rows of each coordinate column, each built
+    on first use. Two threads that build the same one compute identical
+    values, so either may keep it.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]):
@@ -346,8 +351,9 @@ class Dataset:
         for name, col in columns.items():
             clean[name] = _checked_column(name, col, n)
             n = clean[name].shape[0]
-        self._columns = clean
-        # derived column -> {column: coefficient}, and the factor once built
+        # a coordinate column's rows are None until it is first read
+        self._columns: dict[str, np.ndarray | None] = clean
+        # coordinate column -> {column: coefficient}, and the factor once built
         self._coordinates: dict[str, dict[str, float]] = {}
         self._factor: ColumnFactor | None = None
 
@@ -366,41 +372,38 @@ class Dataset:
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
-            return self._columns[name]
+            col = self._columns[name]
         except KeyError:
             raise SchemaError(f"dataset has no column {name!r}") from None
+        if col is None:
+            # [1, regressors] @ coefficients, intercept first, as a fit predicts
+            combination = self._coordinates[name]
+            regressors = [c for c in combination if c != INTERCEPT]
+            coefficients = [combination.get(INTERCEPT, 0.0), *(combination[c] for c in regressors)]
+            col = design_with_intercept(*(self[c] for c in regressors)) @ np.array(coefficients)
+            self._columns[name] = col
+        return col
 
     def require(self, *names: str) -> None:
         missing = [c for c in names if c not in self._columns]
         if missing:
             raise SchemaError(f"dataset is missing column(s): {', '.join(missing)}")
 
-    def with_columns(
-        self, new: dict[str, np.ndarray], coordinates: dict | None = None
-    ) -> "Dataset":
-        """This dataset plus the ``new`` columns. Only the new columns are
-        checked: the old ones were checked when they were added.
-
-        ``coordinates`` maps a new column that is a linear combination of
-        this dataset's columns to its coefficients ({column: coefficient},
-        "intercept" for the ones column); its values must be that
-        combination. When every new column has them and none replaces an old
-        column, the result's factor is this dataset's, with the new columns
-        as coordinates, and it shares this dataset's fits.
-        """
+    def with_coordinates(self, new: dict[str, dict[str, float]]) -> "Dataset":
+        """This dataset plus the ``new`` columns, each a linear combination
+        {column: coefficient} of this dataset's columns ("intercept" for the
+        ones column). No rows are written: a coordinate column's rows are
+        built when it is first read. The result shares this dataset's
+        columns, its factor (with the new columns as coordinates) and every
+        fit already made on it."""
+        taken = [name for name in new if name in self._columns]
+        if taken:
+            raise SchemaError(f"dataset already has column(s): {', '.join(taken)}")
+        self.require(*(c for combination in new.values() for c in combination if c != INTERCEPT))
         out = object.__new__(Dataset)
-        out._columns = dict(self._columns)
-        for name, col in new.items():
-            out._columns[name] = _checked_column(name, col, self.n)
-        coordinates = coordinates or {}
-        if any(name in self._columns for name in new):
-            # an old column changed: the result factorises its columns afresh
-            out._coordinates, out._factor = {}, None
-            return out
-        added = {name: coordinates[name] for name in new if name in coordinates}
-        out._coordinates = {**self._coordinates, **added}
-        shared = self._factor is not None and len(added) == len(new)
-        out._factor = self._factor.derive(added) if shared else None
+        out._columns = {**self._columns, **dict.fromkeys(new)}
+        out._coordinates = {**self._coordinates, **new}
+        out._factor = None if self._factor is None else self._factor.derive(new)
         return out
 
     def factor(self) -> ColumnFactor:
@@ -422,7 +425,7 @@ class Dataset:
     def write_csv(self, fh) -> None:
         names = self.names
         fh.write(",".join(names) + "\n")
-        cols = [self._columns[c] for c in names]
+        cols = [self[c] for c in names]
         for row in zip(*cols):
             fh.write(",".join(format(x, ".17g") for x in row) + "\n")
 

@@ -515,6 +515,28 @@ def test_report_from_data_matches_tall_fits():
 
 
 @pytest.mark.parametrize(
+    "routine, adjustment, message",
+    [
+        (report_from_data, ["X"], "exposure column(s): X"),
+        (report_from_data, ["C", "Y"], "outcome column(s): Y"),
+        (epc_decomposition, ["Cep", "Y"], "outcome column(s): Y"),
+        (epc_decomposition, ["X"], "exposure column(s): X"),
+        (epc_decomposition, ["Xep", "V", "Y"], "exposure or outcome column(s): Xep, Y"),
+        (ec_decomposition, ["Y"], "outcome column(s): Y"),
+        (ec_decomposition, ["Xep"], "exposure column(s): Xep"),
+        (ec_decomposition, ["V", "C"], "confounder column(s): C"),
+        (ec_decomposition, ["Cep", "X"], "confounder or exposure column(s): Cep, X"),
+    ],
+)
+def test_adjustment_rejects_the_routines_own_columns(routine, adjustment, message):
+    # with Y in the adjustment a fit regresses Y on itself (beta1 ~ 1e-16);
+    # with X or Xep, or C/Cep beside EC's own, a design is singular
+    ds = generate_scenario(worlds.table3_scenario(1, n=2000, seed=5), 0)
+    with pytest.raises(ParameterError, match=f"^adjustment must not hold the {re.escape(message)}$"):
+        routine(ds, adjustment)
+
+
+@pytest.mark.parametrize(
     "scenario, calib_cols, naive_cols",
     [
         # EPC: X on [Xep, V, z' minus V], naive design [Xep, z']

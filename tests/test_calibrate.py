@@ -69,7 +69,19 @@ def test_shared_design_fits_equal_separate_ols_calls():
         design = design_with_intercept(*[ds[c] for c in f.regressors])
         single = ols(design, ds[f.target], column_names=("intercept",) + f.regressors)
         np.testing.assert_array_equal(f.coefficients.coefficients, single.coefficients)
-        assert f.residual_sd == float(np.sqrt(single.residual_variance))
+        # residual_sd is read from the factor's R, as every other factor fit
+        assert f.residual_sd == pytest.approx(np.sqrt(single.residual_variance), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("fraction", [None, 0.5])
+def test_calibrated_rows_are_the_fits_linear_predictor(fraction):
+    ds = generate_scenario(worlds.table3_scenario(1, n=2000, seed=23), 0)
+    fits = fit_calibration(ds, condition="two", validation_fraction=fraction)
+    cal = apply_calibration(fits, ds)
+    for fit in fits:
+        design = design_with_intercept(*[ds[c] for c in fit.regressors])
+        want = design @ fit.coefficients.coefficients
+        np.testing.assert_array_equal(cal[fit.calibrated_name], want)
 
 
 def test_condition_two_residuals_are_berkson():

@@ -333,6 +333,11 @@ def test_bias_from_csv_rejects_the_exposure_as_adjustment(dataset_csv, capsys, a
     assert err.strip().endswith(f"must not hold the exposure column(s): {column}")
 
 
+def test_bias_from_csv_rejects_the_outcome_as_adjustment(dataset_csv, capsys):
+    assert dispatch(["bias", "--from-csv", str(dataset_csv), "--adjust", "C,Y"]) == 2
+    assert capsys.readouterr().err.strip().endswith("must not hold the outcome column(s): Y")
+
+
 def test_calibrate_and_estimate_flow(dataset_csv, tmp_path, capsys):
     calibrated = tmp_path / "cal.csv"
     coefs = tmp_path / "coefs.csv"
@@ -351,6 +356,13 @@ def test_calibrate_and_estimate_flow(dataset_csv, tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[1]
     value = float(line.split(",")[-1])
     assert value == pytest.approx(1.0, abs=0.15)
+
+
+def test_calibrate_rejects_a_dataset_that_holds_its_columns(dataset_csv, tmp_path, capsys):
+    calibrated = tmp_path / "cal.csv"
+    assert dispatch(["calibrate", "--in", str(dataset_csv), "--out", str(calibrated)]) == 0
+    assert dispatch(["calibrate", "--in", str(calibrated), "--out", str(tmp_path / "again.csv")]) == 2
+    assert "dataset already has column(s): X_RC, C_RC, V_RC" in capsys.readouterr().err
 
 
 def test_estimate_missing_column_is_data_error(dataset_csv, capsys):

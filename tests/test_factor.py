@@ -2,12 +2,13 @@
 calibrated designs that map from the measured one, and the counters that
 say each world is factorised once and each column space fitted once."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from peclab import estimate, regress, worlds
+from peclab import estimate, harness, regress, worlds
 from peclab.calibrate import apply_calibration, fit_calibration
 from peclab.datagen import generate_scenario
 from peclab.errors import ParameterError, SchemaError, SingularDesignError
@@ -230,8 +231,6 @@ def test_calibrated_dataset_shares_the_factor_and_its_fits():
     assert cal.factor().r is ds.factor().r
     rc = cal.factor().fit((INTERCEPT, "X_RC", "C_RC", "V_RC"), "Y")
     assert rc.residual_variance == measured.residual_variance
-    # a column that replaces an old one leaves the old factor behind
-    assert cal.with_columns({"Y": ds["Y"] + 1.0}).factor().r is not ds.factor().r
 
 
 def test_truncation_quantile_rejected_before_the_factor_fit(monkeypatch):
@@ -245,11 +244,29 @@ def test_truncation_quantile_rejected_before_the_factor_fit(monkeypatch):
         stabilized_weights(ds, "X", ["C", "V"], truncate_quantile=1.5)
 
 
+@pytest.mark.parametrize("table", ["table4", "table5"])
+def test_binary_replication_builds_no_calibrated_rows(table, monkeypatch):
+    # gcomp_rc maps from the factor, so nothing reads X_RC, C_RC or V_RC
+    calibrated = []
+    apply = harness.apply_calibration
+
+    def keeping_apply(fits, ds):
+        calibrated.append(apply(fits, ds))
+        return calibrated[-1]
+
+    monkeypatch.setattr(harness, "apply_calibration", keeping_apply)
+    study = STUDY_TABLES[table]
+    s = study.build(next(iter(study.published)), n=2000, replications=1, seed=67)
+    _replicate(s, 0, study.methods)
+    (cal,) = calibrated
+    assert [cal._columns[c] for c in ("X_RC", "C_RC", "V_RC")] == [None, None, None]
+
+
 # ---------------------------------------------------------------------------
-# Dataset.with_columns checks only the new columns
+# Dataset.with_coordinates
 
 
-def test_with_columns_checks_only_new_columns(monkeypatch):
+def test_with_coordinates_checks_no_rows(monkeypatch):
     ds = generate_scenario(worlds.table3_scenario(1, n=50, seed=70), 0)
     checked = []
     isfinite = np.isfinite
@@ -259,20 +276,22 @@ def test_with_columns_checks_only_new_columns(monkeypatch):
         return isfinite(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", counting_isfinite)
-    out = ds.with_columns({"Z": np.zeros(50)})
-    assert checked == [(50,)]
+    out = ds.with_coordinates({"Z": {INTERCEPT: 1.0, "X": 2.0}})
+    assert checked == []
     assert out.names == [*ds.names, "Z"]
+    assert "Z" in out and "Z" not in ds
+    out.require("X", "Z")
+    np.testing.assert_array_equal(out["Z"], design_with_intercept(ds["X"]) @ np.array([1.0, 2.0]))
 
 
-@pytest.mark.parametrize("column, message", [
-    (np.r_[np.zeros(49), np.nan], "column 'Z' contains NaN or infinite values"),
-    (np.zeros(49), "column 'Z' has length 49, expected 50"),
-    (np.zeros((50, 1)), "column 'Z' is not a vector"),
+@pytest.mark.parametrize("new, message", [
+    ({"Z": {INTERCEPT: 1.0, "X": 2.0, "W": 1.0}, "Z2": {"X_RC": 1.0}}, "is missing column(s): W, X_RC"),
+    ({"Y": {"X": 1.0}}, "already has column(s): Y"),
 ])
-def test_with_columns_rejects_a_bad_new_column(column, message):
+def test_with_coordinates_rejects_an_absent_source_or_a_taken_name(new, message):
     ds = generate_scenario(worlds.table3_scenario(1, n=50, seed=70), 0)
-    with pytest.raises(SchemaError, match=f"^{message}$"):
-        ds.with_columns({"Z": column})
+    with pytest.raises(SchemaError, match=f"^dataset {re.escape(message)}$"):
+        ds.with_coordinates(new)
 
 
 def test_factor_rejects_an_unknown_column():
