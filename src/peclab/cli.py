@@ -202,6 +202,13 @@ def _cmd_exchprob(args) -> int:
 
 
 def _cmd_bias(args) -> int:
+    if args.from_csv is None and args.adjust:
+        raise PeclabError("--adjust needs --from-csv")
+    if args.from_csv is not None:
+        given = [f"--{name.replace('_', '-')}" for name in ("gamma1", "var_x", "var_u")
+                 if getattr(args, name) is not None]
+        if given:
+            raise PeclabError(f"--from-csv takes no {', '.join(given)}")
     if args.figure2:
         with _output(args.figure2) as fh:
             fh.write("gamma1,p,lambda\n")
@@ -255,6 +262,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.truncate_quantile is not None and args.method != "ipw":
+        raise PeclabError("--truncate-quantile applies to --method ipw only")
     ds = Dataset.from_csv(args.input)
     adjust = [c.strip() for c in args.adjust.split(",") if c.strip()]
     estimand = Estimand.RISK_DIFFERENCE if args.estimand == "rd" else Estimand.RISK_RATIO

@@ -11,7 +11,6 @@ the canonical column header ``X,Xep,C,Cep,V,Vep,Y``.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -82,7 +81,7 @@ class DistributionSpec:
 
     def violations(self) -> list[str]:
         if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
-            return [f"parameters must be finite, got {_format_value(self)}"]
+            return [f"parameters must be finite, got {_format_distribution(self)}"]
         v = []
         if self.family == "normal":
             if self.p2 < 0:
@@ -283,6 +282,12 @@ def validate_scenario(s: Scenario) -> list[str]:
     """Every invariant violation as a human-readable message; empty iff generable.
     The one place that decides it, so a bad scenario fails before any draw."""
     v: list[str] = []
+    name = s.name
+    if not name or name != name.strip() or len(name.splitlines()) > 1 or {",", '"'} & set(name):
+        v.append(
+            f"name {name!r} must be non-empty, with no comma, double quote, line break,"
+            " or whitespace at either end"
+        )
     if s.n < 1:
         v.append("n must be >= 1")
     if s.replications < 1:
@@ -460,62 +465,81 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Scenario text format ("section.key = value"; docs/scenario-format.md)
+# Scenario text format ("section.key = value"; docs/scenario-format.md).
+# One codec: every key is a dataclass field, parsed and formatted by what
+# _CODECS holds for the field's annotation. The scenario section holds the
+# Scenario fields named in _SCENARIO_KEYS, each model section every field of
+# its class, and both are read and written by the same walk.
 
-_ENUM_FIELDS = {"link": Link, "kind": ErrorKind}
+# the scenario section's keys, in file order
+_SCENARIO_KEYS = ("name", "n", "replications", "seed", "v_model")
+# the parameters each distribution family takes, in file order
+_PARAMETERS = {
+    "normal": ("mu", "sigma"),
+    "gamma": ("shape", "scale"),
+    "roundedUniform": ("lo", "hi"),
+    "pointMass": ("c",),
+}
 
 
-def _format_value(value) -> str:
-    if isinstance(value, DistributionSpec):
-        if value.family == "pointMass":
-            return f"pointMass({value.p1!r})"
-        return f"{value.family}({value.p1!r}, {value.p2!r})"
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _parse_distribution(text: str, where: str) -> DistributionSpec:
-    text = text.strip()
-    if "(" not in text or not text.endswith(")"):
-        raise ScenarioFormatError(f"{where}: expected family(args), got {text!r}")
-    family, args = text[:-1].split("(", 1)
+def _parse_distribution(text: str) -> DistributionSpec:
+    family, _, args = text.partition("(")
     family = family.strip()
-    parts = [p.strip() for p in args.split(",") if p.strip()]
-    try:
-        nums = [float(p) for p in parts]
-    except ValueError:
-        raise ScenarioFormatError(f"{where}: non-numeric parameter in {text!r}") from None
-    if family == "pointMass":
-        if len(nums) != 1:
-            raise ScenarioFormatError(f"{where}: pointMass takes one parameter")
-        return DistributionSpec.point_mass(nums[0])
-    if family in ("normal", "gamma", "roundedUniform"):
-        if len(nums) != 2:
-            raise ScenarioFormatError(f"{where}: {family} takes two parameters")
-        return DistributionSpec(family, nums[0], nums[1])
-    raise ScenarioFormatError(f"{where}: unknown distribution family {family!r}")
+    params = args.removesuffix(")").split(",")
+    if not args.endswith(")") or len(params) != len(_PARAMETERS.get(family, ())):
+        raise ValueError(text)
+    return DistributionSpec(family, *map(float, params))
+
+
+def _format_distribution(d: DistributionSpec) -> str:
+    # an unknown family, which validation rejects, shows both parameters
+    params = (d.p1, d.p2)
+    params = params[: len(_PARAMETERS.get(d.family, params))]
+    return f"{d.family}({', '.join(map(repr, params))})"
+
+
+# field annotation -> (parse, format, what a value must look like); parse
+# raises ValueError on a value that does not fit
+_CODECS = {
+    "str": (str, str, "a string"),
+    "int": (int, str, "an integer"),
+    "float": (float, repr, "a number"),
+    **{
+        enum.__name__: (enum, lambda member: member.value, f"one of {', '.join(enum)}")
+        for enum in (Link, ErrorKind)
+    },
+    "DistributionSpec": (
+        _parse_distribution,
+        _format_distribution,
+        "one of " + ", ".join(f"{family}({', '.join(p)})" for family, p in _PARAMETERS.items()),
+    ),
+}
+
+
+def _annotations(cls) -> dict[str, str]:
+    return {f.name: f.type for f in fields(cls)}
+
+
+# every section of a scenario file in file order, each key with its annotation
+_FILE_SECTIONS = {
+    "scenario": {key: _annotations(Scenario)[key] for key in _SCENARIO_KEYS},
+    **{section: _annotations(cls) for section, cls in _SECTION_FIELDS.items()},
+}
 
 
 def format_scenario(s: Scenario) -> str:
-    out = io.StringIO()
-    out.write(f"scenario.name = {s.name}\n")
-    out.write(f"scenario.n = {s.n}\n")
-    out.write(f"scenario.replications = {s.replications}\n")
-    out.write(f"scenario.seed = {s.seed}\n")
-    out.write(f"scenario.v_model = {_format_value(s.v_model)}\n")
-    for section in _SECTION_FIELDS:
-        obj = getattr(s, section)
-        out.write("\n")
-        for f in fields(obj):
-            out.write(f"{section}.{f.name} = {_format_value(getattr(obj, f.name))}\n")
-    return out.getvalue()
+    blocks = []
+    for section, keys in _FILE_SECTIONS.items():
+        obj = s if section == "scenario" else getattr(s, section)
+        blocks.append("".join(
+            f"{section}.{key} = {_CODECS[annotation][1](getattr(obj, key))}\n"
+            for key, annotation in keys.items()
+        ))
+    return "\n".join(blocks)
 
 
 def parse_scenario(text: str) -> Scenario:
-    entries: dict[str, dict[str, str]] = {}
+    values: dict[str, dict] = {section: {} for section in _FILE_SECTIONS}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -528,63 +552,26 @@ def parse_scenario(text: str) -> Scenario:
         if "." not in lhs:
             raise ScenarioFormatError(f"line {lineno}: key {lhs!r} has no section")
         section, key = (part.strip() for part in lhs.split(".", 1))
-        first = seen.setdefault(f"{section}.{key}", lineno)
+        where = f"{section}.{key}"
+        first = seen.setdefault(where, lineno)
         if first != lineno:
             raise ScenarioFormatError(
-                f"line {lineno}: duplicate key {section}.{key} (first set on line {first})"
+                f"line {lineno}: duplicate key {where} (first set on line {first})"
             )
-        entries.setdefault(section, {})[key] = value.strip()
-
-    def build(section: str, cls):
-        raw = entries.pop(section, {})
-        kwargs = {}
-        valid = {f.name: f for f in fields(cls)}
-        for key, value in raw.items():
-            if key not in valid:
-                raise ScenarioFormatError(f"{section}.{key}: unknown key")
-            f = valid[key]
-            where = f"{section}.{key}"
-            if key in _ENUM_FIELDS:
-                try:
-                    kwargs[key] = _ENUM_FIELDS[key](value)
-                except ValueError:
-                    raise ScenarioFormatError(f"{where}: invalid value {value!r}") from None
-            elif f.type == "DistributionSpec" or key in ("noise", "noiseU"):
-                kwargs[key] = _parse_distribution(value, where)
-            else:
-                try:
-                    kwargs[key] = float(value)
-                except ValueError:
-                    raise ScenarioFormatError(f"{where}: expected a number, got {value!r}") from None
-        return cls(**kwargs)
-
-    meta = entries.pop("scenario", {})
-    name = meta.pop("name", "unnamed")
-    try:
-        n = int(meta.pop("n", "1"))
-        replications = int(meta.pop("replications", "1"))
-        seed = int(meta.pop("seed", "0"))
-    except ValueError as exc:
-        raise ScenarioFormatError(f"scenario section: {exc}") from None
-    v_model = (
-        _parse_distribution(meta.pop("v_model"), "scenario.v_model")
-        if "v_model" in meta
-        else DistributionSpec.point_mass(0.0)
+        if section not in _FILE_SECTIONS:
+            raise ScenarioFormatError(f"{where}: unknown section")
+        if key not in _FILE_SECTIONS[section]:
+            raise ScenarioFormatError(f"{where}: unknown key")
+        parse, _, expected = _CODECS[_FILE_SECTIONS[section][key]]
+        text = value.strip()
+        try:
+            values[section][key] = parse(text)
+        except ValueError:
+            raise ScenarioFormatError(f"{where}: expected {expected}, got {text!r}") from None
+    return Scenario(
+        **{"name": "unnamed", **values.pop("scenario")},
+        **{section: cls(**values[section]) for section, cls in _SECTION_FIELDS.items()},
     )
-    if meta:
-        raise ScenarioFormatError(f"scenario section: unknown key(s) {sorted(meta)}")
-
-    scenario = Scenario(
-        name=name,
-        **{section: build(section, cls) for section, cls in _SECTION_FIELDS.items()},
-        v_model=v_model,
-        n=n,
-        replications=replications,
-        seed=seed,
-    )
-    if entries:
-        raise ScenarioFormatError(f"unknown section(s): {sorted(entries)}")
-    return scenario
 
 
 def load_scenario(path) -> Scenario:

@@ -45,15 +45,6 @@ DEFAULT_RUNS = 250
 BINARY_INTERCEPT = -4.3
 
 TABLE3_AB = {1: (0.1, 0.0), 2: (0.0, -0.73), 3: (0.1, -0.73)}
-TABLE5_AB = [
-    (0.0, 0.0),
-    (0.5, 0.0),
-    (-0.5, 0.0),
-    (0.0, 0.5),
-    (0.0, -0.5),
-    (0.5, -0.5),
-    (-0.5, 0.5),
-]
 
 _BASE = Scenario(
     name="base",

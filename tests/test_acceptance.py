@@ -28,6 +28,7 @@ from peclab.harness import (
     PUBLISHED_AEE_11_VS_9,
     RD,
     RR,
+    STUDY_TABLES,
     reproduce,
 )
 from peclab.model import Dataset
@@ -298,7 +299,7 @@ def test_criterion_8_decompositions():
         dec = epc_decomposition(ds, adjust)
         gap = abs(dec.predicted_naive - dec.direct_naive)
         ok &= _report(f"criterion8 epc table3-{idx}", gap < 0.01, f"gap {gap:.4f}")
-    for a, b in worlds.TABLE5_AB:
+    for a, b in STUDY_TABLES["table5"].published:
         s = worlds.table5_scenario(a, b, n=100_000, seed=worlds.DEFAULT_SEED)
         ds = generate_scenario(s, 0)
         dec = ec_decomposition(ds, ["V"])

@@ -22,6 +22,7 @@ from peclab.biasfactor import (
 )
 from peclab.datagen import generate_scenario
 from peclab.errors import ParameterError, PeclabError
+from peclab.harness import STUDY_TABLES
 from peclab.model import Dataset, Link
 from peclab.regress import ColumnFactor, design_with_intercept, logistic_irls, ols
 
@@ -421,7 +422,7 @@ def test_ec_differential_error_smaller_bias_than_nondifferential():
 def test_ec_reconstructs_every_table5_world():
     # V is the error-free covariate z minus C in these worlds; conditioning on
     # it keeps the linear-probability residual out of the exposure projection
-    for a, b in worlds.TABLE5_AB:
+    for a, b in STUDY_TABLES["table5"].published:
         s = worlds.table5_scenario(a, b, n=100_000, seed=1003)
         ds = generate_scenario(s, 0)
         dec = ec_decomposition(ds, ["V"])

@@ -118,6 +118,22 @@ def test_invalid_scenario_is_data_error(tmp_path, capsys):
     assert "n must be" in capsys.readouterr().err
 
 
+def test_comma_in_scenario_name_is_data_error(scenario_file, tmp_path, capsys):
+    path = tmp_path / "comma.txt"
+    path.write_text(
+        scenario_file.read_text().replace("scenario.name = table3-1", "scenario.name = a,b")
+    )
+    out = tmp_path / "results.csv"
+    assert dispatch(
+        ["simulate", "--scenario", str(path), "--methods", "naive_cep", "--jobs", "1",
+         "--out", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "name 'a,b' must be non-empty, with no comma" in err
+    assert not out.exists()
+
+
 def test_nonzero_mean_error_noise_is_data_error(tmp_path, capsys):
     s = worlds.table3_scenario(1, n=800, replications=2, seed=3)
     text = format_scenario(s).replace(
@@ -294,6 +310,29 @@ def test_bias_figure2_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "gamma1,p,lambda"
     assert len(lines) == 1 + 5 * 101
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            (["estimate", "--method", method, "--in", "DATA", "--exposure", "X",
+              "--truncate-quantile", quantile], "--truncate-quantile applies to --method ipw only")
+            for method in ("naive", "gcomp")
+            for quantile in ("7", "0.5")
+        ),
+        (["bias", "--gamma1", "1", "--var-x", "1", "--var-u", "1", "--adjust", "C"],
+         "--adjust needs --from-csv"),
+        (["bias", "--from-csv", "DATA", "--gamma1", "2", "--var-u", "9"],
+         "--from-csv takes no --gamma1, --var-u"),
+        (["bias", "--from-csv", "DATA", "--var-x", "1"], "--from-csv takes no --var-x"),
+    ],
+)
+def test_ignored_option_combinations_are_data_errors(argv, message, dataset_csv, capsys):
+    assert dispatch([str(dataset_csv) if a == "DATA" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_bias_missing_inputs_is_data_error():

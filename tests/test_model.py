@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -173,6 +174,24 @@ def test_out_of_range_seed_rejected():
         assert validate_scenario(replace(s, seed=seed)) == []
 
 
+@pytest.mark.parametrize(
+    "name", ["a,b", 'say "hi"', "a\nb", "a\rb", "a\u2028b", " lead", "trail ", "\ttab", ""]
+)
+def test_scenario_name_rule_rejects_names_that_break_a_csv_or_a_round_trip(name):
+    s = worlds.table3_scenario(1)
+    assert validate_scenario(replace(s, name=name)) == [
+        f"name {name!r} must be non-empty, with no comma, double quote, line break,"
+        " or whitespace at either end"
+    ]
+
+
+@pytest.mark.parametrize("name", ["table3-1", "x y", "näme_2"])
+def test_scenario_name_rule_keeps_plain_names(name):
+    s = replace(worlds.table3_scenario(1), name=name)
+    assert validate_scenario(s) == []
+    assert parse_scenario(format_scenario(s)).name == name
+
+
 def test_table5_world_is_the_table4_world_with_its_edits():
     text = format_scenario(worlds.table5_scenario(0.5, -0.5)).splitlines()
     for line in (
@@ -268,6 +287,46 @@ def test_parse_rejects_garbage():
         parse_scenario("scenario.n = plenty\n")
     with pytest.raises(ScenarioFormatError):
         parse_scenario("outcome.noise = normal(1)\n")
+
+
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        ("scenario.n = plenty", "scenario.n"),
+        ("scenario.seed = x", "scenario.seed"),
+        ("scenario.v_model = normal(1)", "scenario.v_model"),
+        ("outcome.link = probit", "outcome.link"),
+        ("exposure_error.kind = bogus", "exposure_error.kind"),
+        ("outcome.beta_x = abc", "outcome.beta_x"),
+        ("x_model.noise = weird(1, 2)", "x_model.noise"),
+        ("scenario.nope = 1", "scenario.nope"),
+    ],
+)
+def test_parse_error_names_its_key(line, where):
+    text = "scenario.name = bad\noutcome.beta0 = 1.0\n" + line + "\n"
+    with pytest.raises(ScenarioFormatError, match=rf"^{re.escape(where)}: [^\n]+$"):
+        parse_scenario(text)
+
+
+def test_format_writes_every_field_once_in_file_order():
+    sections = {
+        "outcome": OutcomeModel,
+        "exposure_error": ErrorModel,
+        "confounder_error": ErrorModel,
+        "v_error": ErrorModel,
+        "x_model": StructuralSpec,
+        "c_model": StructuralSpec,
+    }
+    scenario_keys = ["name", "n", "replications", "seed", "v_model"]
+    assert {f.name for f in fields(Scenario)} == set(sections) | set(scenario_keys)
+    text = format_scenario(worlds.table5_scenario(0.5, -0.5))
+    keys = [line.split(" = ", 1)[0] for line in text.splitlines() if line]
+    assert keys == [f"scenario.{key}" for key in scenario_keys] + [
+        f"{section}.{f.name}" for section, cls in sections.items() for f in fields(cls)
+    ]
+    # one blank line before each model section, none at the end
+    assert text.count("\n\n") == len(sections)
+    assert text.endswith("c_model.noise = gamma(1.0, 1.0)\n")
 
 
 def test_parse_rejects_duplicate_key():
