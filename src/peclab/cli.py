@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import os
+import signal
 import sys
 
 from . import worlds
@@ -21,7 +22,7 @@ from .datagen import generate_scenario, generate_table2_world
 from .errors import PeclabError
 from .estimate import g_computation, ipw_gps_aee, naive_regression_aee
 from .exchprob import empirical_table
-from .harness import METHODS, TABLES, _fmt, reproduce, run_study
+from .harness import METHODS, TABLE2_N, TABLES, _fmt, reproduce, run_study
 from .model import Dataset, Estimand, load_scenario
 
 EXIT_OK = 0
@@ -45,6 +46,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_jobs() -> int:
     return os.cpu_count() or 1
+
+
+def _names(text: str) -> list[str]:
+    """A comma-separated list of names, blanks dropped."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _reject_given(args, names, option: str) -> None:
+    """Reject, in one message, the named options given beside ``option``."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise PeclabError(f"{option} takes no {', '.join(given)}")
 
 
 def _resolve_seed(value) -> int:
@@ -79,7 +92,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--n", type=int, default=None, help="override observations per run")
     sim.add_argument("--seed", type=int, default=None, help="override master seed")
     sim.add_argument("--jobs", type=int, default=_default_jobs(), help="parallel workers")
-    sim.add_argument("--methods", default="naive_cep,naive_cep_vep,rc",
+    sim.add_argument("--methods", type=_names, default="naive_cep,naive_cep_vep,rc",
                      help=f"comma-separated method names (choices: {', '.join(sorted(METHODS))})")
     sim.add_argument("--out", default=None, help="results CSV path (default stdout)")
     sim.add_argument("--emit-csv", default=None, metavar="PATH",
@@ -98,7 +111,7 @@ def build_parser() -> _Parser:
     src.add_argument("--from-csv", default=None, help="dataset CSV with X, Xep, Y columns")
     src.add_argument("--table2", action="store_true",
                      help="generate the discrete exposure-only world")
-    exch.add_argument("--n", type=int, default=1_000_000, help="rows for --table2")
+    exch.add_argument("--n", type=int, default=None, help=f"rows for --table2 (default {TABLE2_N})")
     exch.add_argument("--seed", type=int, default=None)
     exch.add_argument("--grid", action="store_true",
                       help="print the probability grid plus row sums to stdout")
@@ -109,7 +122,8 @@ def build_parser() -> _Parser:
     bias.add_argument("--var-x", type=float, default=None)
     bias.add_argument("--var-u", type=float, default=None)
     bias.add_argument("--from-csv", default=None, help="dataset CSV with X and Xep")
-    bias.add_argument("--adjust", default="", help="comma-separated adjustment columns")
+    bias.add_argument("--adjust", type=_names, default="",
+                      help="comma-separated adjustment columns")
     bias.add_argument("--figure2", default=None, metavar="PATH",
                       help="write the (gamma1, P, lambda) curve grid CSV (- for stdout)")
     bias.add_argument("--out", default=None, help="report CSV path (- for stdout)")
@@ -125,7 +139,8 @@ def build_parser() -> _Parser:
     est.add_argument("--method", required=True, choices=["naive", "gcomp", "ipw"])
     est.add_argument("--in", dest="input", required=True, help="dataset CSV")
     est.add_argument("--exposure", required=True, help="treatment/exposure column")
-    est.add_argument("--adjust", default="", help="comma-separated adjustment columns")
+    est.add_argument("--adjust", type=_names, default="",
+                     help="comma-separated adjustment columns")
     est.add_argument("--delta", type=float, default=1.0)
     est.add_argument("--estimand", choices=["rd", "rr"], default="rd")
     est.add_argument("--truncate-quantile", type=float, default=None,
@@ -142,8 +157,7 @@ def _cmd_simulate(args) -> int:
         scenario = dataclasses.replace(scenario, replications=args.runs)
     if args.seed is not None or "PECLAB_SEED" in os.environ:
         scenario = dataclasses.replace(scenario, seed=_resolve_seed(args.seed))
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    results = run_study([scenario], methods, jobs=args.jobs)
+    results = run_study([scenario], args.methods, jobs=args.jobs)
     # written once run_study has accepted the scenario and the methods
     if args.emit_csv:
         world = generate_scenario(scenario, 0)
@@ -180,8 +194,9 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_exchprob(args) -> int:
     if args.table2:
-        ds = generate_table2_world(args.n, _resolve_seed(args.seed))
+        ds = generate_table2_world(TABLE2_N if args.n is None else args.n, _resolve_seed(args.seed))
     else:
+        _reject_given(args, ("n", "seed"), "--from-csv")
         ds = Dataset.from_csv(args.from_csv)
     table = empirical_table(ds)
     if args.out:
@@ -205,10 +220,7 @@ def _cmd_bias(args) -> int:
     if args.from_csv is None and args.adjust:
         raise PeclabError("--adjust needs --from-csv")
     if args.from_csv is not None:
-        given = [f"--{name.replace('_', '-')}" for name in ("gamma1", "var_x", "var_u")
-                 if getattr(args, name) is not None]
-        if given:
-            raise PeclabError(f"--from-csv takes no {', '.join(given)}")
+        _reject_given(args, ("gamma1", "var_x", "var_u"), "--from-csv")
     if args.figure2:
         with _output(args.figure2) as fh:
             fh.write("gamma1,p,lambda\n")
@@ -217,20 +229,13 @@ def _cmd_bias(args) -> int:
         if args.gamma1 is None and args.from_csv is None:
             return EXIT_OK
     if args.from_csv is not None:
-        adjust = [c.strip() for c in args.adjust.split(",") if c.strip()]
-        rep = report_from_data(Dataset.from_csv(args.from_csv), adjust)
+        rep = report_from_data(Dataset.from_csv(args.from_csv), args.adjust)
     else:
         if args.gamma1 is None or args.var_x is None or args.var_u is None:
             raise PeclabError("bias needs either --from-csv or all of --gamma1/--var-x/--var-u")
         rep = report(args.gamma1, args.var_x, args.var_u)
-    lines = [
-        ("lambda", rep.lambda_),
-        ("gamma1", rep.gamma1),
-        ("p_rd", rep.p_rd),
-        ("r_squared_check", rep.r_squared_check),
-        ("surrogate_lower", rep.surrogate_lower),
-        ("surrogate_upper", rep.surrogate_upper),
-    ]
+    # lambda_ reports as lambda
+    lines = [(f.name.rstrip("_"), getattr(rep, f.name)) for f in dataclasses.fields(rep)]
     if args.out:
         with _output(args.out) as fh:
             fh.write("quantity,value\n")
@@ -264,21 +269,18 @@ def _cmd_calibrate(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.truncate_quantile is not None and args.method != "ipw":
         raise PeclabError("--truncate-quantile applies to --method ipw only")
+    if args.estimand == "rr" and args.method != "gcomp":
+        raise PeclabError("--method naive|ipw reports risk differences only")
     ds = Dataset.from_csv(args.input)
-    adjust = [c.strip() for c in args.adjust.split(",") if c.strip()]
     estimand = Estimand.RISK_DIFFERENCE if args.estimand == "rd" else Estimand.RISK_RATIO
     if args.method == "naive":
-        if estimand is Estimand.RISK_RATIO:
-            raise PeclabError("naive regression reports risk differences only")
-        value = naive_regression_aee(ds, args.exposure, adjust, delta=args.delta)
+        value = naive_regression_aee(ds, args.exposure, args.adjust, delta=args.delta)
     elif args.method == "gcomp":
-        rd, rr = g_computation(ds, args.exposure, adjust, delta=args.delta)
+        rd, rr = g_computation(ds, args.exposure, args.adjust, delta=args.delta)
         value = rr if estimand is Estimand.RISK_RATIO else rd
     else:
-        if estimand is Estimand.RISK_RATIO:
-            raise PeclabError("ipw reports risk differences only")
         value = ipw_gps_aee(
-            ds, args.exposure, adjust, delta=args.delta,
+            ds, args.exposure, args.adjust, delta=args.delta,
             truncate_quantile=args.truncate_quantile,
         )
     with _output(args.out) as fh:
@@ -324,6 +326,10 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # a closed stdout (peclab ... | head) ends peclab silently, as it does cat;
+    # dispatch, which runs in process too, leaves the signal as it finds it
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(dispatch(sys.argv[1:]))
 
 

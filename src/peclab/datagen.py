@@ -50,17 +50,19 @@ def generate_table2_world(n: int, seed: int) -> Dataset:
 
 def _apply_error(
     error: ErrorModel,
-    true_vals: np.ndarray,
+    source: np.ndarray,
     v: np.ndarray,
     draw: Callable[[ColumnTag, DistributionSpec], np.ndarray],
     tag: ColumnTag,
 ) -> np.ndarray:
-    """Measured column for a non-Berkson error model (or the identity); the
-    scenario validator has already rejected Berkson confounder and V errors."""
+    """gamma0 + gamma1 * source + gammaV * V + U, or a copy of the source
+    under kind none. The source is the true column, except for a pure
+    Berkson error, where it is the measured one and the result the truth;
+    the scenario validator allows that kind on the exposure only."""
     if error.kind is ErrorKind.NONE:
-        return true_vals.copy()
+        return source.copy()
     u = draw(tag, error.noiseU)
-    return error.gamma0 + error.gamma1 * true_vals + error.gammaV * v + u
+    return error.gamma0 + error.gamma1 * source + error.gammaV * v + u
 
 
 def generate_scenario(
@@ -99,20 +101,11 @@ def generate_scenario(
 
     x_mean = s.x_model.intercept + s.x_model.coef_c * c + s.x_model.coef_v * v
     x_draw = x_mean + draw(ColumnTag.X_NOISE, s.x_model.noise)
-
-    if s.exposure_error.kind is ErrorKind.PURE_BERKSON:
-        # the structural equation generates the measured value; truth is
-        # measured-plus-noise
-        xep = x_draw
-        x = (
-            s.exposure_error.gamma0
-            + s.exposure_error.gamma1 * xep
-            + s.exposure_error.gammaV * v
-            + draw(ColumnTag.U_X, s.exposure_error.noiseU)
-        )
-    else:
-        x = x_draw
-        xep = _apply_error(s.exposure_error, x, v, draw, ColumnTag.U_X)
+    x_err = _apply_error(s.exposure_error, x_draw, v, draw, ColumnTag.U_X)
+    # under pure Berkson the structural equation generates the measured
+    # value and the truth is measured-plus-noise
+    berkson = s.exposure_error.kind is ErrorKind.PURE_BERKSON
+    x, xep = (x_err, x_draw) if berkson else (x_draw, x_err)
 
     eps = draw(ColumnTag.Y_NOISE, s.outcome.noise)
     lp = s.outcome.linear_predictor(x, c=c, v=v, eps=eps)

@@ -1,8 +1,10 @@
 """Exchangeability-probability tables.
 
 A table is one dense array ``probs`` of shape (xep, x, y) over three sorted
-supports of keyed values (rounded to KEY_DECIMALS); a value off a support
-reads as probability 0. Two estimators fill it and are never mixed:
+supports of keyed values. One keying rule, ``_keyed`` (``np.round`` to
+KEY_DECIMALS), makes both the supports and every value looked up in them, so
+a value read from the data finds its own support point; a value off a
+support reads as probability 0. Two estimators fill it and are never mixed:
 
 * the empirical conditional-joint table, cell(xep, x, y) =
   P(X = x, Y = y | Xep = xep), which is what the published probability grid
@@ -46,11 +48,9 @@ QUAD_SIGMAS = 8.0
 MAX_SUPPORT = 100
 
 
-def _key(value: float) -> float:
-    return round(float(value), KEY_DECIMALS)
-
-
 def _keyed(values) -> np.ndarray:
+    """Values rounded to KEY_DECIMALS: the one rule by which a value, a
+    scalar or an array, finds its support point."""
     return np.round(np.asarray(values, dtype=float), KEY_DECIMALS)
 
 
@@ -61,7 +61,7 @@ def _support(values) -> np.ndarray:
 
 def _index(support: np.ndarray, value: float) -> int | None:
     """Position of ``value`` in a sorted keyed support, None when it is off it."""
-    k = _key(value)
+    k = _keyed(value)
     i = int(np.searchsorted(support, k))
     return i if i < support.size and support[i] == k else None
 
@@ -202,8 +202,8 @@ def _conditional_true_given_measured(
         pts = (xep - error.gamma0 - u_vals) / error.gamma1
         if x_marginal.is_discrete():
             x_vals, x_probs = x_marginal.support()
-            lookup = {_key(v): p for v, p in zip(x_vals, x_probs)}
-            fx = np.array([lookup.get(_key(p), 0.0) for p in pts])
+            lookup = dict(zip(_keyed(x_vals).tolist(), x_probs))
+            fx = np.array([lookup.get(k, 0.0) for k in _keyed(pts).tolist()])
         else:
             fx = x_marginal.density(pts)
         w = fx * u_probs
@@ -299,9 +299,9 @@ def symmetry_check(t: ExchProbTable, e_t: float, tolerance: float) -> tuple[bool
     marginal = t.x_marginal(e_t)
     worst = max(
         (
-            abs(p - marginal.get(_key(2 * e_t - x), 0.0))
+            abs(p - marginal.get(float(_keyed(2 * e_t - x)), 0.0))
             for x, p in marginal.items()
-            if _key(x - e_t) != 0
+            if _keyed(x - e_t) != 0
         ),
         default=0.0,
     )

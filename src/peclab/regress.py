@@ -128,32 +128,44 @@ def _offending_columns(r: np.ndarray, column_names=None) -> list[str]:
     return bad
 
 
-def ols(design, response, column_names=None) -> RegressionFit:
-    """Least squares of response on design (intercept column included by the
-    caller). residual_variance = RSS/(n-p); r_squared = 1 - RSS/TSS with TSS
-    centered when the design carries a constant column."""
+def _linear_fit(beta: np.ndarray, rss: float, tss: float, n: int, p: int) -> RegressionFit:
+    """The summary of every linear fit: residual_variance = RSS/(n-p) and
+    r_squared = 1 - RSS/TSS clipped to [0, 1], 0 when TSS = 0."""
+    r2 = 0.0 if tss == 0 else max(0.0, min(1.0, 1.0 - rss / tss))
+    return RegressionFit(beta, residual_variance=rss / (n - p), r_squared=r2, iterations=1)
+
+
+def _tall(design, response) -> tuple[np.ndarray, np.ndarray]:
+    """The design as a matrix with more rows than columns, and the response
+    as a vector with one entry per row."""
     a = _as_design(design)
     n, p = a.shape
     if n <= p:
         raise ParameterError(f"need n > p, got n={n}, p={p}")
-    y = _as_response(response, n)
+    return a, _as_response(response, n)
+
+
+def _least_squares(a: np.ndarray, y: np.ndarray, column_names=None) -> tuple[np.ndarray, float]:
+    """Coefficients and RSS of y on the tall design a, from its QR."""
+    p = a.shape[1]
     # raw mode returns the reflectors and R in h (p x n) without forming Q
     h, tau = np.linalg.qr(a, mode="raw")
     r = np.triu(h[:, :p].T)
     _check_rank(r, column_names)
     beta = np.linalg.solve(r, _apply_qt(h, tau, y)[:p])
     resid = y - a @ beta
-    rss = float(resid @ resid)
+    return beta, float(resid @ resid)
+
+
+def ols(design, response, column_names=None) -> RegressionFit:
+    """Least squares of response on design (intercept column included by the
+    caller), summarised by ``_linear_fit`` with TSS centered when the design
+    carries a constant column."""
+    a, y = _tall(design, response)
+    beta, rss = _least_squares(a, y, column_names)
     has_intercept = bool(np.any(_constant_columns(a)))
     tss = float(np.sum((y - y.mean()) ** 2)) if has_intercept else float(y @ y)
-    r2 = 0.0 if tss == 0 else max(0.0, min(1.0, 1.0 - rss / tss))
-    return RegressionFit(
-        coefficients=beta,
-        residual_variance=rss / (n - p),
-        r_squared=r2,
-        converged=True,
-        iterations=1,
-    )
+    return _linear_fit(beta, rss, tss, *a.shape)
 
 
 def _apply_qt(h: np.ndarray, tau: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -180,15 +192,11 @@ def wls(design, response, weights, column_names=None) -> RegressionFit:
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ParameterError("weights must be positive and finite")
     sw = np.sqrt(w)
-    fit = ols(a * sw[:, None], y * sw, column_names=column_names)
     # the scaled fit's residuals are sqrt(w_i) r_i, so its RSS is already the
     # weighted sum_i w_i r_i^2; only the TSS needs the weighted geometry
-    n, p = a.shape
-    rss = fit.residual_variance * (n - p)
+    beta, rss = _least_squares(*_tall(a * sw[:, None], y * sw), column_names)
     ybar = float(w @ y / w.sum())
-    tss = float(w @ (y - ybar) ** 2)
-    r2 = 0.0 if tss == 0 else max(0.0, min(1.0, 1.0 - rss / tss))
-    return replace(fit, r_squared=r2)
+    return _linear_fit(beta, rss, float(w @ (y - ybar) ** 2), *a.shape)
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -221,11 +229,9 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
     of the design's own QR when ``r`` is absent.
     """
     # every product below runs down the design's columns
-    a = np.asfortranarray(_as_design(design))
+    a, y = _tall(design, response)
+    a = np.asfortranarray(a)
     n, p = a.shape
-    if n <= p:
-        raise ParameterError(f"need n > p, got n={n}, p={p}")
-    y = _as_response(response, n)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ParameterError("logistic response must be coded 0/1")
     events = y.sum()
@@ -444,7 +450,7 @@ class ColumnFactor:
         return replace(fit, coefficients=self.mapped(design, m, fit.coefficients))
 
     def _solve(self, design: tuple[str, ...], response: str) -> RegressionFit:
-        """residual_variance = RSS/(n-p); r_squared = 1 - RSS/TSS with TSS
+        """The fit on R's rows, summarised by ``_linear_fit`` with TSS
         centred when the design holds the intercept, A's first column."""
         n, p = self.n, len(design)
         if n <= p:
@@ -459,13 +465,5 @@ class ColumnFactor:
             # a leading block of R is the triangular system ols solves
             beta = np.linalg.solve(b[:p], t[:p])
         resid = t - b @ beta
-        rss = float(resid @ resid)
         tss = float(t[1:] @ t[1:]) if INTERCEPT in design else float(t @ t)
-        r2 = 0.0 if tss == 0 else max(0.0, min(1.0, 1.0 - rss / tss))
-        return RegressionFit(
-            coefficients=beta,
-            residual_variance=rss / (n - p),
-            r_squared=r2,
-            converged=True,
-            iterations=1,
-        )
+        return _linear_fit(beta, float(resid @ resid), tss, n, p)

@@ -1,5 +1,13 @@
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import peclab
 
 from peclab import worlds
 from peclab.biasfactor import report_from_data
@@ -326,6 +334,15 @@ def test_bias_figure2_csv(tmp_path):
         (["bias", "--from-csv", "DATA", "--gamma1", "2", "--var-u", "9"],
          "--from-csv takes no --gamma1, --var-u"),
         (["bias", "--from-csv", "DATA", "--var-x", "1"], "--from-csv takes no --var-x"),
+        (["exchprob", "--from-csv", "DATA", "--n", "7"], "--from-csv takes no --n"),
+        (["exchprob", "--from-csv", "DATA", "--seed", "99"], "--from-csv takes no --seed"),
+        (["exchprob", "--from-csv", "DATA", "--n", "7", "--seed", "99"],
+         "--from-csv takes no --n, --seed"),
+        *(
+            (["estimate", "--method", method, "--in", "DATA", "--exposure", "X",
+              "--estimand", "rr"], "--method naive|ipw reports risk differences only")
+            for method in ("naive", "ipw")
+        ),
     ],
 )
 def test_ignored_option_combinations_are_data_errors(argv, message, dataset_csv, capsys):
@@ -333,6 +350,25 @@ def test_ignored_option_combinations_are_data_errors(argv, message, dataset_csv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_peclab_silently(dataset_csv):
+    # the calibrated CSV outgrows the pipe buffer, so peclab is still writing
+    # when the reader closes its end
+    src = str(Path(peclab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "peclab", "calibrate", "--in", str(dataset_csv), "--out", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == -signal.SIGPIPE
+    assert err == b""
+    assert head[0].startswith(b"X,Xep,")
 
 
 def test_bias_missing_inputs_is_data_error():

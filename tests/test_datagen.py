@@ -10,7 +10,7 @@ from peclab.errors import ParameterError
 from peclab.harness import STUDY_TABLES
 from peclab.model import DistributionSpec, ErrorKind, ErrorModel, Link, OutcomeModel, Scenario, StructuralSpec
 from peclab.regress import design_with_intercept, ols
-from peclab.rng import ColumnTag
+from peclab.rng import ColumnTag, StreamKey, sample
 from table2_oracle import aee_exact, conditional_joint_cells
 
 
@@ -164,6 +164,20 @@ def test_pure_berkson_wiring():
     assert fit.coefficients[1] == pytest.approx(1.0, abs=0.01)
     resid = ds["X"] - fit.predict(design_with_intercept(ds["Xep"]))
     assert abs(np.corrcoef(resid, ds["Xep"])[0, 1]) < 0.02
+
+
+@pytest.mark.parametrize("kind", [ErrorKind.NON_BERKSON_LINEAR, ErrorKind.PURE_BERKSON])
+def test_exposure_error_formula_bit_for_bit(kind):
+    # the generated exposure column is gamma0 + gamma1 * T + gammaV * V + U
+    # exactly, T the truth or, under pure Berkson, the measured value
+    error = ErrorModel(kind=kind, gamma0=0.25, gamma1=0.8, gammaV=0.5,
+                       noiseU=DistributionSpec.normal(0, 0.3))
+    s = replace(worlds.table3_scenario(2, n=500, seed=13), exposure_error=error)
+    ds = generate_scenario(s, 1)
+    u = sample(error.noiseU, StreamKey(s.seed, 1, ColumnTag.U_X), s.n)
+    source, made = ("Xep", "X") if kind is ErrorKind.PURE_BERKSON else ("X", "Xep")
+    expected = error.gamma0 + error.gamma1 * ds[source] + error.gammaV * ds["V"] + u
+    assert ds[made].tobytes() == expected.tobytes()
 
 
 def test_table3_scenario1_naive_slope():

@@ -111,6 +111,18 @@ def test_requested_support_with_empty_stratum():
     assert table.xep_support.tolist() == [7.0, 8.0, 9.0, 10.0, 11.0]
 
 
+def test_a_value_off_the_key_grid_finds_its_own_cell():
+    # 12.0000000025 keys to 12.000000002 under np.round and 12.000000003
+    # under Python's round: lookups must key it as the support does
+    xep = 12.0000000025
+    ds = Dataset({"X": np.array([12.0, 13.0, 9.0, 9.0]), "Xep": np.array([xep, xep, 9.0, 9.0]),
+                  "Y": np.array([0.0, 0.0, 0.5, 0.5])})
+    table = empirical_table(ds)
+    assert table.cell(xep, 12.0, 0.0) == 0.5
+    assert table.slice_sum(xep) == 1.0
+    assert aee_from_table(table, xep, 9.0) == -0.5
+
+
 def _unique_inverse_table(d):
     """Reference: supports and cells from np.unique(return_inverse=True)."""
     (xv, xi), (ev, ei), (yv, yi) = (

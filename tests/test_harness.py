@@ -93,6 +93,16 @@ def test_unknown_method_rejected():
         run_study([s], ["definitely_not_a_method"])
     with pytest.raises(ParameterError):
         run_study([s], [])
+    with pytest.raises(ParameterError, match=r"^repeated method\(s\): naive_cep$"):
+        run_study([s], ["naive_cep", "naive_cep"])
+
+
+def test_results_come_in_method_order_rd_before_rr():
+    s = worlds.table4_scenario(1, n=2000, replications=2, seed=19)
+    results = run_study([s], ["naive_cep", "gcomp_cep", "rc"])
+    assert [(r.method, r.estimand) for r in results] == [
+        ("naive_cep", RD), ("gcomp_cep", RD), ("gcomp_cep", RR), ("rc", RD),
+    ]
 
 
 def test_binary_methods_return_both_estimands():
