@@ -172,16 +172,13 @@ def report(gamma1: float, var_x: float, var_u: float) -> BiasFactorReport:
     )
 
 
-# a column's role, for the message that rejects it as an adjustment column
-_ROLES = {"X": "exposure", "Xep": "exposure", "Y": "outcome", "C": "confounder", "Cep": "confounder"}
-
-
-def _check_adjustment(adjustment, reserved=("X", "Xep", "Y")) -> None:
+def _check_adjustment(adjustment, reserved: dict[str, str]) -> None:
     """Reject adjustment columns the routine's own designs already hold or
-    fit: with one of them a fit is singular, or regresses a column on itself."""
+    fit: with one of them a fit is singular, or regresses a column on itself.
+    ``reserved`` maps each such column to its role, which the message names."""
     bad = [c for c in adjustment if c in reserved]
     if bad:
-        roles = " or ".join(dict.fromkeys(_ROLES[c] for c in bad))
+        roles = " or ".join(dict.fromkeys(reserved[c] for c in bad))
         raise ParameterError(f"adjustment must not hold the {roles} column(s): {', '.join(bad)}")
 
 
@@ -190,7 +187,7 @@ def report_from_data(d: Dataset, adjustment=()) -> BiasFactorReport:
     the adjustment columns, Var(X|z) from the residual variance of X on the
     adjustment columns (on the intercept alone, its sample variance)."""
     d.require("X", "Xep", *adjustment)
-    _check_adjustment(adjustment)
+    _check_adjustment(adjustment, {"X": "exposure", "Xep": "exposure", "Y": "outcome"})
     factor = d.factor()
     meas_fit = factor.fit((INTERCEPT, "X", *adjustment), "Xep")
     var_x = float(factor.fit((INTERCEPT, *adjustment), "X").residual_variance)
@@ -238,7 +235,7 @@ def epc_decomposition(d: Dataset, adjustment: list[str]) -> EpcDecomposition:
     away) and only gamma1_star remains.
     """
     d.require("X", "Xep", "V", "Y", *adjustment)
-    _check_adjustment(adjustment)
+    _check_adjustment(adjustment, {"X": "exposure", "Xep": "exposure", "Y": "outcome"})
     factor = d.factor()
     naive = (INTERCEPT, "Xep", *adjustment)
     beta1 = float(factor.fit((INTERCEPT, "X", *adjustment), "Y").coefficients[1])
@@ -279,7 +276,9 @@ def ec_decomposition(d: Dataset, adjustment: list[str] | None = None) -> EcDecom
     The exposure calibration is X on the naive design itself."""
     extra = adjustment or []
     d.require("X", "Xep", "C", "Cep", "Y", *extra)
-    _check_adjustment(extra, ("X", "Xep", "Y", "C", "Cep"))
+    _check_adjustment(extra, {
+        "X": "exposure", "Xep": "exposure", "Y": "outcome", "C": "confounder", "Cep": "confounder",
+    })
     factor = d.factor()
     naive = (INTERCEPT, "Xep", "Cep", *extra)
     correct = factor.fit((INTERCEPT, "X", "C", *extra), "Y")

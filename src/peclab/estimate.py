@@ -6,7 +6,9 @@ Each estimator takes a dataset, an exposure column and its adjustment
 columns, and returns numbers: the naive and IPW slopes are one float each,
 g-computation the (risk difference, risk ratio) pair from one fit. The
 column names label the fitted designs, so a rank-deficient design is
-reported by column.
+reported by column. An estimator given Y as the exposure or an adjustment
+column, or the exposure among its own adjustment columns, raises a
+ParameterError before it fits.
 
 Every linear fit on a dataset's columns (the naive outcome model and the
 GPS model) comes from the dataset's QR factor (``Dataset.factor``), on a
@@ -27,10 +29,20 @@ import math
 
 import numpy as np
 
+from .biasfactor import _check_adjustment
 from .errors import ParameterError
 from .model import Dataset, DistributionSpec
 # ols stays bound here: perfbench/spans.py wraps estimate.ols by name
 from .regress import INTERCEPT, _sigmoid, design_with_intercept, logistic_irls, ols, wls  # noqa: F401
+
+
+def _check_roles(exposure_col: str, adjustment_cols) -> None:
+    """Reject the outcome as the exposure, and the outcome or the exposure
+    among the adjustment columns: a fit would regress Y on itself, or hold
+    one column twice."""
+    if exposure_col == "Y":
+        raise ParameterError("exposure must not be the outcome column: Y")
+    _check_adjustment(adjustment_cols, {exposure_col: "exposure", "Y": "outcome"})
 
 
 def _model_inputs(
@@ -41,6 +53,7 @@ def _model_inputs(
     if not (math.isfinite(delta) and delta > 0):
         raise ParameterError("delta must be finite and > 0")
     d.require("Y", exposure_col, *adjustment_cols)
+    _check_roles(exposure_col, adjustment_cols)
     return (INTERCEPT, exposure_col, *adjustment_cols)
 
 
@@ -107,6 +120,7 @@ def stabilized_weights(
     if truncate_quantile is not None and not 0.0 < truncate_quantile <= 1.0:
         raise ParameterError("truncate_quantile must be in (0, 1]")
     d.require(treatment_col, *covariate_cols)
+    _check_roles(treatment_col, covariate_cols)
     t = d[treatment_col]
     fit = d.factor().fit((INTERCEPT, *covariate_cols), treatment_col)
     sigma = float(np.sqrt(fit.residual_variance))

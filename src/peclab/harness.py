@@ -204,25 +204,24 @@ def run_study(
 # ---------------------------------------------------------------------------
 # Published reference values
 
-# 5 x 9 probability grid: rows Xep in 7..11, columns (x, y) pairs.
-_T2_XY = [
+# 5 x 9 probability grid: the header is the (x, y) pairs, one row per Xep
+_T2_XY = (
     (8.0, 0.7), (8.0, 0.8), (8.0, 0.9),
     (9.0, 0.8), (9.0, 0.9), (9.0, 1.0),
     (10.0, 0.9), (10.0, 1.0), (10.0, 1.1),
-]
-PUBLISHED_TABLE2 = {}
-for _xep, _row in zip(
-    (7.0, 8.0, 9.0, 10.0, 11.0),
-    [
-        [0.24979, 0.50046, 0.24975, 0, 0, 0, 0, 0, 0],
-        [0.12476, 0.24999, 0.12470, 0.12506, 0.25041, 0.12507, 0, 0, 0],
-        [0.04169, 0.08329, 0.04180, 0.16712, 0.33291, 0.16676, 0.04163, 0.08312, 0.04168],
-        [0, 0, 0, 0.12477, 0.24991, 0.12533, 0.12507, 0.25002, 0.12491],
-        [0, 0, 0, 0, 0, 0, 0.24940, 0.50242, 0.24818],
-    ],
-):
-    for (_x, _y), _p in zip(_T2_XY, _row):
-        PUBLISHED_TABLE2[(_xep, _x, _y)] = float(_p)
+)
+_T2_GRID = {
+    7.0: (0.24979, 0.50046, 0.24975, 0, 0, 0, 0, 0, 0),
+    8.0: (0.12476, 0.24999, 0.12470, 0.12506, 0.25041, 0.12507, 0, 0, 0),
+    9.0: (0.04169, 0.08329, 0.04180, 0.16712, 0.33291, 0.16676, 0.04163, 0.08312, 0.04168),
+    10.0: (0, 0, 0, 0.12477, 0.24991, 0.12533, 0.12507, 0.25002, 0.12491),
+    11.0: (0, 0, 0, 0, 0, 0, 0.24940, 0.50242, 0.24818),
+}
+PUBLISHED_TABLE2 = {
+    (xep, x, y): float(p)
+    for xep, row in _T2_GRID.items()
+    for (x, y), p in zip(_T2_XY, row, strict=True)
+}
 
 PUBLISHED_AEE_10_VS_9 = 0.050104
 PUBLISHED_AEE_11_VS_9 = 0.099933
@@ -241,114 +240,68 @@ TABLE2_TOLERANCES = {"exchprob": 0.005, "aee": 0.005, "calibration": 0.01, "p_rd
 
 @dataclass(frozen=True)
 class StudyTable:
-    """One published study table as data.
+    """One published study table as data, in the layout the paper prints.
 
-    ``build(key, n=, replications=, seed=)`` returns the scenario of one
-    published row; ``published`` maps each row key to its cells
-    ``{(method, estimand): value}`` in report order; ``tolerance`` is the
+    ``cells`` is the header: the ``(method, estimand)`` of each column, in
+    report order. ``published`` maps each row key to its row, a tuple of
+    numbers with one per header cell. ``build(key, n=, replications=,
+    seed=)`` returns the scenario of one row; ``tolerance`` is the
     acceptance tolerance per estimand. A record holds builders and data
     only: the study loop looks run_study up in this module at call time, so
     a wrapper installed there (perfbench/spans.py) sees every study.
     """
 
     build: Callable[..., Scenario]
+    cells: tuple
     published: dict
     tolerance: dict
 
     @property
     def methods(self) -> list[str]:
-        """Every published method, in first-published order."""
-        return list(dict.fromkeys(m for cells in self.published.values() for m, _ in cells))
+        """Every method of the header, in first-published order."""
+        return list(dict.fromkeys(m for m, _ in self.cells))
 
 
 STUDY_TABLES = {
     "table3": StudyTable(
         build=worlds.table3_scenario,
+        cells=(
+            ("naive_cep", RD), ("naive_cep_vep", RD), ("rc", RD), ("ipw_true", RD), ("ipw_rc", RD),
+        ),
         published={
-            1: {
-                ("naive_cep", RD): 0.55, ("naive_cep_vep", RD): 0.71, ("rc", RD): 1.00,
-                ("ipw_true", RD): 0.98, ("ipw_rc", RD): 0.97,
-            },
-            2: {
-                ("naive_cep", RD): -0.21, ("naive_cep_vep", RD): 0.70, ("rc", RD): 1.00,
-                ("ipw_true", RD): 0.99, ("ipw_rc", RD): 0.97,
-            },
-            3: {
-                ("naive_cep", RD): -0.31, ("naive_cep_vep", RD): 0.70, ("rc", RD): 1.00,
-                ("ipw_true", RD): 0.99, ("ipw_rc", RD): 0.96,
-            },
+            1: (0.55, 0.71, 1.00, 0.98, 0.97),
+            2: (-0.21, 0.70, 1.00, 0.99, 0.97),
+            3: (-0.31, 0.70, 1.00, 0.99, 0.96),
         },
         tolerance={RD: 0.03},
     ),
     "table4": StudyTable(
         build=worlds.table4_scenario,
+        cells=(
+            ("gcomp_true_cv", RD), ("gcomp_cep", RD), ("gcomp_cep_vep", RD), ("gcomp_rc", RD),
+            ("gcomp_true_cv", RR), ("gcomp_cep", RR), ("gcomp_cep_vep", RR), ("gcomp_rc", RR),
+        ),
         published={
-            1: {
-                ("gcomp_true_cv", RD): 0.011, ("gcomp_cep", RD): 0.010,
-                ("gcomp_cep_vep", RD): 0.010, ("gcomp_rc", RD): 0.011,
-                ("gcomp_true_cv", RR): 1.34, ("gcomp_cep", RR): 1.15,
-                ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.34,
-            },
-            2: {
-                ("gcomp_true_cv", RD): 0.004, ("gcomp_cep", RD): -0.047,
-                ("gcomp_cep_vep", RD): 0.003, ("gcomp_rc", RD): 0.004,
-                ("gcomp_true_cv", RR): 1.35, ("gcomp_cep", RR): 0.80,
-                ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.35,
-            },
-            3: {
-                ("gcomp_true_cv", RD): 0.004, ("gcomp_cep", RD): -0.078,
-                ("gcomp_cep_vep", RD): 0.003, ("gcomp_rc", RD): 0.004,
-                ("gcomp_true_cv", RR): 1.35, ("gcomp_cep", RR): 0.78,
-                ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.35,
-            },
+            1: (0.011, 0.010, 0.010, 0.011, 1.34, 1.15, 1.20, 1.34),
+            2: (0.004, -0.047, 0.003, 0.004, 1.35, 0.80, 1.20, 1.35),
+            3: (0.004, -0.078, 0.003, 0.004, 1.35, 0.78, 1.20, 1.35),
         },
         tolerance={RD: 0.003, RR: 0.05},
     ),
     "table5": StudyTable(
         build=lambda ab, **size: worlds.table5_scenario(*ab, **size),
+        cells=(
+            ("gcomp_true_c", RD), ("gcomp_cep", RD), ("gcomp_cep_vep", RD), ("gcomp_rc", RD),
+            ("gcomp_true_c", RR), ("gcomp_cep", RR), ("gcomp_cep_vep", RR), ("gcomp_rc", RR),
+        ),
         published={
-            (0.0, 0.0): {
-                ("gcomp_true_c", RD): 0.011, ("gcomp_cep", RD): -0.014,
-                ("gcomp_cep_vep", RD): 0.011, ("gcomp_rc", RD): 0.011,
-                ("gcomp_true_c", RR): 1.33, ("gcomp_cep", RR): 0.94,
-                ("gcomp_cep_vep", RR): 1.19, ("gcomp_rc", RR): 1.34,
-            },
-            (0.5, 0.0): {
-                ("gcomp_true_c", RD): 0.004, ("gcomp_cep", RD): 0.003,
-                ("gcomp_cep_vep", RD): 0.004, ("gcomp_rc", RD): 0.004,
-                ("gcomp_true_c", RR): 1.34, ("gcomp_cep", RR): 1.11,
-                ("gcomp_cep_vep", RR): 1.20, ("gcomp_rc", RR): 1.34,
-            },
-            (-0.5, 0.0): {
-                ("gcomp_true_c", RD): 0.030, ("gcomp_cep", RD): -0.078,
-                ("gcomp_cep_vep", RD): 0.024, ("gcomp_rc", RD): 0.030,
-                ("gcomp_true_c", RR): 1.24, ("gcomp_cep", RR): 0.90,
-                ("gcomp_cep_vep", RR): 1.13, ("gcomp_rc", RR): 1.24,
-            },
-            (0.0, 0.5): {
-                ("gcomp_true_c", RD): 0.026, ("gcomp_cep", RD): -0.078,
-                ("gcomp_cep_vep", RD): 0.022, ("gcomp_rc", RD): 0.026,
-                ("gcomp_true_c", RR): 1.26, ("gcomp_cep", RR): 0.90,
-                ("gcomp_cep_vep", RR): 1.14, ("gcomp_rc", RR): 1.26,
-            },
-            (0.0, -0.5): {
-                ("gcomp_true_c", RD): 0.005, ("gcomp_cep", RD): 0.004,
-                ("gcomp_cep_vep", RD): 0.005, ("gcomp_rc", RD): 0.005,
-                ("gcomp_true_c", RR): 1.34, ("gcomp_cep", RR): 1.15,
-                ("gcomp_cep_vep", RR): 1.21, ("gcomp_rc", RR): 1.35,
-            },
-            (0.5, -0.5): {
-                ("gcomp_true_c", RD): 0.003, ("gcomp_cep", RD): 0.003,
-                ("gcomp_cep_vep", RD): 0.003, ("gcomp_rc", RD): 0.003,
-                ("gcomp_true_c", RR): 1.36, ("gcomp_cep", RR): 1.21,
-                ("gcomp_cep_vep", RR): 1.23, ("gcomp_rc", RR): 1.37,
-            },
-            (-0.5, 0.5): {
-                ("gcomp_true_c", RD): 0.040, ("gcomp_cep", RD): -0.034,
-                ("gcomp_cep_vep", RD): 0.027, ("gcomp_rc", RD): 0.039,
-                ("gcomp_true_c", RR): 1.16, ("gcomp_cep", RR): 0.96,
-                ("gcomp_cep_vep", RR): 1.08, ("gcomp_rc", RR): 1.15,
-            },
+            (0.0, 0.0): (0.011, -0.014, 0.011, 0.011, 1.33, 0.94, 1.19, 1.34),
+            (0.5, 0.0): (0.004, 0.003, 0.004, 0.004, 1.34, 1.11, 1.20, 1.34),
+            (-0.5, 0.0): (0.030, -0.078, 0.024, 0.030, 1.24, 0.90, 1.13, 1.24),
+            (0.0, 0.5): (0.026, -0.078, 0.022, 0.026, 1.26, 0.90, 1.14, 1.26),
+            (0.0, -0.5): (0.005, 0.004, 0.005, 0.005, 1.34, 1.15, 1.21, 1.35),
+            (0.5, -0.5): (0.003, 0.003, 0.003, 0.003, 1.36, 1.21, 1.23, 1.37),
+            (-0.5, 0.5): (0.040, -0.034, 0.027, 0.039, 1.16, 0.96, 1.08, 1.15),
         },
         tolerance={RD: 0.005, RR: 0.05},
     ),
@@ -441,8 +394,8 @@ def _reproduce_study(study: StudyTable, n: int, runs: int, seed: int, jobs: int)
     results = run_study(scenarios, study.methods, jobs=jobs)
     by_key = {(r.scenario_name, r.method, r.estimand): r for r in results}
     cells = []
-    for scenario, published_cells in zip(scenarios, study.published.values()):
-        for (method, estimand), published in published_cells.items():
+    for scenario, row in zip(scenarios, study.published.values()):
+        for (method, estimand), published in zip(study.cells, row, strict=True):
             r = by_key[(scenario.name, method, estimand)]
             cells.append(
                 CellCheck(

@@ -65,7 +65,6 @@ class RegressionFit:
     coefficients: np.ndarray
     residual_variance: float = 0.0
     r_squared: float = 0.0
-    converged: bool = True
     iterations: int = 0
 
     def predict(self, design: np.ndarray) -> np.ndarray:
@@ -263,7 +262,7 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
                     "fitted probabilities reproduce the response exactly; "
                     "the response is perfectly separated"
                 )
-            return RegressionFit(coefficients=beta, converged=True, iterations=it)
+            return RegressionFit(coefficients=beta, iterations=it)
         if np.linalg.norm(beta) > SEPARATION_NORM:
             raise SeparationError(
                 "coefficients diverged with an undiminished gradient; "

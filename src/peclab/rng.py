@@ -133,12 +133,11 @@ def sample(spec: DistributionSpec, key: StreamKey, n: int) -> np.ndarray:
         z = _gammas(gen, spec.p1, n)
         z *= spec.p2
         return z
-    if spec.family == "roundedUniform":
-        u = gen.random(n)
-        u *= spec.p2 - spec.p1
-        u += spec.p1
-        return np.rint(u, out=u)
-    raise ParameterError(f"unknown distribution family {spec.family!r}")
+    # roundedUniform, the one family spec.check() admits besides these
+    u = gen.random(n)
+    u *= spec.p2 - spec.p1
+    u += spec.p1
+    return np.rint(u, out=u)
 
 
 def uniforms(key: StreamKey, n: int) -> np.ndarray:

@@ -557,3 +557,14 @@ def test_calibration_residual_has_no_naive_design_term(scenario, calib_cols, nai
     u_star = ds["X"] - ols(calib_design, ds["X"]).predict(calib_design)
     rho_u = ols(design_with_intercept(*[ds[c] for c in naive_cols]), u_star).coefficients[1]
     assert abs(rho_u) < 1e-12
+
+
+def test_polynomial_p_rd_defaults_gamma1_to_the_ols_slope():
+    rng = _rng()
+    x = rng.normal(size=2000)
+    xep = 0.8 * x + rng.normal(scale=0.5, size=2000)
+    slope = float(ols(design_with_intercept(x), xep).coefficients[1])
+    for q in (1, 2, 3):
+        assert p_rd_polynomial_from_data(q, x, xep) == p_rd_polynomial_from_data(
+            q, x, xep, gamma1=slope
+        )

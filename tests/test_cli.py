@@ -473,3 +473,50 @@ def test_estimate_gcomp_on_binary_csv(tmp_path, capsys):
     ) == 0
     line = capsys.readouterr().out.splitlines()[1]
     assert float(line.split(",")[-1]) > 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--method", "naive", "--exposure", "X", "--adjust", "Y"],
+         "adjustment must not hold the outcome column(s): Y"),
+        (["--method", "ipw", "--exposure", "Y"], "exposure must not be the outcome column: Y"),
+        (["--method", "ipw", "--exposure", "X", "--adjust", "Y"],
+         "adjustment must not hold the outcome column(s): Y"),
+        (["--method", "gcomp", "--exposure", "X", "--adjust", "Y"],
+         "adjustment must not hold the outcome column(s): Y"),
+        (["--method", "naive", "--exposure", "X", "--adjust", "C,X"],
+         "adjustment must not hold the exposure column(s): X"),
+    ],
+    ids=["naive-adjust-y", "ipw-exposure-y", "ipw-adjust-y", "gcomp-adjust-y", "naive-adjust-x"],
+)
+def test_estimate_rejects_the_outcome_and_the_exposure_as_inputs(dataset_csv, capsys, argv, message):
+    # unchecked, each of these fits: naive prints a slope of ~1e-17, ipw 1
+    # and -0.716, and gcomp reports a perfectly separated response
+    assert dispatch(["estimate", "--in", str(dataset_csv), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(message)
+
+
+def test_simulate_overrides_n_and_runs_for_the_emitted_world(tmp_path):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(format_scenario(worlds.table3_scenario(1, n=800, replications=1)))
+    out, world = tmp_path / "results.csv", tmp_path / "world.csv"
+    assert dispatch(
+        ["simulate", "--scenario", str(scenario), "--n", "300", "--runs", "2",
+         "--methods", "naive_cep", "--jobs", "1", "--out", str(out), "--emit-csv", str(world)]
+    ) == 0
+    assert len(world.read_text().splitlines()) == 1 + 300
+    header, row = out.read_text().splitlines()
+    assert header.endswith(",runs")
+    assert row.split(",")[-1] == "2"
+
+
+def test_non_integer_env_seed_is_data_error(scenario_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PECLAB_SEED", "abc")
+    assert dispatch(
+        ["simulate", "--scenario", str(scenario_file), "--jobs", "1",
+         "--out", str(tmp_path / "r.csv")]
+    ) == 2
+    assert "PECLAB_SEED='abc' is not an integer" in capsys.readouterr().err

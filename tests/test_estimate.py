@@ -265,3 +265,41 @@ def test_estimator_coherence_on_linear_no_error_world():
     naive = naive_regression_aee(ds, "X", ["C", "V"])
     ipw = ipw_gps_aee(ds, "X", ["C", "V"])
     assert abs(naive - ipw) < 0.02
+
+
+_OUTCOME = "adjustment must not hold the outcome column(s): Y"
+_EXPOSURE_Y = "exposure must not be the outcome column: Y"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda ds: naive_regression_aee(ds, "X", ["C", "Y"]), _OUTCOME),
+        (lambda ds: naive_regression_aee(ds, "Y", ["C"]), _EXPOSURE_Y),
+        (lambda ds: naive_regression_aee(ds, "X", ["C", "X"]),
+         "adjustment must not hold the exposure column(s): X"),
+        (lambda ds: g_computation(ds, "X", ["Y"]), _OUTCOME),
+        (lambda ds: g_computation(ds, "Y", []), _EXPOSURE_Y),
+        (lambda ds: g_computation(ds, "Xep", ["Cep", "Xep", "Y"]),
+         "adjustment must not hold the exposure or outcome column(s): Xep, Y"),
+        (lambda ds: ipw_gps_aee(ds, "X", ["C", "Y"]), _OUTCOME),
+        (lambda ds: ipw_gps_aee(ds, "Y", ["C"]), _EXPOSURE_Y),
+        (lambda ds: ipw_gps_aee(ds, "X", ["X"]),
+         "adjustment must not hold the exposure column(s): X"),
+        (lambda ds: stabilized_weights(ds, "X", ["Y"]), _OUTCOME),
+        (lambda ds: stabilized_weights(ds, "Y", []), _EXPOSURE_Y),
+        (lambda ds: stabilized_weights(ds, "Xep", ["Cep", "Xep"]),
+         "adjustment must not hold the exposure column(s): Xep"),
+    ],
+    ids=["naive-adjust-y", "naive-exposure-y", "naive-adjust-x", "gcomp-adjust-y",
+         "gcomp-exposure-y", "gcomp-adjust-xep-y", "ipw-adjust-y", "ipw-treatment-y",
+         "ipw-adjust-x", "weights-adjust-y", "weights-treatment-y", "weights-adjust-xep"],
+)
+def test_estimators_reject_the_outcome_and_the_exposure_as_inputs(monkeypatch, call, message):
+    # with Y as an input a fit regresses Y on itself (the naive slope of Y
+    # given Y reads ~1e-17); with the exposure beside itself it is singular
+    ds = generate_scenario(worlds.table3_scenario(1, n=500), 0)
+    monkeypatch.setattr(Dataset, "factor", lambda self: pytest.fail("fitted before the check"))
+    with pytest.raises(ParameterError) as err:
+        call(ds)
+    assert str(err.value) == message
