@@ -13,8 +13,11 @@ ParameterError before it fits.
 Every linear fit on a dataset's columns (the naive outcome model and the
 GPS model) comes from the dataset's QR factor (``Dataset.factor``), on a
 generated world and on a CSV alike, and every logistic design is
-rank-checked there. Each column space is fitted once per factor: a design
-on calibrated columns takes the fit of the measured columns it maps from.
+rank-checked there and starts from the factor's linear-probability fit.
+Each column space is fitted once per factor: a design on calibrated columns
+takes the fit of the measured columns it maps from. The IPW outcome model
+has one regressor, so its slope is a ratio of two weighted moments and
+needs no design at all.
 
 The GPS uses a homoscedastic normal conditional density (exact for the
 canonical worlds, whose treatment is conditionally normal). IPW weights are
@@ -33,6 +36,7 @@ from .biasfactor import _check_adjustment
 from .errors import ParameterError
 from .model import Dataset, DistributionSpec
 # ols stays bound here: perfbench/spans.py wraps estimate.ols by name
+# wls stays bound here: perfbench/spans.py wraps estimate.wls by name
 from .regress import INTERCEPT, _sigmoid, design_with_intercept, logistic_irls, ols, wls  # noqa: F401
 
 
@@ -89,19 +93,21 @@ def g_computation(
     names = _model_inputs(d, exposure_col, adjustment_cols, delta)
     factor = d.factor()
     basis, m = factor.basis(names)
-    fit, eta = factor.memo("logit", (*basis, "Y"), lambda: _logistic_fit(d, factor, basis))
+    fit = factor.memo("logit", (*basis, "Y"), lambda: _logistic_fit(d, factor, basis))
     beta_x = factor.mapped(names, m, fit.coefficients)[1]
-    p0 = _sigmoid(eta).mean()
-    p1 = _sigmoid(eta + delta * beta_x).mean()
+    p0 = fit.fitted.mean()
+    p1 = _sigmoid(fit.linear_predictor + delta * beta_x).mean()
     return float(p1 - p0), float(p1 / p0)
 
 
 def _logistic_fit(d: Dataset, factor, basis: tuple[str, ...]):
     """The logistic fit of Y on the basis columns (intercept first), rank
-    checked on the factor, and its linear predictor."""
+    checked on the factor and started from its linear-probability fit."""
     design = design_with_intercept(*[d[c] for c in basis[1:]])
-    fit = logistic_irls(design, d["Y"], column_names=basis, r=factor.block(basis))
-    return fit, fit.predict(design)
+    return logistic_irls(
+        design, d["Y"], column_names=basis, r=factor.block(basis),
+        start=lambda: factor.fit(basis, "Y").coefficients,
+    )
 
 
 def stabilized_weights(
@@ -147,8 +153,20 @@ def ipw_gps_aee(
     truncate_quantile: float | None = None,
 ) -> float:
     """Stabilized-IPW marginal slope of Y on the treatment, scaled by delta:
-    the covariates enter the GPS weights, the outcome design is [1, T]."""
-    names = _model_inputs(d, treatment_col, [], delta)
+    the covariates enter the GPS weights, the outcome model is Y on [1, T].
+
+    That model's weighted least-squares slope is a ratio of weighted
+    moments: with tc = T - sum(w T) / sum(w), it is sum(w tc Y) / sum(w tc^2).
+    """
+    _model_inputs(d, treatment_col, [], delta)
     w = stabilized_weights(d, treatment_col, covariate_cols, truncate_quantile)
-    fit = wls(design_with_intercept(d[treatment_col]), d["Y"], w, column_names=names)
-    return float(fit.coefficients[1]) * delta
+    if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        raise ParameterError("weights must be positive and finite")
+    t, y = d[treatment_col], d["Y"]
+    sw = w.sum()
+    tc = t - (w @ t) / sw
+    wtc = w * tc
+    # sum(w tc) is zero only up to rounding; the numerator subtracts its
+    # product with Y's weighted mean, as centring Y would, or a small slope
+    # loses digits to it (3e-12 relative on a table3 world, no covariates)
+    return float((wtc @ y - wtc.sum() * (w @ y) / sw) / (wtc @ tc)) * delta

@@ -18,8 +18,9 @@ measured columns. Every linear fit and every logistic rank check of the
 replication then reads that factor, and each column space is fitted once,
 so ``rc`` and ``gcomp_rc`` take the fits of ``naive_cep_vep`` and
 ``gcomp_cep_vep`` (or make them, when those methods are not run): a table3
-world has three tall QRs (the world and the two weighted IPW outcome
-designs), a table4 or table5 world three IRLS fits.
+world makes one tall QR, the world's own (the IPW outcome slopes are
+weighted moments), and a table4 or table5 world three IRLS fits, each
+started from the factor's linear-probability fit.
 
 table2 is one world of 10^6 rows, tabulated once and factorised once: the
 exchangeability-probability grid and its AEEs come from one

@@ -35,7 +35,8 @@ design took more than twice as long.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,14 +59,17 @@ INTERCEPT = "intercept"
 class RegressionFit:
     """Fitted coefficients plus the diagnostics estimators rely on.
 
-    residual_variance and r_squared are populated for linear fits,
-    iterations for logistic fits.
+    residual_variance and r_squared are populated for linear fits;
+    iterations, the final linear predictor and the fitted probabilities
+    for logistic fits.
     """
 
     coefficients: np.ndarray
     residual_variance: float = 0.0
     r_squared: float = 0.0
     iterations: int = 0
+    linear_predictor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    fitted: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def predict(self, design: np.ndarray) -> np.ndarray:
         return np.asarray(design, dtype=float) @ self.coefficients
@@ -216,12 +220,25 @@ def _log_likelihood(y: np.ndarray, eta: np.ndarray, e: np.ndarray) -> float:
     return float(y @ eta - np.maximum(eta, 0.0).sum() - np.log1p(e).sum())
 
 
-def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
+def logistic_irls(
+    design,
+    response,
+    column_names=None,
+    r=None,
+    start: Callable[[], np.ndarray] | None = None,
+) -> RegressionFit:
     """Maximum-likelihood logistic regression.
 
     Starts from zero slopes with the intercept at logit(mean(y)), Newton
     steps with step-halving whenever the log-likelihood would decrease,
     converged when every score component is below 1e-6.
+
+    ``start``, when given and the design has a constant column, returns the
+    coefficients b of the linear-probability fit (least squares of the
+    response on the design). The fit then starts from its logit-scale
+    linearisation about the mean p: logit(p) + (a b - p) / (p (1 - p)), which
+    saves about one Newton step. It is called after the response and rank
+    checks, so it never sees an input they reject.
 
     The rank check reads ``r``, a matrix with the design's singular values
     (the block of a ColumnFactor that holds the design's columns), or the R
@@ -242,7 +259,15 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
     const_cols = np.flatnonzero(_constant_columns(a))
     if const_cols.size:
         j = const_cols[0]
-        beta[j] = np.log(y.mean() / (1.0 - y.mean())) / a[0, j]
+        ybar = y.mean()
+        offset = np.log(ybar / (1.0 - ybar))
+        if start is not None:
+            var = ybar * (1.0 - ybar)
+            beta = np.asarray(start(), dtype=float) / var
+            if beta.shape != (p,):
+                raise ParameterError(f"start must give {p} coefficients, got shape {beta.shape}")
+            offset -= ybar / var
+        beta[j] += offset / a[0, j]
     eta = a @ beta
     e = np.exp(-np.abs(eta))
     ll = _log_likelihood(y, eta, e)
@@ -262,7 +287,9 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
                     "fitted probabilities reproduce the response exactly; "
                     "the response is perfectly separated"
                 )
-            return RegressionFit(coefficients=beta, iterations=it)
+            return RegressionFit(
+                coefficients=beta, iterations=it, linear_predictor=eta, fitted=mu
+            )
         if np.linalg.norm(beta) > SEPARATION_NORM:
             raise SeparationError(
                 "coefficients diverged with an undiminished gradient; "

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from peclab import estimate, worlds
+from peclab.calibrate import apply_calibration, fit_calibration
 from peclab.datagen import generate_scenario
 from peclab.errors import ParameterError, SchemaError
 from peclab.estimate import g_computation, ipw_gps_aee, naive_regression_aee, stabilized_weights
 from peclab.model import Dataset
-from peclab.regress import ColumnFactor, _sigmoid, design_with_intercept, logistic_irls, ols
+from peclab.regress import ColumnFactor, _sigmoid, design_with_intercept, logistic_irls, ols, wls
 
 
 def _no_confounding_world(n=20_000, seed=7):
@@ -140,6 +143,36 @@ def test_gcomp_shifted_predictor_matches_shifted_design(scenario, delta):
         assert rr == pytest.approx(want_rr, rel=1e-12, abs=0)
 
 
+def _binary_input_cases():
+    rng = np.random.default_rng(70)
+    x, c = rng.normal(size=(2, 400))
+    events = (rng.random(400) < 0.3).astype(float)
+    return {
+        "constant": (x, c, np.zeros(400)),
+        "not-0-1": (x, c, rng.normal(size=400)),
+        "rank-deficient": (x, 2.0 * x, events),
+        # a gap of 2 between the classes, so the fitted probabilities saturate
+        "separated": (x + np.sign(x), c, (x > 0).astype(float)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_binary_input_cases()))
+def test_gcomp_rejects_bad_inputs_as_the_cold_fit_does(case):
+    # the warm start is read after the response and rank checks, so each
+    # input fails as a cold fit of the explicit design fails, and no log(0)
+    # or division warning comes first
+    x, c, y = _binary_input_cases()[case]
+    names = ("intercept", "X", "C")
+    with pytest.raises(Exception) as cold:
+        logistic_irls(design_with_intercept(x, c), y, column_names=names)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as warm:
+            g_computation(Dataset({"X": x, "C": c, "Y": y}), "X", ["C"])
+    assert type(warm.value) is type(cold.value)
+    assert str(warm.value) == str(cold.value)
+
+
 def test_gcomp_requires_binary_outcome():
     ds = _no_confounding_world()
     with pytest.raises(ParameterError):
@@ -257,6 +290,57 @@ def test_gps_without_covariates_is_intercept_only():
     assert ipw_gps_aee(ds, "X", []) == pytest.approx(
         naive_regression_aee(ds, "X", []), rel=1e-12
     )
+
+
+def _wls_slope(ds, treatment, covariates, **options):
+    w = stabilized_weights(ds, treatment, covariates, **options)
+    return wls(design_with_intercept(ds[treatment]), ds["Y"], w).coefficients[1]
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("row", [1, 2, 3])
+def test_ipw_slope_is_the_weighted_least_squares_slope(row, seed):
+    ds = generate_scenario(worlds.table3_scenario(row, n=10_000, seed=seed), 0)
+    cal = apply_calibration(fit_calibration(ds, condition="two"), ds)
+    for treatment, covariates in [("X", ["C", "V"]), ("X_RC", ["C_RC", "V_RC"])]:
+        want = _wls_slope(cal, treatment, covariates)
+        assert ipw_gps_aee(cal, treatment, covariates) == pytest.approx(want, rel=1e-12, abs=0)
+    want = _wls_slope(cal, "X", ["C", "V"], truncate_quantile=0.995)
+    got = ipw_gps_aee(cal, "X", ["C", "V"], truncate_quantile=0.995)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert ipw_gps_aee(cal, "X", []) == pytest.approx(_wls_slope(cal, "X", []), rel=1e-12, abs=0)
+
+
+def test_ipw_slope_on_a_csv_dataset_is_the_weighted_least_squares_slope(tmp_path):
+    path = tmp_path / "world.csv"
+    generate_scenario(worlds.table3_scenario(2, n=2000, seed=5), 0).to_csv(path)
+    ds = Dataset.from_csv(path)
+    for treatment, covariates in [("X", ["C", "V"]), ("Xep", ["Cep"]), ("X", [])]:
+        want = _wls_slope(ds, treatment, covariates)
+        assert ipw_gps_aee(ds, treatment, covariates) == pytest.approx(want, rel=1e-12, abs=0)
+    want = 0.5 * _wls_slope(ds, "X", ["C", "V"], truncate_quantile=0.995)
+    got = ipw_gps_aee(ds, "X", ["C", "V"], delta=0.5, truncate_quantile=0.995)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("weight", ["zero", "infinite"])
+def test_ipw_rejects_a_zero_or_infinite_weight(weight):
+    # X follows C closely (residual sd 0.01). One outlier row either lies
+    # far out on that line, where the marginal density underflows to 0, or
+    # far off it, where the conditional one does and its weight is inf.
+    rng = np.random.default_rng(71)
+    c = rng.normal(size=5000)
+    x = c + rng.normal(0, 0.01, 5000)
+    if weight == "zero":
+        c[0] = x[0] = 1000.0
+    else:
+        x[0] = c[0] + 1.0
+    ds = Dataset({"X": x, "C": c, "Y": x + rng.normal(size=5000)})
+    with np.errstate(divide="ignore"):
+        w = stabilized_weights(ds, "X", ["C"])
+        assert w[0] == (0.0 if weight == "zero" else np.inf)
+        with pytest.raises(ParameterError, match=r"^weights must be positive and finite$"):
+            ipw_gps_aee(ds, "X", ["C"])
 
 
 def test_estimator_coherence_on_linear_no_error_world():

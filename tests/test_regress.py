@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peclab import regress
+from peclab.datagen import generate_scenario
 from peclab.errors import (
     ConvergenceError,
     ParameterError,
     SeparationError,
     SingularDesignError,
 )
+from peclab.harness import METHODS, STUDY_TABLES
 from peclab.regress import (
+    INTERCEPT,
     _constant_columns,
     _log_likelihood,
     _sigmoid,
@@ -415,3 +418,56 @@ def test_step_halving_recovers_from_an_overshooting_newton_step(monkeypatch):
     score = design.T @ (y - _sigmoid(design @ fit.coefficients))
     assert np.max(np.abs(score)) < regress.IRLS_TOL
     assert fit.coefficients == pytest.approx([-4.7574, 1.1772], abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Warm start from the linear-probability fit
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("table", ["table4", "table5"])
+def test_warm_start_reaches_the_cold_fit_in_no_more_steps(table, seed):
+    study = STUDY_TABLES[table]
+    # gcomp_rc takes gcomp_cep_vep's fit, so the measured designs are every basis
+    designs = {METHODS[m][1:] for m in study.methods if not METHODS[m][1].endswith("_RC")}
+    cold_steps = warm_steps = 0
+    for key in study.published:
+        ds = generate_scenario(study.build(key, n=10_000, seed=seed), 0)
+        factor = ds.factor()
+        for exposure, adjust in sorted(designs):
+            names = (INTERCEPT, exposure, *adjust)
+            design = design_with_intercept(*[ds[c] for c in names[1:]])
+            checked = {"column_names": names, "r": factor.block(names)}
+            cold = logistic_irls(design, ds["Y"], **checked)
+            warm = logistic_irls(
+                design, ds["Y"], **checked, start=lambda: factor.fit(names, "Y").coefficients
+            )
+            assert warm.coefficients == pytest.approx(cold.coefficients, rel=1e-12, abs=0)
+            assert warm.iterations <= cold.iterations
+            cold_steps += cold.iterations
+            warm_steps += warm.iterations
+    assert warm_steps < cold_steps
+
+
+def test_warm_start_must_give_one_coefficient_per_column():
+    x = np.arange(10.0)
+    y = (x % 3 == 0).astype(float)
+    with pytest.raises(ParameterError, match="start must give 2 coefficients"):
+        logistic_irls(design_with_intercept(x), y, start=lambda: np.zeros(3))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND: logistic_irls reports a converged fit where no MLE "
+    "exists; on quasi-complete separation it stops at beta = (-15.2, 15.2)",
+)
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_quasi_complete_separation_is_reported(start):
+    # the tied rows at x = 1 keep |y - mu| = 0.5, so no check sees the
+    # likelihood's supremum at infinity
+    x = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+    y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    design = design_with_intercept(x)
+    warm = (lambda: ols(design, y).coefficients) if start == "warm" else None
+    with pytest.raises(SeparationError):
+        logistic_irls(design, y, start=warm)
