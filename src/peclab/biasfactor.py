@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import Dataset, Link
-from .regress import INTERCEPT, design_with_intercept, ols
+from .regress import INTERCEPT, ColumnFactor
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,10 @@ def p_rd_polynomial_from_data(q: int, x, xep, gamma1: float | None = None) -> fl
     x = np.asarray(x, dtype=float)
     xep = np.asarray(xep, dtype=float)
     if gamma1 is None:
-        gamma1 = float(ols(design_with_intercept(x), xep).coefficients[1])
+        if x.ndim != 1 or x.shape != xep.shape:
+            raise ParameterError("x and xep must be vectors of equal length")
+        fit = ColumnFactor.of({"X": x}, {"Xep": xep}).fit((INTERCEPT, "X"), "Xep")
+        gamma1 = float(fit.coefficients[1])
     xq = x**q
     xepq = xep**q
     var_xq = float(np.var(xq))

@@ -102,12 +102,9 @@ def g_computation(
 
 def _logistic_fit(d: Dataset, factor, basis: tuple[str, ...]):
     """The logistic fit of Y on the basis columns (intercept first), rank
-    checked on the factor and started from its linear-probability fit."""
+    checked and started from the factor's block of [basis, Y]."""
     design = design_with_intercept(*[d[c] for c in basis[1:]])
-    return logistic_irls(
-        design, d["Y"], column_names=basis, r=factor.block(basis),
-        start=lambda: factor.fit(basis, "Y").coefficients,
-    )
+    return logistic_irls(design, d["Y"], column_names=basis, r=factor.block((*basis, "Y")))
 
 
 def stabilized_weights(

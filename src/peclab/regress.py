@@ -2,14 +2,18 @@
 regression via iteratively reweighted least squares, and one QR factor per
 dataset that serves every linear fit among its columns.
 
-Linear solves go through a Householder QR decomposition rather than the
-normal equations. Q is never formed: the response has the p Householder
-reflectors applied to it in turn, which gives Q'y, and the coefficients
-solve R beta = (Q'y)[:p]. The design and its R factor share their singular
-values, so rank is read from the small R (smallest singular value above
-1e-10 times the largest), for logistic fits too, and a failed check names
-the offending columns from the SVDs of R's column subsets, never from the
-tall design.
+Every fit reads its design and response from a few rows: the R of
+[design, response], or the block of a ColumnFactor that holds those
+columns. One kernel, ``_reflect``, makes R: a Householder QR of the design,
+whose reflectors are then applied to each further column in turn (Q is
+never formed), which gives that column's coordinates (Q'y)[:p] and its
+trailing rows, the part the design leaves unexplained. One solve,
+``_solve_rows``, checks rank and takes the coefficients from those rows.
+The design and its R factor share their singular values, so rank is read
+from the small R (smallest singular value above 1e-10 times the largest),
+and a failed check names the offending columns from the SVDs of R's column
+subsets, never from the tall design. A logistic fit reads its rank check
+and its linear-probability start from the same R of [design, Y].
 
 ColumnFactor is one QR per world. It holds the R of A = [1, Xep, Cep, Vep,
 X, C, V, Y] (a dataset's columns, the measured ones first) and stores each
@@ -35,7 +39,6 @@ design took more than twice as long.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,7 +54,6 @@ from .errors import (
 RANK_RTOL = 1e-10
 IRLS_TOL = 1e-6
 IRLS_MAX_ITER = 100
-SEPARATION_NORM = 1e3
 INTERCEPT = "intercept"
 
 
@@ -148,16 +150,26 @@ def _tall(design, response) -> tuple[np.ndarray, np.ndarray]:
     return a, _as_response(response, n)
 
 
+def _solve_rows(b: np.ndarray, t: np.ndarray, column_names=None) -> np.ndarray:
+    """Least squares of t on b, a few rows of an R (or of a factor block)
+    that hold the design's and the response's coordinates: the rank check,
+    then the triangular system when b is a leading block of R, which is the
+    system a tall QR of the design alone solves, else b's own small QR."""
+    _check_rank(b, column_names)
+    p = b.shape[1]
+    if b[p:].any():
+        q, rb = np.linalg.qr(b)
+        return np.linalg.solve(rb, q.T @ t)
+    return np.linalg.solve(b[:p], t[:p])
+
+
 def _least_squares(a: np.ndarray, y: np.ndarray, column_names=None) -> tuple[np.ndarray, float]:
-    """Coefficients and RSS of y on the tall design a, from its QR."""
+    """Coefficients and RSS of y on the tall design a, from the R of [a, y]:
+    the RSS is the sum of squares of y's trailing rows."""
     p = a.shape[1]
-    # raw mode returns the reflectors and R in h (p x n) without forming Q
-    h, tau = np.linalg.qr(a, mode="raw")
-    r = np.triu(h[:, :p].T)
-    _check_rank(r, column_names)
-    beta = np.linalg.solve(r, _apply_qt(h, tau, y)[:p])
-    resid = y - a @ beta
-    return beta, float(resid @ resid)
+    r = np.empty((p, p + 1))
+    z = _reflect(a, [y], r)[:, 0]
+    return _solve_rows(r[:, :p], r[:, p], column_names), float(z @ z)
 
 
 def ols(design, response, column_names=None) -> RegressionFit:
@@ -169,20 +181,6 @@ def ols(design, response, column_names=None) -> RegressionFit:
     has_intercept = bool(np.any(_constant_columns(a)))
     tss = float(np.sum((y - y.mean()) ** 2)) if has_intercept else float(y @ y)
     return _linear_fit(beta, rss, tss, *a.shape)
-
-
-def _apply_qt(h: np.ndarray, tau: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Q'y for one response vector, with the full Q of the reflectors:
-    reflector j is I - tau_j v v' with v = (1, h[j, j+1:]) acting on entries
-    j onwards. The first p entries are R's coordinates of y; the rest hold
-    what the design leaves unexplained."""
-    z = y.copy()
-    for j, t in enumerate(tau):
-        v = h[j, j + 1:]
-        w = t * (z[j] + v @ z[j + 1:])
-        z[j] -= w
-        z[j + 1:] -= w * v
-    return z
 
 
 def wls(design, response, weights, column_names=None) -> RegressionFit:
@@ -220,29 +218,23 @@ def _log_likelihood(y: np.ndarray, eta: np.ndarray, e: np.ndarray) -> float:
     return float(y @ eta - np.maximum(eta, 0.0).sum() - np.log1p(e).sum())
 
 
-def logistic_irls(
-    design,
-    response,
-    column_names=None,
-    r=None,
-    start: Callable[[], np.ndarray] | None = None,
-) -> RegressionFit:
+def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
     """Maximum-likelihood logistic regression.
 
-    Starts from zero slopes with the intercept at logit(mean(y)), Newton
-    steps with step-halving whenever the log-likelihood would decrease,
-    converged when every score component is below 1e-6.
+    ``r`` holds the coordinates of [design, response] on a few rows: the R
+    of that matrix's QR, or the block of a ColumnFactor that holds those
+    columns; a direct call factorises [design, response] itself. The rank
+    check reads the design's columns of ``r``. A design with a constant
+    column starts from the linear-probability fit b read from ``r`` (least
+    squares of the response on the design), linearised on the logit scale
+    about the mean p: logit(p) + (a b - p) / (p (1 - p)), which saves about
+    one Newton step; any other design starts from zero.
 
-    ``start``, when given and the design has a constant column, returns the
-    coefficients b of the linear-probability fit (least squares of the
-    response on the design). The fit then starts from its logit-scale
-    linearisation about the mean p: logit(p) + (a b - p) / (p (1 - p)), which
-    saves about one Newton step. It is called after the response and rank
-    checks, so it never sees an input they reject.
-
-    The rank check reads ``r``, a matrix with the design's singular values
-    (the block of a ColumnFactor that holds the design's columns), or the R
-    of the design's own QR when ``r`` is absent.
+    Newton steps with step-halving whenever the log-likelihood would
+    decrease; converged when every score component is below 1e-6. A
+    converged linear predictor that puts no row on the wrong side of zero,
+    (2y - 1) eta >= 0 up to rounding, separates the response: no finite
+    MLE exists, and SeparationError is raised.
     """
     # every product below runs down the design's columns
     a, y = _tall(design, response)
@@ -253,47 +245,42 @@ def logistic_irls(
     events = y.sum()
     if events == 0 or events == n:
         raise ParameterError("logistic response is constant")
-    _check_rank(np.linalg.qr(a, mode="r") if r is None else r, column_names)
+    if r is None:
+        r = np.linalg.qr(np.column_stack([a, y]), mode="r")
 
-    beta = np.zeros(p)
     const_cols = np.flatnonzero(_constant_columns(a))
     if const_cols.size:
         j = const_cols[0]
         ybar = y.mean()
-        offset = np.log(ybar / (1.0 - ybar))
-        if start is not None:
-            var = ybar * (1.0 - ybar)
-            beta = np.asarray(start(), dtype=float) / var
-            if beta.shape != (p,):
-                raise ParameterError(f"start must give {p} coefficients, got shape {beta.shape}")
-            offset -= ybar / var
-        beta[j] += offset / a[0, j]
+        var = ybar * (1.0 - ybar)
+        beta = _solve_rows(r[:, :p], r[:, p], column_names) / var
+        beta[j] += (np.log(ybar / (1.0 - ybar)) - ybar / var) / a[0, j]
+    else:
+        _check_rank(r[:, :p], column_names)
+        beta = np.zeros(p)
     eta = a @ beta
     e = np.exp(-np.abs(eta))
     ll = _log_likelihood(y, eta, e)
     mu = _sigmoid_from(eta, e)
     trace = [ll]
 
-    # one score per pass, read by every check at its top: a saturated optimum
-    # is separation even at the iteration cap
+    # one score per pass, read by every check at its top: a separated
+    # optimum is reported even at the iteration cap
     for it in range(IRLS_MAX_ITER + 1):
         score = a.T @ (y - mu)
         max_score = np.max(np.abs(score))
         if max_score < IRLS_TOL:
-            if np.max(np.abs(y - mu)) < 1e-6:
-                # the "optimum" is a saturated perfect fit, which only an
-                # unbounded likelihood produces
+            # at a stationary point with eta != 0 some margin (2y - 1) eta
+            # is negative unless eta's direction separates the classes, and
+            # then the likelihood has no finite maximum (Albert & Anderson
+            # 1984); a saturated fit has every margin positive
+            if np.min((2.0 * y - 1.0) * eta) > -1e-9 * np.max(np.abs(eta)):
                 raise SeparationError(
-                    "fitted probabilities reproduce the response exactly; "
-                    "the response is perfectly separated"
+                    "the fitted linear predictor puts no row on the wrong side of zero; "
+                    "the response is perfectly separated and no finite MLE exists"
                 )
             return RegressionFit(
                 coefficients=beta, iterations=it, linear_predictor=eta, fitted=mu
-            )
-        if np.linalg.norm(beta) > SEPARATION_NORM:
-            raise SeparationError(
-                "coefficients diverged with an undiminished gradient; "
-                "the response looks perfectly separated"
             )
         if it == IRLS_MAX_ITER:
             raise ConvergenceError(
@@ -347,23 +334,31 @@ def _with_intercept(n: int, cols) -> np.ndarray:
     return out
 
 
-def _lead_factor(n: int, lead: list, others: list, r: np.ndarray) -> np.ndarray:
-    """Write into r's first p rows the R of the design [1, *lead] and the
-    coordinates of the other columns on it, exactly as ``ols`` factorises
-    that design and reflects a response; return the other columns' trailing
-    rows, the part of them the design leaves unexplained (column-major).
-    The tall temporaries die here, before the caller factorises the
-    trailing rows: with every tall array of the factor live at once, a
-    table4 world took some 360 page faults to build it, and none this way."""
-    h, tau = np.linalg.qr(_with_intercept(n, lead), mode="raw")
+def _reflect(a: np.ndarray, others: list, r: np.ndarray) -> np.ndarray:
+    """The one Householder QR kernel. Write into r's first p rows the R of
+    the tall design a and the other columns' coordinates on it, (Q'c)[:p];
+    return the other columns' trailing rows, (Q'c)[p:], the part of them a
+    leaves unexplained, one contiguous column each. Q is never formed:
+    reflector j of the raw QR is I - tau_j v v' with v = (1, h[j, j+1:]),
+    acting on entries j onwards, and the reflectors are applied in place to
+    one copy of the other columns. The reflectors die here, before the
+    caller factorises the trailing rows: with every tall array of a world's
+    factor live at once, a table4 world took some 360 page faults to build
+    it, and none this way."""
+    h, tau = np.linalg.qr(a, mode="raw")
     p = tau.size
     r[:p, :p] = np.triu(h[:, :p].T)
-    trailing = np.empty((n - p, len(others)), order="F")
-    for j, c in enumerate(others):
-        z = _apply_qt(h, tau, c)
-        r[:p, p + j] = z[:p]
-        trailing[:, j] = z[p:]
-    return trailing
+    z = np.empty((a.shape[0], len(others)), order="F")
+    for k, c in enumerate(others):
+        z[:, k] = c
+        col = z[:, k]
+        for j, t in enumerate(tau):
+            v = h[j, j + 1:]
+            w = t * (col[j] + v @ col[j + 1:])
+            col[j] -= w
+            col[j + 1:] -= w * v
+    r[:p, p:] = z[:p]
+    return z[p:]
 
 
 class ColumnFactor:
@@ -373,11 +368,11 @@ class ColumnFactor:
     Any design whose columns are A's columns, or linear combinations of
     them, is A_S = Q R_S with R_S = R times the design's coordinates, so
     ``fit`` solves a linear fit on R_S's few rows. The lead columns are
-    factorised first, by the Householder QR ``ols`` runs, and the
-    reflectors are then applied to the other columns as ``ols`` applies
-    them to a response; so a fit on [1, lead columns] solves the triangular
-    system ``ols`` solves and has its coefficients. The trailing rows of
-    the other columns then get a QR of their own, which completes R.
+    factorised first and the other columns reflected, by ``_reflect`` as
+    ``ols`` runs it on [design, response]; so a fit on [1, lead columns]
+    solves the triangular system ``ols`` solves and has its coefficients.
+    The trailing rows of the other columns then get a QR of their own,
+    which completes R.
 
     A factor memoises its fits: every factor derived from it shares them,
     keyed by the fitted columns' coordinates.
@@ -404,10 +399,9 @@ class ColumnFactor:
         else:
             r = np.zeros((width, width))
             p = len(lead) + 1
-            trailing = _lead_factor(n, cols[: p - 1], cols[p - 1:], r)
+            trailing = _reflect(_with_intercept(n, cols[: p - 1]), cols[p - 1:], r)
             if others:
-                h, _ = np.linalg.qr(trailing, mode="raw")
-                r[p:, p:] = np.triu(h[:, : width - p].T)
+                r[p:, p:] = np.linalg.qr(trailing, mode="r")
         unit = np.eye(width)
         return cls(names, r, n, {name: unit[:, j] for j, name in enumerate(names)}, {})
 
@@ -483,13 +477,7 @@ class ColumnFactor:
             raise ParameterError(f"need n > p, got n={n}, p={p}")
         bt = self.block((*design, response))
         b, t = bt[:, :p], bt[:, p]
-        _check_rank(b, design)
-        if b[p:].any():
-            q, rb = np.linalg.qr(b)
-            beta = np.linalg.solve(rb, q.T @ t)
-        else:
-            # a leading block of R is the triangular system ols solves
-            beta = np.linalg.solve(b[:p], t[:p])
+        beta = _solve_rows(b, t, design)
         resid = t - b @ beta
         tss = float(t[1:] @ t[1:]) if INTERCEPT in design else float(t @ t)
         return _linear_fit(beta, float(resid @ resid), tss, n, p)

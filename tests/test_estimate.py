@@ -153,24 +153,26 @@ def _binary_input_cases():
         "rank-deficient": (x, 2.0 * x, events),
         # a gap of 2 between the classes, so the fitted probabilities saturate
         "separated": (x + np.sign(x), c, (x > 0).astype(float)),
+        # no gap: the rows nearest x = 0 stay unsaturated
+        "separated-no-gap": (x, c, (x > 0).astype(float)),
     }
 
 
 @pytest.mark.parametrize("case", list(_binary_input_cases()))
-def test_gcomp_rejects_bad_inputs_as_the_cold_fit_does(case):
-    # the warm start is read after the response and rank checks, so each
-    # input fails as a cold fit of the explicit design fails, and no log(0)
-    # or division warning comes first
+def test_gcomp_rejects_bad_inputs_as_a_direct_fit_does(case):
+    # the start is read after the response checks and with the rank check,
+    # so each input fails as a direct fit of the explicit design fails, and
+    # no log(0) or division warning comes first
     x, c, y = _binary_input_cases()[case]
     names = ("intercept", "X", "C")
-    with pytest.raises(Exception) as cold:
+    with pytest.raises(Exception) as direct:
         logistic_irls(design_with_intercept(x, c), y, column_names=names)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(Exception) as warm:
+        with pytest.raises(Exception) as gcomp:
             g_computation(Dataset({"X": x, "C": c, "Y": y}), "X", ["C"])
-    assert type(warm.value) is type(cold.value)
-    assert str(warm.value) == str(cold.value)
+    assert type(gcomp.value) is type(direct.value)
+    assert str(gcomp.value) == str(direct.value)
 
 
 def test_gcomp_requires_binary_outcome():

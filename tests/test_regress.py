@@ -303,7 +303,8 @@ def test_logistic_rank_read_from_r_names_duplicated_column(monkeypatch):
     with pytest.raises(SingularDesignError) as err:
         logistic_irls(design, y, column_names=("intercept", "x", "z", "x_again"))
     assert err.value.columns == ["x_again"]
-    assert shapes[0] == (4, 4)
+    # the design's columns of the R of [design, y]
+    assert shapes[0] == (5, 4)
 
 
 def test_null_model_recovers_logit_of_mean():
@@ -366,10 +367,10 @@ def test_separation_detected():
         logistic_irls(design_with_intercept(x), y)
 
 
-@pytest.mark.parametrize("cap", [17, 18, 100])
+@pytest.mark.parametrize("cap", [16, 17, 18, 100])
 def test_separation_detected_at_the_iteration_cap(cap, monkeypatch):
-    # the score first falls below the tolerance on the 17th step; a fit that
-    # ends at the cap is still checked for a saturated optimum
+    # the score first falls below the tolerance after the 16th step; a fit
+    # that ends at the cap is still checked for a separated optimum
     monkeypatch.setattr(regress, "IRLS_MAX_ITER", cap)
     x = np.arange(8.0)
     with pytest.raises(SeparationError, match="perfectly separated"):
@@ -421,53 +422,55 @@ def test_step_halving_recovers_from_an_overshooting_newton_step(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Warm start from the linear-probability fit
+# Rank check and start from the R of [design, Y]
 
 
 @pytest.mark.parametrize("seed", [5, 11])
 @pytest.mark.parametrize("table", ["table4", "table5"])
-def test_warm_start_reaches_the_cold_fit_in_no_more_steps(table, seed):
+def test_direct_fit_equals_the_factor_block_fit(table, seed):
+    # a direct fit factorises [design, Y] itself; g-computation passes the
+    # world factor's block of the same columns, an orthogonal transform of
+    # that R, so both start alike and take the same steps
     study = STUDY_TABLES[table]
     # gcomp_rc takes gcomp_cep_vep's fit, so the measured designs are every basis
     designs = {METHODS[m][1:] for m in study.methods if not METHODS[m][1].endswith("_RC")}
-    cold_steps = warm_steps = 0
     for key in study.published:
         ds = generate_scenario(study.build(key, n=10_000, seed=seed), 0)
         factor = ds.factor()
         for exposure, adjust in sorted(designs):
             names = (INTERCEPT, exposure, *adjust)
             design = design_with_intercept(*[ds[c] for c in names[1:]])
-            checked = {"column_names": names, "r": factor.block(names)}
-            cold = logistic_irls(design, ds["Y"], **checked)
-            warm = logistic_irls(
-                design, ds["Y"], **checked, start=lambda: factor.fit(names, "Y").coefficients
+            direct = logistic_irls(design, ds["Y"], column_names=names)
+            block = logistic_irls(
+                design, ds["Y"], column_names=names, r=factor.block((*names, "Y"))
             )
-            assert warm.coefficients == pytest.approx(cold.coefficients, rel=1e-12, abs=0)
-            assert warm.iterations <= cold.iterations
-            cold_steps += cold.iterations
-            warm_steps += warm.iterations
-    assert warm_steps < cold_steps
+            assert block.coefficients == pytest.approx(direct.coefficients, rel=1e-12, abs=0)
+            assert block.iterations == direct.iterations
 
 
-def test_warm_start_must_give_one_coefficient_per_column():
-    x = np.arange(10.0)
-    y = (x % 3 == 0).astype(float)
-    with pytest.raises(ParameterError, match="start must give 2 coefficients"):
-        logistic_irls(design_with_intercept(x), y, start=lambda: np.zeros(3))
+# ---------------------------------------------------------------------------
+# No converged fit where no MLE exists
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="CHANGES.md FOUND: logistic_irls reports a converged fit where no MLE "
-    "exists; on quasi-complete separation it stops at beta = (-15.2, 15.2)",
-)
-@pytest.mark.parametrize("start", ["cold", "warm"])
-def test_quasi_complete_separation_is_reported(start):
-    # the tied rows at x = 1 keep |y - mu| = 0.5, so no check sees the
-    # likelihood's supremum at infinity
-    x = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
-    y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-    design = design_with_intercept(x)
-    warm = (lambda: ols(design, y).coefficients) if start == "warm" else None
-    with pytest.raises(SeparationError):
-        logistic_irls(design, y, start=warm)
+def _unsaturated_separations():
+    rng = np.random.default_rng(70)
+    x, c = rng.normal(size=(2, 400))
+    return {
+        # the tied rows at x = 1, one of each class, keep |y - mu| = 0.5
+        "quasi-complete": (
+            design_with_intercept(np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])),
+            np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]),
+        ),
+        # no gap between the classes: the rows nearest x = 0 keep |y - mu|
+        # above 1e-6 where the score converges
+        "complete": (design_with_intercept(x, c), (x > 0).astype(float)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_unsaturated_separations()))
+def test_separation_is_reported_though_the_fit_is_not_saturated(case):
+    # the fitted probabilities never reproduce the response, yet no row has
+    # a negative margin (2y - 1) eta, so no finite MLE exists
+    design, y = _unsaturated_separations()[case]
+    with pytest.raises(SeparationError, match="perfectly separated"):
+        logistic_irls(design, y)
