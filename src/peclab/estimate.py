@@ -14,10 +14,10 @@ Every linear fit on a dataset's columns (the naive outcome model and the
 GPS model) comes from the dataset's QR factor (``Dataset.factor``), on a
 generated world and on a CSV alike, and every logistic design is
 rank-checked there and starts from the factor's linear-probability fit.
-Each column space is fitted once per factor: a design on calibrated columns
-takes the fit of the measured columns it maps from. The IPW outcome model
-has one regressor, so its slope is a ratio of two weighted moments and
-needs no design at all.
+Both kinds go through ``ColumnFactor.fitted``, which fits each column space
+once per factor: a design on calibrated columns takes the fit of the
+measured columns it maps from. The IPW outcome model has one regressor, so
+its slope is a ratio of two weighted moments and needs no design at all.
 
 The GPS uses a homoscedastic normal conditional density (exact for the
 canonical worlds, whose treatment is conditionally normal). IPW weights are
@@ -37,7 +37,7 @@ from .errors import ParameterError
 from .model import Dataset, DistributionSpec
 # ols stays bound here: perfbench/spans.py wraps estimate.ols by name
 # wls stays bound here: perfbench/spans.py wraps estimate.wls by name
-from .regress import INTERCEPT, _sigmoid, design_with_intercept, logistic_irls, ols, wls  # noqa: F401
+from .regress import INTERCEPT, _sigmoid, _with_intercept, logistic_irls, ols, wls  # noqa: F401
 
 
 def _check_roles(exposure_col: str, adjustment_cols) -> None:
@@ -86,25 +86,20 @@ def g_computation(
     difference p1 - p0 and the risk ratio p1 / p0, both from one fit of the
     outcome model (logistic_irls rejects an outcome not coded 0/1).
 
-    The model is fitted on the design's basis (``ColumnFactor.basis``), once
-    per factor; a design that maps from it has the same linear predictor and
-    the coefficients M^-1 beta_basis.
+    The model is fitted once per factor, on the design's basis
+    (``ColumnFactor.fitted``), rank checked and started from the factor's
+    block of [basis, Y]; a design that maps from its basis has the same
+    linear predictor and the coefficients M^-1 beta_basis.
     """
     names = _model_inputs(d, exposure_col, adjustment_cols, delta)
     factor = d.factor()
-    basis, m = factor.basis(names)
-    fit = factor.memo("logit", (*basis, "Y"), lambda: _logistic_fit(d, factor, basis))
-    beta_x = factor.mapped(names, m, fit.coefficients)[1]
+    fit = factor.fitted("logit", names, "Y", lambda basis: logistic_irls(
+        _with_intercept(d.n, [d[c] for c in basis[1:]]), d["Y"],
+        column_names=basis, r=factor.block((*basis, "Y")),
+    ))
     p0 = fit.fitted.mean()
-    p1 = _sigmoid(fit.linear_predictor + delta * beta_x).mean()
+    p1 = _sigmoid(fit.linear_predictor + delta * fit.coefficients[1]).mean()
     return float(p1 - p0), float(p1 / p0)
-
-
-def _logistic_fit(d: Dataset, factor, basis: tuple[str, ...]):
-    """The logistic fit of Y on the basis columns (intercept first), rank
-    checked and started from the factor's block of [basis, Y]."""
-    design = design_with_intercept(*[d[c] for c in basis[1:]])
-    return logistic_irls(design, d["Y"], column_names=basis, r=factor.block((*basis, "Y")))
 
 
 def stabilized_weights(
@@ -133,9 +128,7 @@ def stabilized_weights(
     if sigma <= 1e-8 * sd:
         raise ParameterError("treatment has zero residual variance given the covariates")
     marginal = DistributionSpec.normal(float(t.mean()), sd).density(t)
-    # with no columns design_with_intercept has no rows to size its ones by
-    covariates = [d[c] for c in covariate_cols]
-    design = design_with_intercept(*covariates) if covariates else np.ones((d.n, 1))
+    design = _with_intercept(d.n, [d[c] for c in covariate_cols])
     w = marginal / DistributionSpec.normal(0.0, sigma).density(t - fit.predict(design))
     if truncate_quantile is not None:
         w = np.minimum(w, np.quantile(w, truncate_quantile))

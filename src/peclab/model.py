@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, ScenarioFormatError, SchemaError
-from .regress import INTERCEPT, ColumnFactor, design_with_intercept
+from .regress import INTERCEPT, ColumnFactor, _with_intercept
 
 # Canonical dataset column order. Generated datasets may omit the C/V block
 # (the discrete exposure-only world has no confounders).
@@ -385,7 +385,7 @@ class Dataset:
             combination = self._coordinates[name]
             regressors = [c for c in combination if c != INTERCEPT]
             coefficients = [combination.get(INTERCEPT, 0.0), *(combination[c] for c in regressors)]
-            col = design_with_intercept(*(self[c] for c in regressors)) @ np.array(coefficients)
+            col = _with_intercept(self.n, [self[c] for c in regressors]) @ np.array(coefficients)
             self._columns[name] = col
         return col
 

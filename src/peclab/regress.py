@@ -4,10 +4,14 @@ dataset that serves every linear fit among its columns.
 
 Every fit reads its design and response from a few rows: the R of
 [design, response], or the block of a ColumnFactor that holds those
-columns. One kernel, ``_reflect``, makes R: a Householder QR of the design,
-whose reflectors are then applied to each further column in turn (Q is
-never formed), which gives that column's coordinates (Q'y)[:p] and its
-trailing rows, the part the design leaves unexplained. One solve,
+columns. ``ols``, ``wls`` and a ColumnFactor's lead columns take R from
+``_reflect``: a Householder QR of the design, whose reflectors are then
+applied to each further column in turn (Q is never formed), which gives
+that column's coordinates (Q'y)[:p] and its trailing rows, the part the
+design leaves unexplained. ``np.linalg.qr`` makes the rest: the R of a
+ColumnFactor's trailing rows (or of its whole matrix when it has no more
+rows than columns), of [design, Y] for a direct ``logistic_irls`` call,
+and of a block that is not a leading block of R. One solve,
 ``_solve_rows``, checks rank and takes the coefficients from those rows.
 The design and its R factor share their singular values, so rank is read
 from the small R (smallest singular value above 1e-10 times the largest),
@@ -21,8 +25,9 @@ calibrated column as coordinates on A's columns: X_RC = [1, Xep, Cep, Vep]
 gamma has the R column R_meas gamma. With A = QR every design among these
 columns is A_S = Q R_S, so a linear fit is a least-squares problem on the
 few rows of R_S: coefficients, residual variance, R^2 and the rank check
-all come from it, and no linear fit after the factor touches a row. Each column
-space is fitted once per factor. A design that is an invertible map M of
+all come from it, and no linear fit after the factor touches a row. One
+entry, ``ColumnFactor.fitted``, fits each column space once per factor,
+least squares and logistic alike. A design that is an invertible map M of
 the columns its coordinates rest on, design = basis M, takes that basis
 fit: beta = M^-1 beta_basis, with the same fitted values, so regression
 calibration's [1, X_RC, C_RC, V_RC] reuses the fit on [1, Xep, Cep, Vep],
@@ -137,7 +142,7 @@ def _linear_fit(beta: np.ndarray, rss: float, tss: float, n: int, p: int) -> Reg
     """The summary of every linear fit: residual_variance = RSS/(n-p) and
     r_squared = 1 - RSS/TSS clipped to [0, 1], 0 when TSS = 0."""
     r2 = 0.0 if tss == 0 else max(0.0, min(1.0, 1.0 - rss / tss))
-    return RegressionFit(beta, residual_variance=rss / (n - p), r_squared=r2, iterations=1)
+    return RegressionFit(beta, residual_variance=rss / (n - p), r_squared=r2)
 
 
 def _tall(design, response) -> tuple[np.ndarray, np.ndarray]:
@@ -374,8 +379,8 @@ class ColumnFactor:
     The trailing rows of the other columns then get a QR of their own,
     which completes R.
 
-    A factor memoises its fits: every factor derived from it shares them,
-    keyed by the fitted columns' coordinates.
+    A factor memoises its fits (``fitted``): every factor derived from it
+    shares them, keyed by the fit's kind and the fitted columns' coordinates.
     """
 
     def __init__(self, names, r, n, coordinates, fits):
@@ -420,54 +425,44 @@ class ColumnFactor:
         except KeyError:
             raise SchemaError(f"dataset has no column {column!r}") from None
 
-    def coordinates(self, columns) -> np.ndarray:
+    def _coordinates_of(self, columns) -> np.ndarray:
         """The named columns' coordinates on A's columns, one per column."""
         return np.column_stack([self._coordinate(c) for c in columns])
 
     def block(self, columns) -> np.ndarray:
         """R_S: the named columns' R columns, which have their singular values."""
-        return self.r @ self.coordinates(columns)
+        return self.r @ self._coordinates_of(columns)
 
-    def basis(self, design) -> tuple[tuple[str, ...], np.ndarray | None]:
-        """The columns whose fit serves the design, and the map M with
-        design = basis M. The basis is the set of A's columns that the
-        design's coordinates rest on, in A's order. M is None when the design
-        is its own basis or rests on more columns than it has (then it is
-        fitted as it is)."""
+    def fitted(self, kind: str, design, response: str, solve) -> RegressionFit:
+        """The ``kind`` fit of the response column on the design's columns,
+        made once per factor.
+
+        The design is fitted on its basis: the columns of A that its
+        coordinates rest on, in A's order. ``solve(basis)`` runs once per
+        (kind, coordinates of the basis and the response), for this factor
+        and every factor derived from it. A design that is an invertible map
+        M of its basis, design = basis M, has the basis fit's fitted values
+        and the coefficients M^-1 beta_basis; a singular M is a
+        rank-deficient design, reported by its columns. A design that is its
+        own basis, or rests on more columns than it has, is fitted as it is.
+        """
         design = tuple(design)
-        c = self.coordinates(design)
+        c = self._coordinates_of(design)
         support = np.flatnonzero(np.any(c != 0, axis=1))
-        basis = tuple(self.names[i] for i in support)
-        if basis == design or support.size != len(design):
-            return design, None
-        return basis, c[support]
-
-    def mapped(self, design, m: np.ndarray | None, coefficients: np.ndarray) -> np.ndarray:
-        """The design's coefficients from its basis fit's: M^-1 beta_basis.
-        A singular M is a rank-deficient design, reported by its columns."""
-        if m is None:
-            return coefficients
-        _check_rank(self.block(design), tuple(design))
-        return np.linalg.solve(m, coefficients)
-
-    def memo(self, kind: str, columns, compute):
-        """compute(), once per (kind, the columns' coordinates) for this
-        factor and every factor derived from it."""
-        key = (kind, self.coordinates(columns).tobytes())
+        basis = tuple(self.names[i] for i in support) if support.size == len(design) else design
+        key = (kind, self._coordinates_of((*basis, response)).tobytes())
         if key not in self._fits:
-            self._fits[key] = compute()
-        return self._fits[key]
+            self._fits[key] = solve(basis)
+        fit = self._fits[key]
+        if basis == design:
+            return fit
+        _check_rank(self.r @ c, design)
+        return replace(fit, coefficients=np.linalg.solve(c[support], fit.coefficients))
 
     def fit(self, design, response: str) -> RegressionFit:
         """Least squares of the response column on the design's columns,
-        from R alone: the design is fitted on its basis (see ``basis``),
-        once per factor, and mapped."""
-        design = tuple(design)
-        basis, m = self.basis(design)
-        fit = self.memo("ols", (*basis, response), lambda: self._solve(basis, response))
-        if m is None:
-            return fit
-        return replace(fit, coefficients=self.mapped(design, m, fit.coefficients))
+        from R alone, through ``fitted``."""
+        return self.fitted("ols", design, response, lambda basis: self._solve(basis, response))
 
     def _solve(self, design: tuple[str, ...], response: str) -> RegressionFit:
         """The fit on R's rows, summarised by ``_linear_fit`` with TSS

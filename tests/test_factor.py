@@ -234,6 +234,21 @@ def test_calibrated_dataset_shares_the_factor_and_its_fits():
     assert rc.residual_variance == measured.residual_variance
 
 
+def test_linear_and_logistic_fits_of_one_column_space_are_memoised_apart():
+    # the naive and g-computation models share a design and a response; each
+    # must read its own fit whichever runs first on the world
+    s = worlds.table4_scenario(1, n=2000, seed=68)
+    args = ("Xep", ["Cep", "Vep"])
+    naive = naive_regression_aee(generate_scenario(s, 0), *args)
+    gcomp = g_computation(generate_scenario(s, 0), *args)
+    ds = generate_scenario(s, 0)
+    g_computation(ds, *args)
+    assert naive_regression_aee(ds, *args) == naive
+    ds = generate_scenario(s, 0)
+    naive_regression_aee(ds, *args)
+    assert g_computation(ds, *args) == gcomp
+
+
 def test_truncation_quantile_rejected_before_the_factor_fit(monkeypatch):
     ds = generate_scenario(worlds.table3_scenario(1, n=500, seed=69), 0)
 
@@ -283,6 +298,14 @@ def test_with_coordinates_checks_no_rows(monkeypatch):
     assert "Z" in out and "Z" not in ds
     out.require("X", "Z")
     np.testing.assert_array_equal(out["Z"], design_with_intercept(ds["X"]) @ np.array([1.0, 2.0]))
+
+
+def test_an_intercept_only_coordinate_column_is_read():
+    n = 20
+    ds = Dataset({"X": np.arange(n, dtype=float), "Y": np.ones(n)})
+    np.testing.assert_array_equal(
+        ds.with_coordinates({"K": {INTERCEPT: 2.0}})["K"], np.full(n, 2.0)
+    )
 
 
 @pytest.mark.parametrize("new, message", [
