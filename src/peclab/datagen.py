@@ -44,7 +44,10 @@ def generate_table2_world(n: int, seed: int) -> Dataset:
     x = draw(ColumnTag.X, 8, 10)
     w = draw(ColumnTag.W, -1, 1)
     u = draw(ColumnTag.U, -1, 1)
-    y = 0.1 * x + 0.1 * w
+    # 0.1 * x + 0.1 * w, in that order, with one new tall array
+    y = 0.1 * x
+    w *= 0.1
+    y += w
     return Dataset({"X": x, "Xep": x + u, "Y": y})
 
 

@@ -73,13 +73,17 @@ class TableMode(str, Enum):
 
 @dataclass(frozen=True)
 class ExchProbTable:
-    """``probs[i, j, k]`` is the cell at (xep_support[i], x_support[j], y_support[k])."""
+    """``probs[i, j, k]`` is the cell at (xep_support[i], x_support[j], y_support[k]).
+
+    ``counts`` holds the empirical table's integer cell counts, of which
+    ``probs`` is each Xep row divided by its sum; it is None in analytic mode."""
 
     xep_support: np.ndarray
     x_support: np.ndarray
     y_support: np.ndarray
     probs: np.ndarray
     mode: TableMode
+    counts: np.ndarray | None
 
     def cell(self, xep: float, x: float, y: float) -> float:
         ijk = (_index(self.xep_support, xep), _index(self.x_support, x), _index(self.y_support, y))
@@ -117,7 +121,9 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
     indices come from a binary search of the column in that support of at
     most MAX_SUPPORT values; an argsort of the tall column
     (``np.unique(return_inverse=True)``) cost several times the sort. The
-    counts are one bincount of the joint cell codes, exact integers."""
+    counts are one bincount of the joint cell codes, exact integers, and
+    the table keeps them. The codes are built in place in Xep's index
+    array, so no further tall array is made for them."""
     d.require("X", "Xep", "Y")
     cols = {}
     for name in ("X", "Xep", "Y"):
@@ -140,7 +146,11 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
             raise StratumError(f"empty stratum(s) at Xep = {empty.tolist()}")
 
     shape = (xep_vals.size, x_vals.size, y_vals.size)
-    code = (xep_inv * x_vals.size + x_inv) * y_vals.size + y_inv
+    code = xep_inv
+    code *= x_vals.size
+    code += x_inv
+    code *= y_vals.size
+    code += y_inv
     counts = np.bincount(code, minlength=np.prod(shape)).reshape(shape)
     return ExchProbTable(
         xep_support=xep_vals,
@@ -148,6 +158,7 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
         y_support=y_vals,
         probs=counts / counts.sum(axis=(1, 2), keepdims=True),
         mode=TableMode.EMPIRICAL,
+        counts=counts,
     )
 
 
@@ -267,6 +278,7 @@ def analytic_product_table(
         y_support=y_support,
         probs=p_true[None, :, :] * p_measured[:, None, :],
         mode=TableMode.ANALYTIC,
+        counts=None,
     )
 
 

@@ -22,11 +22,13 @@ world makes one tall QR, the world's own (the IPW outcome slopes are
 weighted moments), and a table4 or table5 world three IRLS fits, each
 started from the factor's linear-probability fit.
 
-table2 is one world of 10^6 rows, tabulated once and factorised once: the
-exchangeability-probability grid and its AEEs come from one
-``empirical_table`` (a sort of each column for its support and a binary
-search of the column in it, no argsort), and both the calibration
-(gamma0, gamma1) and the p_rd R^2 are read from one QR of [1, Xep, X].
+table2 is one world of 10^6 rows, tabulated once: the exchangeability-
+probability grid and its AEEs come from one ``empirical_table`` (a sort of
+each column for its support and a binary search of the column in it, no
+argsort), and both the calibration (gamma0, gamma1) and the p_rd R^2 are
+read from the same table's joint (Xep, X) counts. The world's columns are
+discrete, so those counts are sufficient for both fits and no tall design
+is built.
 
 Every keyed draw is (seed, replication, column), without the scenario, so
 the scenarios of a table share common random numbers by construction; a
@@ -50,12 +52,12 @@ import numpy as np
 from . import worlds
 from .calibrate import apply_calibration, fit_calibration
 from .datagen import generate_scenario, generate_table2_world
-from .errors import ParameterError, PeclabError
+from .errors import ParameterError, PeclabError, SingularDesignError
 from .estimate import g_computation, ipw_gps_aee, naive_regression_aee
-from .exchprob import aee_from_table, empirical_table
+from .exchprob import ExchProbTable, aee_from_table, empirical_table
 from .model import Estimand, Scenario, check_scenario
 # ols stays bound here: perfbench/spans.py wraps harness.ols by name
-from .regress import INTERCEPT, ColumnFactor, ols  # noqa: F401
+from .regress import ols  # noqa: F401
 
 TABLE2_N = 1_000_000
 
@@ -358,24 +360,50 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _table2_fits(table: ExchProbTable) -> tuple[float, float, float]:
+    """(gamma0, gamma1) of the calibration X ~ 1 + Xep and the R^2 of Xep on
+    [1, X], from the empirical table's joint (Xep, X) counts.
+
+    The moments are sums over at most MAX_SUPPORT^2 cells: the means, the
+    centred sums S_ee, S_xx and S_ex, then gamma1 = S_ex / S_ee,
+    gamma0 = mean(X) - gamma1 mean(Xep) and R^2 = S_ex^2 / (S_ee S_xx),
+    clipped to 1 as every linear fit's R^2 is. A column's centred sum is 0
+    exactly when its support has one point; that makes a design singular,
+    reported as the least-squares fits report it, Xep's before X's."""
+    c = table.counts.sum(axis=2)
+    moments = []
+    for name, support, counts in (
+        ("Xep", table.xep_support, c.sum(axis=1)),
+        ("X", table.x_support, c.sum(axis=0)),
+    ):
+        if support.size == 1:
+            raise SingularDesignError(
+                f"design matrix is rank deficient (offending columns: {name})", columns=[name]
+            )
+        mean = counts @ support / counts.sum()
+        centred = support - mean
+        moments.append((mean, centred, counts @ centred**2))
+    (ep_mean, ep_centred, s_ee), (x_mean, x_centred, s_xx) = moments
+    s_ex = ep_centred @ c @ x_centred
+    gamma1 = s_ex / s_ee
+    return x_mean - gamma1 * ep_mean, gamma1, min(1.0, s_ex * s_ex / (s_ee * s_xx))
+
+
 def _reproduce_table2(n: int, seed: int) -> list[CellCheck]:
-    """The table2 cells from one world: the grid and the AEEs from one
-    sort-plus-searchsorted tabulation, the calibration and p_rd from one
-    QR of [1, Xep, X]. The calibration fit on the leading block [1, Xep]
-    solves the triangular system ``ols`` solves, so (gamma0, gamma1) equal
-    ``ols``'s bit for bit; the R^2 of Xep on [1, X] is read from R."""
+    """The table2 cells from one world and one sort-plus-searchsorted
+    tabulation: the grid and the AEEs from its probabilities, the
+    calibration and p_rd from its counts (``_table2_fits``)."""
     ds = generate_table2_world(n, seed)
     table = empirical_table(ds)
-    # Y is never fitted, so it stays out of the one QR; the factor memoises
-    # its fits, so gamma0 and gamma1 come from one solve
-    factor = ColumnFactor.of({"Xep": ds["Xep"]}, {"X": ds["X"]})
     means = {
         ("aee", "xep:10vs9"): aee_from_table(table, 10.0, 9.0),
         ("aee", "xrc:10vs9"): aee_from_table(table, 11.0, 9.0),
-        ("calibration", "gamma0"): factor.fit((INTERCEPT, "Xep"), "X").coefficients[0],
-        ("calibration", "gamma1"): factor.fit((INTERCEPT, "Xep"), "X").coefficients[1],
-        ("p_rd", "r_squared"): factor.fit((INTERCEPT, "X"), "Xep").r_squared,
     }
+    (
+        means["calibration", "gamma0"],
+        means["calibration", "gamma1"],
+        means["p_rd", "r_squared"],
+    ) = _table2_fits(table)
     rows = [
         (("exchprob", f"cell(xep={xep:g};x={x:g};y={y:g})"), table.cell(xep, x, y), published)
         for (xep, x, y), published in PUBLISHED_TABLE2.items()

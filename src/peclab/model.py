@@ -12,6 +12,7 @@ the canonical column header ``X,Xep,C,Cep,V,Vep,Y``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
@@ -452,7 +453,12 @@ class Dataset:
                     f"{path}: duplicate column name(s) in header: {', '.join(duplicated)}"
                 )
             try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                with warnings.catch_warnings():
+                    # a header-only file is reported below, as "no data rows"
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data", UserWarning
+                    )
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise SchemaError(f"{path}: malformed CSV ({exc})") from None
         if data.size == 0:

@@ -131,7 +131,7 @@ def _unique_inverse_table(d):
     shape = (ev.size, xv.size, yv.size)
     counts = np.bincount((ei * xv.size + xi) * yv.size + yi, minlength=np.prod(shape))
     counts = counts.reshape(shape)
-    return ev, xv, yv, counts / counts.sum(axis=(1, 2), keepdims=True)
+    return ev, xv, yv, counts
 
 
 def _odd_discrete_columns(rng, n):
@@ -156,10 +156,14 @@ def test_empirical_table_matches_unique_inverse_reference(seed):
     ]:
         ds = Dataset({"X": x, "Xep": xep, "Y": y})
         table = empirical_table(ds)
-        ev, xv, yv, probs = _unique_inverse_table(ds)
+        ev, xv, yv, counts = _unique_inverse_table(ds)
         np.testing.assert_array_equal(table.xep_support, ev)
         np.testing.assert_array_equal(table.x_support, xv)
         np.testing.assert_array_equal(table.y_support, yv)
+        # the table keeps its integer counts; probs is each Xep row over its sum
+        assert table.counts.dtype.kind == "i" and table.counts.sum() == n
+        np.testing.assert_array_equal(table.counts, counts)
+        probs = counts / counts.sum(axis=(1, 2), keepdims=True)
         assert table.probs.tobytes() == probs.tobytes()
 
 
@@ -183,6 +187,7 @@ def test_product_table_matches_enumeration():
         TABLE2_OUTCOME, CLASSICAL_UNIT_ERROR, X_MARGINAL, xep_support=[7, 8, 9, 10, 11]
     )
     assert table.mode is TableMode.ANALYTIC
+    assert table.counts is None
     # cell(9, 8, 0.7) = P(Y(8)=0.7) * P(Y(Xep=9)=0.7) = (1/4) * (1/24) = 1/96
     assert table.cell(9, 8, 0.7) == pytest.approx(1 / 96, abs=1e-12)
     for xep in (7, 9, 11):

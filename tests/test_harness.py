@@ -1,26 +1,31 @@
 import argparse
 import io
 import pickle
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from peclab import worlds
+from peclab import harness, worlds
 from peclab.cli import build_parser
 from peclab.datagen import generate_table2_world
-from peclab.errors import ConvergenceError, ParameterError, SingularDesignError
+from peclab.errors import ConvergenceError, ParameterError, PeclabError, SingularDesignError
+from peclab.exchprob import aee_from_table, empirical_table
 from peclab.harness import (
     METHODS,
     PUBLISHED_TABLE2,
     STUDY_TABLES,
     TABLES,
+    ReproReport,
     _replicate,
+    _table2_fits,
     reproduce,
     run_study,
 )
-from peclab.model import DistributionSpec, Estimand, ErrorKind
-from peclab.regress import design_with_intercept, ols
+from peclab.model import Dataset, DistributionSpec, Estimand, ErrorKind
+from peclab.regress import INTERCEPT, ColumnFactor, design_with_intercept, ols
 
 RD = Estimand.RISK_DIFFERENCE
 RR = Estimand.RISK_RATIO
@@ -285,18 +290,87 @@ def test_reproduce_table2_report_shape():
     assert len(lines) == 51
 
 
+TABLE2_FITS = (("calibration", "gamma0"), ("calibration", "gamma1"), ("p_rd", "r_squared"))
+
+
 @pytest.mark.parametrize("seed", [worlds.DEFAULT_SEED, 12])
-def test_table2_calibration_cells_match_tall_ols(seed):
-    # one QR of [1, Xep, X] serves both fits: (gamma0, gamma1) are ols's bit
-    # for bit, the R^2 of Xep on [1, X] agrees to rounding
+def test_table2_calibration_cells_are_the_exact_moments(seed):
+    # the world's columns are integers, so gamma0, gamma1 and the R^2 are
+    # exact rationals of their moments: the cells are within 4 ulps of
+    # those, and agree with tall ols fits to rounding
     n = 100_000
     ds = generate_table2_world(n, seed)
     cells = {(c.method, c.estimand): c.mean for c in reproduce("table2", n=n, seed=seed).cells}
+    e, x = (ds[name].astype(np.int64) for name in ("Xep", "X"))
+    se, sx = int(e.sum()), int(x.sum())
+    s_ee = Fraction(n * int(e @ e) - se * se, n)
+    s_xx = Fraction(n * int(x @ x) - sx * sx, n)
+    s_ex = Fraction(n * int(e @ x) - se * sx, n)
+    gamma1 = s_ex / s_ee
+    exact = (Fraction(sx, n) - gamma1 * Fraction(se, n), gamma1, s_ex * s_ex / (s_ee * s_xx))
     g0, g1 = ols(design_with_intercept(ds["Xep"]), ds["X"]).coefficients
-    assert cells[("calibration", "gamma0")] == float(g0)
-    assert cells[("calibration", "gamma1")] == float(g1)
-    r2 = ols(design_with_intercept(ds["X"]), ds["Xep"]).r_squared
-    assert abs(cells[("p_rd", "r_squared")] - r2) <= 1e-12
+    tall = (g0, g1, ols(design_with_intercept(ds["X"]), ds["Xep"]).r_squared)
+    for key, want, fitted in zip(TABLE2_FITS, exact, tall):
+        assert abs(Fraction(cells[key]) - want) <= 4 * Fraction(np.spacing(float(want))), key
+        assert cells[key] == pytest.approx(fitted, rel=1e-12, abs=0), key
+
+
+def _table2_qr_fits(ds, table):
+    """Reference: table2's (gamma0, gamma1, R^2) as one QR of [1, Xep, X]
+    gave them, after the AEEs' support checks."""
+    aee_from_table(table, 10.0, 9.0)
+    aee_from_table(table, 11.0, 9.0)
+    factor = ColumnFactor.of({"Xep": ds["Xep"]}, {"X": ds["X"]})
+    g0, g1 = factor.fit((INTERCEPT, "Xep"), "X").coefficients
+    return g0, g1, factor.fit((INTERCEPT, "X"), "Xep").r_squared
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PeclabError as exc:
+        return type(exc), str(exc), getattr(exc, "columns", None)
+
+
+def test_table2_small_worlds_match_the_qr_fits(monkeypatch):
+    # every world small enough to lack a stratum or to have a constant
+    # column: the report raises what the QR reference raises on its world
+    # and table, in the same order, or reports the reference's fits to
+    # rounding
+    tabulated = []
+
+    def recording_table(ds):
+        tabulated.append((ds, empirical_table(ds)))
+        return tabulated[-1][1]
+
+    monkeypatch.setattr(harness, "empirical_table", recording_table)
+    kinds = Counter()
+    for n in range(1, 13):
+        for seed in range(200):
+            got = _outcome(lambda: reproduce("table2", n=n, seed=seed))
+            want = _outcome(lambda: _table2_qr_fits(*tabulated[-1]))
+            if isinstance(got, ReproReport):
+                cells = {(c.method, c.estimand): c.mean for c in got.cells}
+                assert [cells[key] for key in TABLE2_FITS] == pytest.approx(
+                    want, rel=0, abs=1e-12
+                ), (n, seed)
+                kinds["report"] += 1
+            else:
+                assert got == want, (n, seed)
+                kinds[got[0].__name__] += 1
+    assert len(tabulated) == 12 * 200
+    assert kinds["report"] > 0 and kinds["SupportError"] > 0
+    assert kinds["SingularDesignError"] > 0
+
+
+def test_table2_constant_measured_exposure_is_named_first():
+    # both columns constant: the calibration design [1, Xep] is the one named
+    ones = np.ones(6)
+    for x in (9 * ones, np.array([8.0, 9, 10, 8, 9, 10])):
+        table = empirical_table(Dataset({"X": x, "Xep": 9 * ones, "Y": ones}))
+        with pytest.raises(SingularDesignError, match=r"offending columns: Xep\)$") as err:
+            _table2_fits(table)
+        assert err.value.columns == ["Xep"]
 
 
 def test_table2_rank_deficient_fit_names_the_column():

@@ -375,6 +375,16 @@ def test_dataset_csv_rejects_duplicate_header(tmp_path):
         Dataset.from_csv(path)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["X,Xep,Y\n", "X,Xep,Y"])
+def test_dataset_csv_header_only_is_one_schema_error(tmp_path, text):
+    # numpy's "input contained no data" warning is not a second report
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=r"empty\.csv: no data rows$"):
+        Dataset.from_csv(path)
+
+
 def test_dataset_partial_columns_keep_canonical_order(tmp_path):
     ds = Dataset({"Y": np.zeros(2), "Xep": np.ones(2), "X": np.ones(2)})
     path = tmp_path / "partial.csv"
