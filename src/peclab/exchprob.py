@@ -117,13 +117,19 @@ class ExchProbTable:
 def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
     """Conditional-joint estimator: cell = #(Xep=xep, X=x, Y=y) / #(Xep=xep).
 
-    Each keyed column is sorted once for its support, and its support
-    indices come from a binary search of the column in that support of at
-    most MAX_SUPPORT values; an argsort of the tall column
-    (``np.unique(return_inverse=True)``) cost several times the sort. The
+    Each keyed column is sorted once for its support of at most MAX_SUPPORT
+    values. A row's index in that support is the number of support points
+    above the first that its keyed value reaches, one pass per point into a
+    uint8 index (MAX_SUPPORT <= 256 keeps it from wrapping). Every keyed
+    value lies on its own support, so this is exactly
+    ``np.searchsorted(support, keyed)``. On columns in random order (every
+    simulated world) the passes beat the binary search at every support
+    size up to MAX_SUPPORT. On a column already sorted the binary search
+    wins from about 10 to 20 points, and by four to five times at 100; only
+    a CSV can feed such a column, and reading it costs far more. The
     counts are one bincount of the joint cell codes, exact integers, and
-    the table keeps them. The codes are built in place in Xep's index
-    array, so no further tall array is made for them."""
+    the table keeps them. The codes are built in place in one intp copy of
+    Xep's indices."""
     d.require("X", "Xep", "Y")
     cols = {}
     for name in ("X", "Xep", "Y"):
@@ -134,7 +140,10 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
                 f"column {name} has {values.size} distinct values "
                 f"(> {MAX_SUPPORT}); the empirical table needs discrete supports"
             )
-        cols[name] = (values, np.searchsorted(values, keyed))
+        index = np.zeros(keyed.size, dtype=np.uint8)
+        for point in values[1:]:
+            index += keyed >= point
+        cols[name] = (values, index)
 
     x_vals, x_inv = cols["X"]
     xep_vals, xep_inv = cols["Xep"]
@@ -146,7 +155,7 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
             raise StratumError(f"empty stratum(s) at Xep = {empty.tolist()}")
 
     shape = (xep_vals.size, x_vals.size, y_vals.size)
-    code = xep_inv
+    code = xep_inv.astype(np.intp)
     code *= x_vals.size
     code += x_inv
     code *= y_vals.size

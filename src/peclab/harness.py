@@ -24,11 +24,11 @@ started from the factor's linear-probability fit.
 
 table2 is one world of 10^6 rows, tabulated once: the exchangeability-
 probability grid and its AEEs come from one ``empirical_table`` (a sort of
-each column for its support and a binary search of the column in it, no
-argsort), and both the calibration (gamma0, gamma1) and the p_rd R^2 are
-read from the same table's joint (Xep, X) counts. The world's columns are
-discrete, so those counts are sufficient for both fits and no tall design
-is built.
+each column for its support, then one uint8 counting pass per support point
+for the rows' indices: no argsort, no binary search), and both the
+calibration (gamma0, gamma1) and the p_rd R^2 are read from the same
+table's joint (Xep, X) counts. The world's columns are discrete, so those
+counts are sufficient for both fits and no tall design is built.
 
 Every keyed draw is (seed, replication, column), without the scenario, so
 the scenarios of a table share common random numbers by construction; a
@@ -390,9 +390,10 @@ def _table2_fits(table: ExchProbTable) -> tuple[float, float, float]:
 
 
 def _reproduce_table2(n: int, seed: int) -> list[CellCheck]:
-    """The table2 cells from one world and one sort-plus-searchsorted
-    tabulation: the grid and the AEEs from its probabilities, the
-    calibration and p_rd from its counts (``_table2_fits``)."""
+    """The table2 cells from one world and one tabulation, each column
+    counted against its sorted support: the grid and the AEEs from its
+    probabilities, the calibration and p_rd from its counts
+    (``_table2_fits``)."""
     ds = generate_table2_world(n, seed)
     table = empirical_table(ds)
     means = {

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,21 @@ def _odd_discrete_columns(rng, n):
     return [negative, signed_zero, collapsing, single]
 
 
+def _assert_matches_unique_inverse(ds):
+    table = empirical_table(ds)
+    ev, xv, yv, counts = _unique_inverse_table(ds)
+    # by value: which of -0.0 and 0.0 a support keeps depends on the sort
+    np.testing.assert_array_equal(table.xep_support, ev)
+    np.testing.assert_array_equal(table.x_support, xv)
+    np.testing.assert_array_equal(table.y_support, yv)
+    # the table keeps its integer counts; probs is each Xep row over its sum
+    assert table.counts.dtype.kind == "i" and table.counts.sum() == ds.n
+    np.testing.assert_array_equal(table.counts, counts)
+    probs = counts / counts.sum(axis=(1, 2), keepdims=True)
+    assert table.probs.tobytes() == probs.tobytes()
+    return table
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_empirical_table_matches_unique_inverse_reference(seed):
     rng = np.random.default_rng(seed)
@@ -154,17 +171,62 @@ def test_empirical_table_matches_unique_inverse_reference(seed):
         (cols[1], cols[2], cols[3]),
         (cols[3], cols[3], cols[0]),
     ]:
-        ds = Dataset({"X": x, "Xep": xep, "Y": y})
-        table = empirical_table(ds)
-        ev, xv, yv, counts = _unique_inverse_table(ds)
-        np.testing.assert_array_equal(table.xep_support, ev)
-        np.testing.assert_array_equal(table.x_support, xv)
-        np.testing.assert_array_equal(table.y_support, yv)
-        # the table keeps its integer counts; probs is each Xep row over its sum
-        assert table.counts.dtype.kind == "i" and table.counts.sum() == n
-        np.testing.assert_array_equal(table.counts, counts)
-        probs = counts / counts.sum(axis=(1, 2), keepdims=True)
-        assert table.probs.tobytes() == probs.tobytes()
+        _assert_matches_unique_inverse(Dataset({"X": x, "Xep": xep, "Y": y}))
+
+
+def test_every_column_at_max_support_reaches_the_top_index_and_code():
+    i = np.arange(MAX_SUPPORT * MAX_SUPPORT)
+    ds = Dataset({
+        "X": i // MAX_SUPPORT * 0.5 - 20.0,
+        "Xep": i % MAX_SUPPORT * 0.25,
+        "Y": i // MAX_SUPPORT * 0.1 + 3.0,
+    })
+    table = _assert_matches_unique_inverse(ds)
+    assert table.counts.shape == (MAX_SUPPORT,) * 3
+    # the last row sits at index MAX_SUPPORT - 1 in every column, so it lands
+    # in the largest cell code, MAX_SUPPORT**3 - 1
+    assert table.counts.ravel()[-1] == 1
+
+
+def test_support_indices_fit_uint8():
+    assert MAX_SUPPORT - 1 <= np.iinfo(np.uint8).max, (
+        "empirical_table counts support indices in uint8; MAX_SUPPORT above 256 would wrap them"
+    )
+
+
+@pytest.mark.parametrize("order", ["sorted", "reverse_sorted", "shuffled"])
+def test_empirical_table_does_not_depend_on_row_order(order):
+    rng = np.random.default_rng(3)
+    n = 4000
+    cols = _odd_discrete_columns(rng, n)
+    for x, xep, y in [(cols[0], cols[1], cols[2]), (cols[2], cols[0], cols[1])]:
+        base = empirical_table(Dataset({"X": x, "Xep": xep, "Y": y}))
+        # sorted by each column in turn, the others breaking ties
+        for keys in ((y, xep, x), (x, y, xep), (xep, x, y)):
+            rows = {
+                "sorted": np.lexsort(keys),
+                "reverse_sorted": np.lexsort(keys)[::-1],
+                "shuffled": rng.permutation(n),
+            }[order]
+            table = _assert_matches_unique_inverse(
+                Dataset({"X": x[rows], "Xep": xep[rows], "Y": y[rows]})
+            )
+            assert table.counts.tobytes() == base.counts.tobytes()
+            assert table.probs.tobytes() == base.probs.tobytes()
+
+
+def test_empirical_table_peak_memory_per_row():
+    n = 200_000
+    ds = generate_table2_world(n, 5)
+    tracemalloc.start()
+    try:
+        empirical_table(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the keyed column, its sorted copy, three uint8 index arrays and one
+    # intp code array; three intp index arrays read about 39 bytes per row
+    assert peak / n < 30, f"{peak / n:.1f} bytes per row"
 
 
 @pytest.mark.parametrize("column", ["X", "Xep", "Y"])
