@@ -205,35 +205,37 @@ def _cmd_exchprob(args) -> int:
             for xep, x, y, p in table.rows():
                 fh.write(f"{_fmt(xep)},{_fmt(x)},{_fmt(y)},{_fmt(p)},{table.mode.value}\n")
     if args.grid or not args.out:
-        cols = table.grid_columns()
-        header = ["xep"] + [f"x={_fmt(x)};y={_fmt(y)}" for x, y in cols] + ["sum"]
-        print(",".join(header))
-        for xep in table.xep_support:
-            row = [table.cell(xep, x, y) for x, y in cols]
-            print(
-                ",".join([_fmt(xep)] + [_fmt(v) for v in row] + [_fmt(table.slice_sum(xep))])
-            )
+        # the (x, y) cells with mass in any Xep row, in (x, y) order
+        mask = (table.probs > 0).any(axis=0)
+        j, k = mask.nonzero()
+        cols = [f"x={_fmt(x)};y={_fmt(y)}" for x, y in zip(table.x_support[j], table.y_support[k])]
+        print(",".join(["xep", *cols, "sum"]))
+        for xep, probs in zip(table.xep_support, table.probs):
+            row = [_fmt(xep), *map(_fmt, probs[mask].tolist()), _fmt(table.slice_sum(xep))]
+            print(",".join(row))
     return EXIT_OK
 
 
 def _cmd_bias(args) -> int:
     if args.from_csv is None and args.adjust:
         raise PeclabError("--adjust needs --from-csv")
+    # the report is checked and computed before any output is opened
+    closed_form = (args.gamma1, args.var_x, args.var_u)
+    rep = None
     if args.from_csv is not None:
         _reject_given(args, ("gamma1", "var_x", "var_u"), "--from-csv")
+        rep = report_from_data(Dataset.from_csv(args.from_csv), args.adjust)
+    elif not args.figure2 or args.out or any(v is not None for v in closed_form):
+        if None in closed_form:
+            raise PeclabError("bias needs either --from-csv or all of --gamma1/--var-x/--var-u")
+        rep = report(*closed_form)
     if args.figure2:
         with _output(args.figure2) as fh:
             fh.write("gamma1,p,lambda\n")
             for g, p, lam in figure2_grid():
                 fh.write(f"{_fmt(g)},{_fmt(p)},{_fmt(lam)}\n")
-        if args.gamma1 is None and args.from_csv is None:
-            return EXIT_OK
-    if args.from_csv is not None:
-        rep = report_from_data(Dataset.from_csv(args.from_csv), args.adjust)
-    else:
-        if args.gamma1 is None or args.var_x is None or args.var_u is None:
-            raise PeclabError("bias needs either --from-csv or all of --gamma1/--var-x/--var-u")
-        rep = report(args.gamma1, args.var_x, args.var_u)
+    if rep is None:
+        return EXIT_OK
     # lambda_ reports as lambda
     lines = [(f.name.rstrip("_"), getattr(rep, f.name)) for f in dataclasses.fields(rep)]
     if args.out:

@@ -39,10 +39,6 @@ class ConvergenceError(PeclabError):
         self.trace = list(trace) if trace is not None else []
 
 
-class StratumError(PeclabError):
-    """An exposure stratum required by a probability table is empty."""
-
-
 class DiscretenessError(PeclabError):
     """A column expected to have small discrete support is continuous."""
 

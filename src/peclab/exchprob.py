@@ -4,7 +4,10 @@ A table is one dense array ``probs`` of shape (xep, x, y) over three sorted
 supports of keyed values. One keying rule, ``_keyed`` (``np.round`` to
 KEY_DECIMALS), makes both the supports and every value looked up in them, so
 a value read from the data finds its own support point; a value off a
-support reads as probability 0. Two estimators fill it and are never mixed:
+support reads as probability 0. One support rule, ``_support``, makes every
+support of both modes from keyed values: sorted, de-duplicated, and a zero
+always +0.0, whichever signed zero the values held. Two estimators fill it
+and are never mixed:
 
 * the empirical conditional-joint table, cell(xep, x, y) =
   P(X = x, Y = y | Xep = xep), which is what the published probability grid
@@ -27,12 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    DiscretenessError,
-    StratumError,
-    SupportError,
-)
+from .errors import CapabilityError, DiscretenessError, SupportError
 from .model import (
     Dataset,
     DistributionSpec,
@@ -54,9 +52,11 @@ def _keyed(values) -> np.ndarray:
     return np.round(np.asarray(values, dtype=float), KEY_DECIMALS)
 
 
-def _support(values) -> np.ndarray:
-    """Sorted, de-duplicated keyed values."""
-    return np.unique(_keyed(np.atleast_1d(values)))
+def _support(keyed: np.ndarray) -> np.ndarray:
+    """Sorted, de-duplicated keyed values, a zero as +0.0: adding 0.0 turns
+    -0.0 into +0.0 and keeps every other value, so a support does not
+    depend on which signed zero its values meet first."""
+    return np.unique(keyed) + 0.0
 
 
 def _index(support: np.ndarray, value: float) -> int | None:
@@ -76,14 +76,18 @@ class ExchProbTable:
     """``probs[i, j, k]`` is the cell at (xep_support[i], x_support[j], y_support[k]).
 
     ``counts`` holds the empirical table's integer cell counts, of which
-    ``probs`` is each Xep row divided by its sum; it is None in analytic mode."""
+    ``probs`` is each Xep row divided by its sum; it is None in analytic mode,
+    and ``mode`` reads which kind of table this is from it."""
 
     xep_support: np.ndarray
     x_support: np.ndarray
     y_support: np.ndarray
     probs: np.ndarray
-    mode: TableMode
     counts: np.ndarray | None
+
+    @property
+    def mode(self) -> TableMode:
+        return TableMode.ANALYTIC if self.counts is None else TableMode.EMPIRICAL
 
     def cell(self, xep: float, x: float, y: float) -> float:
         ijk = (_index(self.xep_support, xep), _index(self.x_support, x), _index(self.y_support, y))
@@ -108,20 +112,16 @@ class ExchProbTable:
             xep, x, y = self.xep_support[i], self.x_support[j], self.y_support[k]
             yield float(xep), float(x), float(y), float(p)
 
-    def grid_columns(self) -> list[tuple[float, float]]:
-        """(x, y) pairs that carry mass somewhere, in (x, y) order."""
-        j, k = np.nonzero((self.probs > 0).any(axis=0))
-        return list(zip(self.x_support[j].tolist(), self.y_support[k].tolist()))
 
-
-def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
+def empirical_table(d: Dataset) -> ExchProbTable:
     """Conditional-joint estimator: cell = #(Xep=xep, X=x, Y=y) / #(Xep=xep).
 
-    Each keyed column is sorted once for its support of at most MAX_SUPPORT
-    values. A row's index in that support is the number of support points
-    above the first that its keyed value reaches, one pass per point into a
-    uint8 index (MAX_SUPPORT <= 256 keeps it from wrapping). Every keyed
-    value lies on its own support, so this is exactly
+    Each column is keyed once, and the keyed column is sorted once for its
+    ``_support`` of at most MAX_SUPPORT values (a zero as +0.0). A row's
+    index in that support is the number of support points above the first
+    that its keyed value reaches, one pass per point into a uint8 index
+    (MAX_SUPPORT <= 256 keeps it from wrapping). Every keyed value lies on
+    its own support (-0.0 on +0.0), so this is exactly
     ``np.searchsorted(support, keyed)``. On columns in random order (every
     simulated world) the passes beat the binary search at every support
     size up to MAX_SUPPORT. On a column already sorted the binary search
@@ -134,7 +134,7 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
     cols = {}
     for name in ("X", "Xep", "Y"):
         keyed = _keyed(d[name])
-        values = np.unique(keyed)
+        values = _support(keyed)
         if values.size > MAX_SUPPORT:
             raise DiscretenessError(
                 f"column {name} has {values.size} distinct values "
@@ -149,11 +149,6 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
     xep_vals, xep_inv = cols["Xep"]
     y_vals, y_inv = cols["Y"]
 
-    if xep_support is not None:
-        empty = np.setdiff1d(_keyed(xep_support), xep_vals)
-        if empty.size:
-            raise StratumError(f"empty stratum(s) at Xep = {empty.tolist()}")
-
     shape = (xep_vals.size, x_vals.size, y_vals.size)
     code = xep_inv.astype(np.intp)
     code *= x_vals.size
@@ -166,7 +161,6 @@ def empirical_table(d: Dataset, xep_support=None) -> ExchProbTable:
         x_support=x_vals,
         y_support=y_vals,
         probs=counts / counts.sum(axis=(1, 2), keepdims=True),
-        mode=TableMode.EMPIRICAL,
         counts=counts,
     )
 
@@ -251,14 +245,15 @@ def analytic_product_table(
     over a law's points and weights: a discrete law's support, a
     zero-variance law's mean, else trapezoid nodes on mean +- QUAD_SIGMAS sd.
     Identity link requires discrete outcome noise; logit link takes discrete
-    or continuous noise. Supports are sorted and de-duplicated.
+    or continuous noise. Supports are keyed and made by ``_support``: sorted,
+    de-duplicated, a zero as +0.0.
     """
-    xep_support = _support(xep_support)
+    xep_support = _support(_keyed(xep_support))
     if x_support is None:
         if not x_marginal.is_discrete():
             raise CapabilityError("x_support is required for continuous exposure marginals")
         x_support = x_marginal.support()[0]
-    x_support = _support(x_support)
+    x_support = _support(_keyed(x_support))
 
     if outcome.link not in (Link.IDENTITY, Link.LOGIT):
         raise CapabilityError(f"analytic mode does not support the {outcome.link.value} link")
@@ -273,7 +268,9 @@ def analytic_product_table(
     if outcome.link is Link.LOGIT:
         y_support = np.array([0.0, 1.0])
     else:
-        y_support = _support(outcome.linear_predictor(x_support[:, None], eps=_law(outcome.noise)[0]))
+        y_support = _support(
+            _keyed(outcome.linear_predictor(x_support[:, None], eps=_law(outcome.noise)[0]))
+        )
     # p_true[x, y] = P(Y(x) = y | z); p_measured[xep, y] = P(Y(xep) = y | z) averages
     # that law over the weighted points of X | Xep
     p_true = _p_outcome(outcome, x_support, y_support).T
@@ -286,7 +283,6 @@ def analytic_product_table(
         x_support=x_support,
         y_support=y_support,
         probs=p_true[None, :, :] * p_measured[:, None, :],
-        mode=TableMode.ANALYTIC,
         counts=None,
     )
 

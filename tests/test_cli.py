@@ -343,6 +343,12 @@ def test_bias_figure2_csv(tmp_path):
               "--estimand", "rr"], "--method naive|ipw reports risk differences only")
             for method in ("naive", "ipw")
         ),
+        # a closed-form value or --out beside --figure2 asks for the report too
+        *(
+            (["bias", "--figure2", "-", *given],
+             "bias needs either --from-csv or all of --gamma1/--var-x/--var-u")
+            for given in (["--var-x", "0.5"], ["--gamma1", "1"], ["--out", "-"])
+        ),
     ],
 )
 def test_ignored_option_combinations_are_data_errors(argv, message, dataset_csv, capsys):
@@ -373,6 +379,30 @@ def test_closed_stdout_ends_peclab_silently(dataset_csv):
 
 def test_bias_missing_inputs_is_data_error():
     assert dispatch(["bias", "--gamma1", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "given",
+    [["--gamma1", "1"], ["--var-x", "0.5", "--var-u", "2"], ["--from-csv", "missing.csv"]],
+)
+def test_rejected_bias_report_leaves_no_figure2(tmp_path, monkeypatch, capsys, given):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["bias", "--figure2", "figure2.csv", *given]) == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "figure2.csv").exists()
+
+
+def test_exchprob_signed_zero_rows_print_alike_in_either_order(tmp_path, capsys):
+    outputs = []
+    for rows in (["0,1,1", "-0,1,1", "1,1,1"], ["1,1,1", "-0,1,1", "0,1,1"]):
+        path = tmp_path / "signed_zero.csv"
+        path.write_text("\n".join(["X,Xep,Y", *rows]) + "\n")
+        for extra in (["--out", "-"], []):
+            assert dispatch(["exchprob", "--from-csv", str(path), *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    assert outputs[0].splitlines()[1] == "1,0,1,0.666667,empiricalConditionalJoint"
+    assert outputs[1].splitlines()[0] == "xep,x=0;y=1,x=1;y=1,sum"
 
 
 @pytest.mark.parametrize("adjust", [[], ["C", "V"]])

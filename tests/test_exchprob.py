@@ -6,7 +6,7 @@ import pytest
 import table2_oracle as oracle
 from peclab import worlds
 from peclab.datagen import generate_table2_world
-from peclab.errors import CapabilityError, DiscretenessError, StratumError, SupportError
+from peclab.errors import CapabilityError, DiscretenessError, SupportError
 from peclab.exchprob import (
     KEY_DECIMALS,
     MAX_SUPPORT,
@@ -105,14 +105,6 @@ def test_continuous_columns_rejected():
         empirical_table(ds)
 
 
-def test_requested_support_with_empty_stratum():
-    ds = three_point_world(5000, 12)
-    with pytest.raises(StratumError, match=r"^empty stratum\(s\) at Xep = \[6\.0, 12\.0\]$"):
-        empirical_table(ds, xep_support=[6, 7, 8, 9, 10, 11, 12.0000000001])
-    table = empirical_table(ds, xep_support=[7, 8, 9, 10, 11])
-    assert table.xep_support.tolist() == [7.0, 8.0, 9.0, 10.0, 11.0]
-
-
 def test_a_value_off_the_key_grid_finds_its_own_cell():
     # 12.0000000025 keys to 12.000000002 under np.round and 12.000000003
     # under Python's round: lookups must key it as the support does
@@ -148,12 +140,14 @@ def _odd_discrete_columns(rng, n):
 def _assert_matches_unique_inverse(ds):
     table = empirical_table(ds)
     ev, xv, yv, counts = _unique_inverse_table(ds)
-    # by value: which of -0.0 and 0.0 a support keeps depends on the sort
+    # by value: the reference keeps whichever of -0.0 and 0.0 sorts first,
+    # the table's support +0.0
     np.testing.assert_array_equal(table.xep_support, ev)
     np.testing.assert_array_equal(table.x_support, xv)
     np.testing.assert_array_equal(table.y_support, yv)
     # the table keeps its integer counts; probs is each Xep row over its sum
     assert table.counts.dtype.kind == "i" and table.counts.sum() == ds.n
+    assert table.mode is TableMode.EMPIRICAL
     np.testing.assert_array_equal(table.counts, counts)
     probs = counts / counts.sum(axis=(1, 2), keepdims=True)
     assert table.probs.tobytes() == probs.tobytes()
@@ -238,6 +232,28 @@ def test_support_over_max_support_is_not_discrete(column):
     base[column] = np.arange(n) % (MAX_SUPPORT + 1) * 0.25
     with pytest.raises(DiscretenessError, match=f"column {column} has {MAX_SUPPORT + 1} distinct"):
         empirical_table(Dataset(base))
+
+
+def test_a_support_holds_its_zero_as_positive_zero():
+    # -1e-10 keys to -0.0; each order puts a different signed zero first
+    signed_zeros = ([-0.0, 0.0], [0.0, -0.0], [-1e-10, 0.0], [-0.0], [-1e-10])
+    for zeros in signed_zeros:
+        column = np.array([*zeros, 1.0, *zeros])
+        table = empirical_table(Dataset({"X": column, "Xep": column[::-1], "Y": column}))
+        for support in (table.xep_support, table.x_support, table.y_support):
+            assert support.tolist() == [0.0, 1.0] and not np.signbit(support).any(), zeros
+        assert table.cell(-0.0, -1e-10, 0.0) == table.cell(0.0, 0.0, 0.0) > 0
+    # Y = X - 1e-10 keys to -0.0 at X = 0, so the outcome's support meets it too
+    outcome = OutcomeModel(link=Link.IDENTITY, beta0=-1e-10, beta_x=1.0,
+                           noise=DistributionSpec.point_mass(0.0))
+    error = ErrorModel(kind=ErrorKind.PURE_BERKSON, noiseU=DistributionSpec.point_mass(0.0))
+    for zeros in signed_zeros:
+        table = analytic_product_table(
+            outcome, error, DistributionSpec.point_mass(1.0), xep_support=[*zeros, 1.0],
+            x_support=[1.0, *zeros],
+        )
+        for support in (table.xep_support, table.x_support, table.y_support):
+            assert support.tolist() == [0.0, 1.0] and not np.signbit(support).any(), zeros
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +448,8 @@ def test_aee_requires_empirical_mode():
     table = analytic_product_table(
         TABLE2_OUTCOME, CLASSICAL_UNIT_ERROR, X_MARGINAL, xep_support=[9, 10]
     )
-    with pytest.raises(CapabilityError):
+    assert table.counts is None and table.mode is TableMode.ANALYTIC
+    with pytest.raises(CapabilityError, match="needs the empirical conditional-joint mode"):
         aee_from_table(table, 10, 9)
 
 
