@@ -22,7 +22,7 @@ from .datagen import generate_scenario, generate_table2_world
 from .errors import PeclabError
 from .estimate import g_computation, ipw_gps_aee, naive_regression_aee
 from .exchprob import empirical_table
-from .harness import METHODS, TABLE2_N, TABLES, _fmt, reproduce, run_study
+from .harness import METHODS, TABLE2_N, TABLES, _fmt, keep_heap, reproduce, run_study
 from .model import Dataset, Estimand, load_scenario
 
 EXIT_OK = 0
@@ -45,6 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_jobs() -> int:
+    """The CPUs this process may run on, where the platform says."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -332,6 +335,8 @@ def main() -> None:
     # dispatch, which runs in process too, leaves the signal as it finds it
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # the allocator is process state too: main keeps the heap, dispatch does not
+    keep_heap()
     sys.exit(dispatch(sys.argv[1:]))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import peclab
 
-from peclab import worlds
+from peclab import cli, worlds
 from peclab.biasfactor import report_from_data
 from peclab.cli import dispatch
 from peclab.datagen import generate_scenario
@@ -375,6 +375,50 @@ def test_closed_stdout_ends_peclab_silently(dataset_csv):
     assert proc.wait() == -signal.SIGPIPE
     assert err == b""
     assert head[0].startswith(b"X,Xep,")
+
+
+def test_only_main_keeps_the_heap(tmp_path):
+    # a fresh interpreter, so importing peclab happens here first; a CDLL
+    # that records each mallopt lookup sees every call of the heap helper
+    script = """
+import ctypes, sys
+calls = []
+
+class Recording(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name == "mallopt":
+            calls.append(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = Recording
+import peclab.cli
+argv = ["reproduce", "--table", "table3", "--n", "200", "--runs", "2", "--out", sys.argv[1]]
+assert peclab.cli.dispatch([*argv, "--jobs", "2"]) in (0, 3)
+assert calls == [], calls
+sys.argv = ["peclab", *argv, "--jobs", "1"]
+try:
+    peclab.cli.main()
+except SystemExit as exc:
+    assert exc.code in (0, 3), exc.code
+assert calls == ["mallopt"], calls
+"""
+    src = str(Path(peclab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "report.csv")],
+        env=env, check=True, timeout=120,
+    )
+
+
+def test_default_jobs_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._default_jobs() == 1
+    assert cli.build_parser().parse_args(["reproduce", "--table", "table3"]).jobs == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._default_jobs() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._default_jobs() == 1
 
 
 def test_bias_missing_inputs_is_data_error():

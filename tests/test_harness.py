@@ -1,6 +1,9 @@
 import argparse
 import io
+import multiprocessing
+import os
 import pickle
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -208,14 +211,28 @@ def test_worker_error_keeps_its_class_and_attributes(monkeypatch):
     assert err.value.__cause__.trace == [-3.0, -2.5]
 
 
+def _forbidden(*args, **kwargs):
+    pytest.fail("a worker process or a draw was started where none may be")
+
+
 def _forbid_workers_and_draws(monkeypatch):
     from peclab import harness
 
-    def forbidden(*args, **kwargs):
-        pytest.fail("a worker pool or a draw was started for an invalid scenario")
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _forbidden)
+    monkeypatch.setattr(harness, "generate_scenario", _forbidden)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", forbidden)
-    monkeypatch.setattr(harness, "generate_scenario", forbidden)
+
+def _count_children(monkeypatch) -> list:
+    """Record the (start, stop) block of each child process started."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting(process):
+        started.append(process._args[3:])
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+    return started
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -265,18 +282,78 @@ def test_table5_draws_each_stream_once_per_replication_in_one_pool(monkeypatch):
     # 7 scenarios x 2 replications, each of the 8 streams drawn once per replication
     assert calls == {"sample": Counter({0: 7, 1: 7}), "uniforms": Counter({0: 1, 1: 1})}
 
-    pools = []
-    pool_class = harness.ProcessPoolExecutor
-
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs)
-        return pool_class(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+    started = _count_children(monkeypatch)
     parallel = io.StringIO()
     reproduce("table5", n=500, runs=2, seed=worlds.DEFAULT_SEED, jobs=2).write_csv(parallel)
-    assert pools == [{"max_workers": 2}]
+    # one set of 2 workers for all 7 scenarios, one replication each
+    assert started == [(0, 1), (1, 2)]
     assert parallel.getvalue() == serial.getvalue()
+    assert multiprocessing.active_children() == []
+
+
+def test_uneven_blocks_give_the_serial_results_at_any_jobs(monkeypatch):
+    s = worlds.table3_scenario(2, n=300, replications=5, seed=11)
+    serial = run_study([s], ["naive_cep", "rc"], jobs=1)
+    assert len(serial) == 2
+    # contiguous blocks whose sizes differ by at most one, at most one per replication
+    for jobs, blocks in (
+        (2, [(0, 2), (2, 5)]),
+        (3, [(0, 1), (1, 3), (3, 5)]),
+        (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+    ):
+        started = _count_children(monkeypatch)
+        assert run_study([s], ["naive_cep", "rc"], jobs=jobs) == serial
+        assert started == blocks
+        assert multiprocessing.active_children() == []
+
+
+def test_one_replication_starts_no_child(monkeypatch):
+    s = worlds.table3_scenario(1, n=200, replications=1, seed=3)
+    serial = run_study([s], ["naive_cep"], jobs=1)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _forbidden)
+    assert run_study([s], ["naive_cep"], jobs=2) == serial
+
+
+# a monkeypatch in this process reaches a child only through fork
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the children are not forked"
+)
+
+
+@fork_only
+def test_a_childs_other_exception_keeps_its_class(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("not a peclab error")
+
+    monkeypatch.setattr(harness, "naive_regression_aee", broken)
+    s = worlds.table3_scenario(1, n=200, replications=2, seed=3)
+    with pytest.raises(ValueError) as err:
+        run_study([s], ["naive_cep"], jobs=2)
+    assert str(err.value) == "not a peclab error"
+    # the child's traceback comes as a note
+    assert "in broken" in err.value.__notes__[-1]
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_child_that_exits_without_replying_is_one_error(monkeypatch):
+    # the first block's child exits at once; the second's would stall for a minute
+    def vanish_or_stall(scenario, rep, *args):
+        if rep == 0:
+            os._exit(7)
+        time.sleep(60)
+
+    monkeypatch.setattr(harness, "_replicate", vanish_or_stall)
+    s = worlds.table3_scenario(1, n=200, replications=4, seed=3)
+    start = time.monotonic()
+    with pytest.raises(
+        RuntimeError,
+        match=r"^the worker for replications 0\.\.1 exited with code 7 before it replied$",
+    ):
+        run_study([s], ["naive_cep"], jobs=2)
+    # the stalled child was terminated, not waited for
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_reproduce_table2_report_shape():
