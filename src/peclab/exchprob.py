@@ -6,8 +6,8 @@ KEY_DECIMALS), makes both the supports and every value looked up in them, so
 a value read from the data finds its own support point; a value off a
 support reads as probability 0. One support rule, ``_support``, makes every
 support of both modes from keyed values: sorted, de-duplicated, and a zero
-always +0.0, whichever signed zero the values held. Two estimators fill it
-and are never mixed:
+always +0.0, whichever signed zero the values held. ``rows()`` lists only
+the cells that hold mass. Two estimators fill it and are never mixed:
 
 * the empirical conditional-joint table, cell(xep, x, y) =
   P(X = x, Y = y | Xep = xep), which is what the published probability grid
@@ -19,8 +19,8 @@ and are never mixed:
   loading of the error into its gamma0, so gammaV must be 0.
 
 Every analytic integral runs over one law rule, ``_law``: a discrete law is
-its support, a zero-variance law its mean with weight 1, and any other law
-QUAD_NODES trapezoid nodes on mean +- QUAD_SIGMAS sd weighted by its density.
+its support, and any other law QUAD_NODES trapezoid nodes on mean +-
+QUAD_SIGMAS sd weighted by its density.
 """
 
 from __future__ import annotations
@@ -103,14 +103,11 @@ class ExchProbTable:
     def slice_sum(self, xep: float) -> float:
         return sum(self._slice(xep).ravel().tolist())
 
-    def x_marginal(self, xep: float) -> dict:
-        return {float(x): sum(row) for x, row in zip(self.x_support, self._slice(xep).tolist())}
-
     def rows(self):
-        """(xep, x, y, p) over the full support grid, sorted."""
-        for (i, j, k), p in np.ndenumerate(self.probs):
-            xep, x, y = self.xep_support[i], self.x_support[j], self.y_support[k]
-            yield float(xep), float(x), float(y), float(p)
+        """(xep, x, y, p) for each cell with p > 0, in (xep, x, y) order."""
+        i, j, k = np.nonzero(self.probs > 0)
+        cols = self.xep_support[i], self.x_support[j], self.y_support[k], self.probs[i, j, k]
+        return zip(*(c.tolist() for c in cols))
 
 
 def empirical_table(d: Dataset) -> ExchProbTable:
@@ -178,14 +175,11 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 def _law(spec: DistributionSpec) -> tuple[np.ndarray, np.ndarray]:
     """(points, weights) that integrate against ``spec``: a discrete law's
-    support, a zero-variance law's mean with weight 1, and otherwise
-    QUAD_NODES trapezoid nodes on mean +- QUAD_SIGMAS sd weighted by the
-    density."""
+    support, and otherwise QUAD_NODES trapezoid nodes on mean +- QUAD_SIGMAS
+    sd weighted by the density."""
     if spec.is_discrete():
         return spec.support()
     mu, sigma = spec.mean(), np.sqrt(spec.variance())
-    if sigma == 0:
-        return np.array([mu]), np.array([1.0])
     pts = np.linspace(mu - QUAD_SIGMAS * sigma, mu + QUAD_SIGMAS * sigma, QUAD_NODES)
     return pts, _trapezoid_weights(pts) * spec.density(pts)
 
@@ -242,8 +236,8 @@ def analytic_product_table(
 
     z is held fixed: fold j(z) into ``outcome.beta0`` and any V loading of
     the error model into its gamma0 (gammaV must be 0). Every integral runs
-    over a law's points and weights: a discrete law's support, a
-    zero-variance law's mean, else trapezoid nodes on mean +- QUAD_SIGMAS sd.
+    over a law's points and weights: a discrete law's support, else
+    trapezoid nodes on mean +- QUAD_SIGMAS sd.
     Identity link requires discrete outcome noise; logit link takes discrete
     or continuous noise. Supports are keyed and made by ``_support``: sorted,
     de-duplicated, a zero as +0.0.
@@ -311,9 +305,10 @@ def symmetry_check(t: ExchProbTable, e_t: float, tolerance: float) -> tuple[bool
 
     Returns (symmetric, max |m(x) - m(2 e_t - x)| over support points x != e_t).
     """
-    if _index(t.xep_support, e_t) is None:
+    i = _index(t.xep_support, e_t)
+    if i is None:
         raise SupportError(f"e_t = {e_t} is not in the table support")
-    marginal = t.x_marginal(e_t)
+    marginal = {x: sum(row) for x, row in zip(t.x_support.tolist(), t.probs[i].tolist())}
     worst = max(
         (
             abs(p - marginal.get(float(_keyed(2 * e_t - x)), 0.0))

@@ -57,7 +57,8 @@ class DistributionSpec:
       pointMass(p1=c).
 
     roundedUniform with integer endpoints hi - lo = 2 is the three-point law
-    (1/4, 1/2, 1/4) on {lo, lo+1, hi}.
+    (1/4, 1/2, 1/4) on {lo, lo+1, hi}. normal(mu, 0) is discrete, the one
+    point mu, as pointMass(mu) is.
     """
 
     family: str
@@ -137,14 +138,15 @@ class DistributionSpec:
         return float(np.dot(ks**2, probs) - m**2)
 
     def is_discrete(self) -> bool:
-        return self.family in ("roundedUniform", "pointMass")
+        point_normal = self.family == "normal" and self.p2 == 0
+        return point_normal or self.family in ("roundedUniform", "pointMass")
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, probabilities) for discrete families."""
-        if self.family == "pointMass":
-            return np.array([self.p1]), np.array([1.0])
+        """(values, probabilities) for discrete laws."""
         if self.family == "roundedUniform":
             return self._rounded_cells()
+        if self.is_discrete():
+            return np.array([self.p1]), np.array([1.0])
         raise ParameterError(f"{self.family} has no discrete support")
 
     def density(self, x: np.ndarray) -> np.ndarray:

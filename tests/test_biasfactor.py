@@ -178,8 +178,16 @@ def test_surrogate_gamma_above_one_never_exceeds_truth():
 
 
 def test_surrogate_rejects_zero_gamma():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^gamma1 must be nonzero$"):
         surrogate_bounds(0.5, 0.0)
+    with pytest.raises(ParameterError, match="^gamma1 must be nonzero$"):
+        surrogate_ratio(0.5, 0.0)
+
+
+@pytest.mark.parametrize("p_rd", [-0.1, 1.5, float("nan")])
+def test_surrogate_bounds_reject_p_rd_outside_the_unit_interval(p_rd):
+    with pytest.raises(ParameterError, match=r"^p_rd must lie in \[0, 1\]$"):
+        surrogate_bounds(p_rd, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -237,8 +245,10 @@ def test_rr_prediction_logit_link_flagged_and_close():
 
 
 def test_rr_prediction_rejects_identity_link():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^link must be log or logit$"):
         predict_naive_slope_rr(0.3, 1.0, 0.5, Link.IDENTITY)
+    with pytest.raises(ParameterError, match="^gamma1 must be nonzero$"):
+        predict_naive_slope_rr(0.3, 0.0, 0.5, Link.LOG)
 
 
 # ---------------------------------------------------------------------------

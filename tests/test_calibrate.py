@@ -178,7 +178,11 @@ def test_validation_fraction_split():
 def test_missing_truth_is_a_validation_error():
     rng = np.random.default_rng(3)
     ds = Dataset({"Xep": rng.normal(size=100), "Y": rng.normal(size=100)})
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^validation data has Xep but no true column X$"):
+        fit_calibration(ds, condition="one")
+    # a true column without its measured one is no pair either
+    ds = Dataset({"X": rng.normal(size=100), "Y": rng.normal(size=100)})
+    with pytest.raises(SchemaError, match=r"^validation data contains no \(true, measured\) pairs$"):
         fit_calibration(ds, condition="one")
 
 

@@ -287,8 +287,15 @@ def test_exchprob_from_csv_discrete(tmp_path, capsys):
     generate_table2_world(100_000, 11).to_csv(path)
     out = tmp_path / "cells.csv"
     assert dispatch(["exchprob", "--from-csv", str(path), "--out", str(out)]) == 0
-    # full grid: 5 measured values x 3 true values x 5 distinct outcomes
-    assert len(out.read_text().splitlines()) == 1 + 5 * 3 * 5
+    # one line per distinct (Xep, X, Y) row of the data, each with mass; the
+    # grid's 5 x 3 x 5 cells include structural zeros, which are not listed
+    ds = Dataset.from_csv(path)
+    distinct = np.unique(np.round(np.column_stack([ds["Xep"], ds["X"], ds["Y"]]), 9), axis=0)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "xep,x,y,p,mode"
+    cells = [tuple(map(float, line.split(",")[:4])) for line in lines[1:]]
+    assert [list(c[:3]) for c in cells] == distinct.tolist()
+    assert len(cells) < 5 * 3 * 5 and all(c[3] > 0 for c in cells)
 
 
 def test_simulate_binary_scenario_gcomp_methods(tmp_path):

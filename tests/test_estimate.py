@@ -231,8 +231,12 @@ def test_gps_density_finite_positive():
 def test_gps_degenerate_treatment_rejected():
     ds = Dataset({"X": np.linspace(0, 1, 50), "C": np.linspace(0, 1, 50) * 2,
                   "Y": np.zeros(50)})
-    with pytest.raises(ParameterError):
-        stabilized_weights(ds, "X", ["C"])  # zero residual variance
+    with pytest.raises(ParameterError, match="^treatment has zero residual variance given the"):
+        stabilized_weights(ds, "X", ["C"])
+    constant = Dataset({"X": np.full(50, 2.0), "C": np.linspace(0, 1, 50), "Y": np.zeros(50)})
+    for covariates in ([], ["C"]):
+        with pytest.raises(ParameterError, match="^treatment column is constant$"):
+            stabilized_weights(constant, "X", covariates)
 
 
 def test_ipw_no_confounding_matches_unweighted_ols():

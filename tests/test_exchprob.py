@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -89,12 +90,12 @@ def test_no_error_world_concentrates_on_diagonal():
     w = sample(DistributionSpec.rounded_uniform(-1, 1), StreamKey(4, 0, 9), 50_000)
     ds = Dataset({"X": x, "Xep": x.copy(), "Y": x + w})
     table = empirical_table(ds)
-    for xep in table.xep_support:
-        marg = table.x_marginal(xep)
-        assert marg[float(xep)] == pytest.approx(1.0)
-        for x_val, p in marg.items():
-            if x_val != float(xep):
-                assert p == 0.0
+    np.testing.assert_array_equal(table.x_support, table.xep_support)
+    for i, slice_ in enumerate(table.probs):
+        # the x-marginal of the Xep row: all of its mass at X = Xep
+        marg = slice_.sum(axis=1)
+        assert marg[i] == pytest.approx(1.0)
+        assert np.count_nonzero(marg) == 1
 
 
 def test_continuous_columns_rejected():
@@ -273,9 +274,22 @@ def test_product_table_matches_enumeration():
             for y10 in (x - 1, x, x + 1):
                 want = float(oracle.product_cell(xep, x, y10))
                 assert table.cell(xep, x, y10 / 10) == pytest.approx(want, abs=1e-12)
+    # rows() lists exactly the oracle's cells with mass, sorted, each at its value
+    positive = {
+        (xep, x, y10): p
+        for xep in range(7, 12)
+        for x in (8, 9, 10)
+        for y10 in range(7, 12)
+        if (p := oracle.product_cell(xep, x, y10)) > 0
+    }
     rows = list(table.rows())
     assert [r[:3] for r in rows] == sorted(r[:3] for r in rows)
-    assert len({r[:3] for r in rows}) == len(rows) == 5 * 3 * table.y_support.size
+    keys = [(round(xep), round(x), round(10 * y)) for xep, x, y, _ in rows]
+    assert len(set(keys)) == len(rows) == len(positive)
+    assert set(keys) == positive.keys()
+    for xep, x, y, p in rows:
+        want = positive[(round(xep), round(x), round(10 * y))]
+        assert p > 0 and p == pytest.approx(float(want), abs=1e-12)
 
 
 def test_product_table_differs_from_conditional_joint():
@@ -350,6 +364,78 @@ def test_unsupported_combinations_raise():
             OutcomeModel(link=Link.LOG, beta_x=0.1, noise=DistributionSpec.point_mass(0)),
             CLASSICAL_UNIT_ERROR, X_MARGINAL, xep_support=[9],
         )
+
+
+def test_continuous_exposure_needs_x_support():
+    with pytest.raises(CapabilityError, match="x_support is required for continuous exposure"):
+        analytic_product_table(
+            TABLE2_OUTCOME, CLASSICAL_UNIT_ERROR, DistributionSpec.normal(9, 1), xep_support=[9]
+        )
+
+
+def test_measured_value_with_zero_density_raises():
+    # Xep = X exactly, and X lives on {8, 9, 10}: no X reaches Xep = 20
+    error = ErrorModel(kind=ErrorKind.NON_BERKSON_LINEAR, gamma1=1.0,
+                       noiseU=DistributionSpec.point_mass(0.0))
+    with pytest.raises(SupportError, match="Xep = 20.0 has zero density under the error model"):
+        analytic_product_table(TABLE2_OUTCOME, error, X_MARGINAL, xep_support=[20])
+
+
+def _degenerate_normal_cases(zero):
+    """(outcome, error, x_marginal) triples with one law set to ``zero(mu)``."""
+    unit = DistributionSpec.rounded_uniform(-1, 1)
+    outcome = OutcomeModel(link=Link.IDENTITY, beta_x=0.1, noise=zero(0.0), noise_scale=0.1)
+    berkson = ErrorModel(kind=ErrorKind.PURE_BERKSON, noiseU=zero(0.0))
+    classical = ErrorModel(kind=ErrorKind.NON_BERKSON_LINEAR, gamma1=1.0, noiseU=zero(0.0))
+    return {
+        "classical_error": (TABLE2_OUTCOME, classical, X_MARGINAL),
+        "berkson_error": (TABLE2_OUTCOME, berkson, X_MARGINAL),
+        "outcome_noise": (outcome, CLASSICAL_UNIT_ERROR, X_MARGINAL),
+        "x_marginal": (TABLE2_OUTCOME, ErrorModel(kind=ErrorKind.NON_BERKSON_LINEAR,
+                                                  gamma1=1.0, noiseU=unit), zero(9.0)),
+    }
+
+
+@pytest.mark.parametrize("case", ["classical_error", "berkson_error", "outcome_noise", "x_marginal"])
+def test_zero_variance_normal_is_its_point_mass(case):
+    # normal(mu, 0) passes scenario validation; every branch treats it as
+    # pointMass(mu), so the two tables hold the same bytes
+    got, want = (
+        analytic_product_table(
+            *_degenerate_normal_cases(zero)[case], xep_support=[8, 9, 10], x_support=[8, 9, 10]
+        )
+        for zero in (lambda mu: DistributionSpec.normal(mu, 0.0), DistributionSpec.point_mass)
+    )
+    for support in ("xep_support", "x_support", "y_support"):
+        assert getattr(got, support).tobytes() == getattr(want, support).tobytes()
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert got.probs.sum() > 0
+
+
+def test_continuous_exposure_with_discrete_error_against_direct_sum():
+    # X ~ N(9, 1) and Xep = X + U with the three-point U: X | Xep = e sits on
+    # the points e - u, weighted by f_X(e - u) P(U = u)
+    outcome = OutcomeModel(link=Link.LOGIT, beta0=-1.3, beta_x=0.25,
+                           noise=DistributionSpec.rounded_uniform(-1, 1), noise_scale=0.7)
+    x_law = DistributionSpec.normal(9, 1)
+    xeps, xs = [7.5, 9.0, 11.25], [8.0, 9.0, 10.0]
+    table = analytic_product_table(
+        outcome, CLASSICAL_UNIT_ERROR, x_law, xep_support=xeps, x_support=xs
+    )
+    three_point = {-1: 0.25, 0: 0.5, 1: 0.25}
+
+    def p1(x):
+        return sum(p * _sigmoid(-1.3 + 0.25 * x + 0.7 * w) for w, p in three_point.items())
+
+    def f_x(x):
+        return math.exp(-0.5 * (x - 9.0) ** 2) / math.sqrt(2 * math.pi)
+
+    for e in xeps:
+        joint = {e - u: f_x(e - u) * p for u, p in three_point.items()}
+        p_meas = sum(p * p1(x) for x, p in joint.items()) / sum(joint.values())
+        for x in xs:
+            assert table.cell(e, x, 1.0) == pytest.approx(p1(x) * p_meas, abs=1e-14)
+            assert table.cell(e, x, 0.0) == pytest.approx((1 - p1(x)) * (1 - p_meas), abs=1e-14)
 
 
 def test_analytic_mode_rejects_gamma_v_and_kind_none():

@@ -164,6 +164,19 @@ def test_berkson_confounder_and_v_errors_rejected_by_section():
     assert validate_scenario(replace(s, exposure_error=berkson_exposure)) == []
 
 
+@pytest.mark.parametrize(
+    "section, edit, message",
+    [
+        ("c_model", {"coef_c": 0.5}, "c_model.coef_c must be 0 (C cannot depend on itself)"),
+        ("v_error", {"gammaV": 0.5}, "v_error.gammaV must be 0 (the V slope is gamma1)"),
+    ],
+)
+def test_self_loadings_rejected(section, edit, message):
+    s = worlds.table3_scenario(1)
+    bad = replace(s, **{section: replace(getattr(s, section), **edit)})
+    assert validate_scenario(bad) == [message]
+
+
 def test_out_of_range_seed_rejected():
     s = worlds.table3_scenario(1)
     for seed in (-1, 2**64):
@@ -279,8 +292,12 @@ def test_canonical_scenarios_round_trip():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ScenarioFormatError):
+    with pytest.raises(ScenarioFormatError, match="^line 1: expected 'section.key = value'$"):
         parse_scenario("just some words\n")
+    with pytest.raises(ScenarioFormatError, match="^line 2: key 'n' has no section$"):
+        parse_scenario("# comment\nn = 3\n")
+    with pytest.raises(ScenarioFormatError, match=r"^nosuch\.key: unknown section$"):
+        parse_scenario("nosuch.key = 1\n")
     with pytest.raises(ScenarioFormatError):
         parse_scenario("outcome.nope = 3\n")
     with pytest.raises(ScenarioFormatError):
@@ -343,6 +360,8 @@ def test_parse_rejects_duplicate_key():
 
 
 def test_dataset_rejects_ragged_and_nonfinite():
+    with pytest.raises(SchemaError, match="^dataset must have at least one column$"):
+        Dataset({})
     with pytest.raises(SchemaError):
         Dataset({"X": np.ones(3), "Y": np.ones(4)})
     with pytest.raises(SchemaError):
@@ -382,6 +401,24 @@ def test_dataset_csv_header_only_is_one_schema_error(tmp_path, text):
     path = tmp_path / "empty.csv"
     path.write_text(text)
     with pytest.raises(SchemaError, match=r"empty\.csv: no data rows$"):
+        Dataset.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", r"bad\.csv: empty CSV$"),
+        ("\n1,2\n", r"bad\.csv: empty CSV$"),
+        ("X,Y\n1,a\n", r"bad\.csv: malformed CSV \(.+\)$"),
+        ("X,Y\n1,2\n3\n", r"bad\.csv: malformed CSV \(.+\)$"),
+        ("X,Y\n1,2,3\n", r"bad\.csv: 2 header fields but 3 columns$"),
+        ("X,Y,Z\n1,2\n", r"bad\.csv: 3 header fields but 2 columns$"),
+    ],
+)
+def test_dataset_csv_rejects_a_malformed_file(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=message):
         Dataset.from_csv(path)
 
 

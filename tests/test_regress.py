@@ -343,6 +343,28 @@ def test_score_at_solution_below_tolerance():
     assert np.all(np.linalg.eigvalsh(info) > 0)
 
 
+def test_design_without_constant_column_starts_from_zero(monkeypatch):
+    # no intercept: the fit starts at beta = 0, where the log-likelihood is
+    # n log(1/2), and converges to the Newton fixed point
+    rng = np.random.default_rng(3)
+    n = 2000
+    x, z = rng.normal(size=n), rng.normal(size=n)
+    y = (rng.uniform(size=n) < _sigmoid(0.8 * x - 0.5 * z)).astype(float)
+    a = np.column_stack([x, z])
+    fit = logistic_irls(a, y)
+    score = a.T @ (y - _sigmoid(a @ fit.coefficients))
+    assert np.max(np.abs(score)) < regress.IRLS_TOL
+    beta = np.zeros(2)
+    for _ in range(50):
+        mu = _sigmoid(a @ beta)
+        beta = beta + np.linalg.solve((a * (mu * (1 - mu))[:, None]).T @ a, a.T @ (y - mu))
+    np.testing.assert_allclose(fit.coefficients, beta, rtol=0, atol=1e-8)
+    monkeypatch.setattr(regress, "IRLS_MAX_ITER", 0)
+    with pytest.raises(ConvergenceError) as err:
+        logistic_irls(a, y)
+    assert err.value.trace == [pytest.approx(n * math.log(0.5), rel=1e-15)]
+
+
 def test_generating_coefficient_recovered():
     # binary world with a rare outcome: the exposure coefficient 0.3 comes
     # back on average (single fits are noisy at ~100 events per replication)

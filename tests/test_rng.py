@@ -110,8 +110,10 @@ def test_gamma_all_positive():
 
 
 def test_invalid_spec_raises():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^gamma shape must be > 0$"):
         sample(DistributionSpec.gamma(-1.0, 1.0), StreamKey(1, 0, 1), 5)
+    with pytest.raises(ParameterError, match="^n must be >= 0$"):
+        sample(DistributionSpec.normal(0.0, 1.0), StreamKey(1, 0, 1), -1)
     with pytest.raises(ParameterError):
         StreamKey(1, -1, 1)
 
