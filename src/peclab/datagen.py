@@ -43,12 +43,16 @@ def generate_table2_world(n: int, seed: int) -> Dataset:
 
     x = draw(ColumnTag.X, 8, 10)
     w = draw(ColumnTag.W, -1, 1)
-    u = draw(ColumnTag.U, -1, 1)
-    # 0.1 * x + 0.1 * w, in that order, with one new tall array
+    # 0.1 * x + 0.1 * w, in that order, with one new tall array; W goes
+    # before U is drawn, and Xep is x + u in U's own buffer (IEEE addition
+    # commutes), so at most three tall columns and one draw's scratch live
     y = 0.1 * x
     w *= 0.1
     y += w
-    return Dataset({"X": x, "Xep": x + u, "Y": y})
+    del w
+    u = draw(ColumnTag.U, -1, 1)
+    u += x
+    return Dataset({"X": x, "Xep": u, "Y": y})
 
 
 def _apply_error(

@@ -25,9 +25,11 @@ weighted moments), and a table4 or table5 world three IRLS fits, each
 started from the factor's linear-probability fit.
 
 table2 is one world of 10^6 rows, tabulated once: the exchangeability-
-probability grid and its AEEs come from one ``empirical_table`` (a sort of
-each column for its support, then one uint8 counting pass per support point
-for the rows' indices: no argsort, no binary search), and both the
+probability grid and its AEEs come from one ``empirical_table`` (two
+passes over fixed blocks of rows: a sort of each block of each column for
+its support, then one uint8 counting pass per support point for each
+block's indices and one bincount of its cell codes: no argsort, no binary
+search, and no scratch that grows with the rows), and both the
 calibration (gamma0, gamma1) and the p_rd R^2 are read from the same
 table's joint (Xep, X) counts. The world's columns are discrete, so those
 counts are sufficient for both fits and no tall design is built.

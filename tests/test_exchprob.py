@@ -9,6 +9,7 @@ from peclab import worlds
 from peclab.datagen import generate_table2_world
 from peclab.errors import CapabilityError, DiscretenessError, SupportError
 from peclab.exchprob import (
+    BLOCK_ROWS,
     KEY_DECIMALS,
     MAX_SUPPORT,
     TableMode,
@@ -169,6 +170,33 @@ def test_empirical_table_matches_unique_inverse_reference(seed):
         _assert_matches_unique_inverse(Dataset({"X": x, "Xep": xep, "Y": y}))
 
 
+@pytest.mark.parametrize(
+    "n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
+)
+def test_empirical_table_matches_the_reference_across_block_boundaries(n):
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 3, n) * 0.5
+    xep = rng.integers(1, 4, n) * 0.25
+    y = rng.choice([0.5, 1.0], n)
+    # 7.0 occurs only in the last block, -0.0 only in the first, +0.0 only
+    # in the last
+    xep[-1] = 7.0
+    y[0] = -0.0
+    y[-1] = 0.0
+    table = _assert_matches_unique_inverse(Dataset({"X": x, "Xep": xep, "Y": y}))
+    assert table.xep_support[-1] == 7.0
+    assert table.cell(7.0, x[-1], 0.0) == 1.0
+    assert table.y_support[0] == 0.0 and not np.signbit(table.y_support).any()
+
+
+def test_an_empty_dataset_gives_an_empty_table():
+    table = empirical_table(Dataset({c: np.empty(0) for c in ("X", "Xep", "Y")}))
+    assert table.counts.shape == table.probs.shape == (0, 0, 0)
+    assert table.counts.dtype == np.int64 and table.probs.dtype == np.float64
+    for support in (table.xep_support, table.x_support, table.y_support):
+        assert support.shape == (0,) and support.dtype == np.float64
+
+
 def test_every_column_at_max_support_reaches_the_top_index_and_code():
     i = np.arange(MAX_SUPPORT * MAX_SUPPORT)
     ds = Dataset({
@@ -210,18 +238,38 @@ def test_empirical_table_does_not_depend_on_row_order(order):
             assert table.probs.tobytes() == base.probs.tobytes()
 
 
-def test_empirical_table_peak_memory_per_row():
-    n = 200_000
-    ds = generate_table2_world(n, 5)
+def _tabulation_peak(ds):
     tracemalloc.start()
     try:
         empirical_table(ds)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_empirical_table_peak_memory_is_fixed_by_the_block():
+    # one block's keyed values, sorted copy, masks, uint8 indices and intp
+    # codes, whatever the row count; one keyed column, its sorted copy and
+    # an intp code array as long as the table read about 20 MiB at 10^6 rows
+    peaks = [
+        _tabulation_peak(generate_table2_world(n, 5))
+        for n in (8 * BLOCK_ROWS, 16 * BLOCK_ROWS, 10**6)
+    ]
+    assert max(peaks) < 4 * 2**20, [f"{p / 2**20:.2f} MiB" for p in peaks]
+    assert max(peaks) - min(peaks) < 2**18, peaks
+
+
+def test_table2_world_peak_memory_per_row():
+    n = 10**6
+    tracemalloc.start()
+    try:
+        generate_table2_world(n, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the keyed column, its sorted copy, three uint8 index arrays and one
-    # intp code array; three intp index arrays read about 39 bytes per row
-    assert peak / n < 30, f"{peak / n:.1f} bytes per row"
+    # under four tall float64 columns for the three it returns: W is dropped
+    # before U is drawn, and Xep is added into U's own buffer
+    assert peak / n < 32, f"{peak / n:.1f} bytes per row"
 
 
 @pytest.mark.parametrize("column", ["X", "Xep", "Y"])
