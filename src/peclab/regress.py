@@ -219,8 +219,15 @@ def _log_likelihood(y: np.ndarray, eta: np.ndarray, e: np.ndarray) -> float:
     # sum of y*eta - log(1 + exp(eta)), stably: log(1 + exp(eta)) =
     # max(eta, 0) + log1p(exp(-|eta|)), and e = exp(-|eta|) serves here and
     # in _sigmoid_from; for y in {0, 1} this equals -log(1 + exp(-(2y-1) eta))
-    # summed, without forming the (2y-1)*eta products
+    # summed, without forming the (2y-1)*eta products. logistic_irls needs it
+    # only when a full Newton step fails its concavity check, and for the
+    # trace of a fit that does not converge
     return float(y @ eta - np.maximum(eta, 0.0).sum() - np.log1p(e).sum())
+
+
+def _log_likelihood_at(a: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
+    eta = a @ beta
+    return _log_likelihood(y, eta, np.exp(-np.abs(eta)))
 
 
 def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
@@ -235,11 +242,19 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
     about the mean p: logit(p) + (a b - p) / (p (1 - p)), which saves about
     one Newton step; any other design starts from zero.
 
-    Newton steps with step-halving whenever the log-likelihood would
-    decrease; converged when every score component is below 1e-6. A
+    Newton steps, each halved while it would lower the log-likelihood l
+    by more than a noise allowance of 1e-10 (|l| + 1); converged when every
+    score component is below 1e-6. l is concave, so along a step s the
+    slope of phi(t) = l(beta + t s) does not increase: when phi'(1), the
+    score at beta + s times s, is >= 0, then phi(1) >= phi(0). A full step
+    that passes this check is accepted on that one dot product, and its
+    score serves the next pass. Only a step that fails it (a NaN fails too)
+    computes l, at beta and at each candidate, and halves as above. A
     converged linear predictor that puts no row on the wrong side of zero,
     (2y - 1) eta >= 0 up to rounding, separates the response: no finite
-    MLE exists, and SeparationError is raised.
+    MLE exists, and SeparationError is raised. A fit that reaches the
+    iteration cap raises ConvergenceError with the trace of l at the start
+    and after each accepted step.
     """
     # every product below runs down the design's columns
     a, y = _tall(design, response)
@@ -265,14 +280,15 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
         beta = np.zeros(p)
     eta = a @ beta
     e = np.exp(-np.abs(eta))
-    ll = _log_likelihood(y, eta, e)
     mu = _sigmoid_from(eta, e)
-    trace = [ll]
+    score = a.T @ (y - mu)
+    # l at beta when a failed check has computed it, else None
+    ll = None
+    accepted = [beta]
 
-    # one score per pass, read by every check at its top: a separated
+    # every check reads the score at the top of its pass: a separated
     # optimum is reported even at the iteration cap
     for it in range(IRLS_MAX_ITER + 1):
-        score = a.T @ (y - mu)
         max_score = np.max(np.abs(score))
         if max_score < IRLS_TOL:
             # at a stationary point with eta != 0 some margin (2y - 1) eta
@@ -291,7 +307,7 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
             raise ConvergenceError(
                 f"IRLS did not converge in {IRLS_MAX_ITER} iterations "
                 f"(max |score| = {max_score:.3g})",
-                trace=trace,
+                trace=[_log_likelihood_at(a, y, b) for b in accepted],
             )
         w = np.clip(mu * (1.0 - mu), 1e-12, None)
         h = (a * w[:, None]).T @ a
@@ -299,22 +315,34 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
             step = np.linalg.solve(h, score)
         except np.linalg.LinAlgError:
             raise SeparationError("information matrix is singular (separation?)") from None
-        # step-halving on likelihood decrease; decreases within float
-        # resolution of the log-likelihood magnitude are accepted so the
-        # final Newton steps are not rejected as noise
-        noise = 1e-10 * (abs(ll) + 1.0)
-        scale = 1.0
-        for _ in range(30):
-            cand = beta + scale * step
-            cand_eta = a @ cand
-            cand_e = np.exp(-np.abs(cand_eta))
-            cand_ll = _log_likelihood(y, cand_eta, cand_e)
-            if cand_ll >= ll - noise:
-                break
-            scale *= 0.5
-        beta, eta, ll = cand, cand_eta, cand_ll
-        mu = _sigmoid_from(eta, cand_e)
-        trace.append(ll)
+        cand = beta + step
+        cand_eta = a @ cand
+        cand_e = np.exp(-np.abs(cand_eta))
+        cand_mu = _sigmoid_from(cand_eta, cand_e)
+        cand_score = a.T @ (y - cand_mu)
+        cand_ll = None
+        if not (cand_score @ step >= 0.0):
+            # step-halving on likelihood decrease; decreases within float
+            # resolution of the log-likelihood magnitude are accepted so the
+            # final Newton steps are not rejected as noise
+            if ll is None:
+                ll = _log_likelihood(y, eta, e)
+            noise = 1e-10 * (abs(ll) + 1.0)
+            scale = 1.0
+            for k in range(30):
+                if k:
+                    cand = beta + scale * step
+                    cand_eta = a @ cand
+                    cand_e = np.exp(-np.abs(cand_eta))
+                cand_ll = _log_likelihood(y, cand_eta, cand_e)
+                if cand_ll >= ll - noise:
+                    break
+                scale *= 0.5
+            if scale != 1.0:
+                cand_mu = _sigmoid_from(cand_eta, cand_e)
+                cand_score = a.T @ (y - cand_mu)
+        beta, eta, e, mu, score, ll = cand, cand_eta, cand_e, cand_mu, cand_score, cand_ll
+        accepted.append(beta)
 
 
 def design_with_intercept(*columns) -> np.ndarray:

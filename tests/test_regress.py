@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peclab import regress
+from peclab import estimate, regress
 from peclab.datagen import generate_scenario
 from peclab.errors import (
     ConvergenceError,
@@ -13,7 +13,7 @@ from peclab.errors import (
     SeparationError,
     SingularDesignError,
 )
-from peclab.harness import METHODS, STUDY_TABLES
+from peclab.harness import METHODS, STUDY_TABLES, _replicate
 from peclab.regress import (
     INTERCEPT,
     _constant_columns,
@@ -420,27 +420,241 @@ def test_noninteger_response_rejected():
         logistic_irls(design_with_intercept(np.arange(5.0)), np.linspace(0, 1, 5))
 
 
+# ---------------------------------------------------------------------------
+# The concavity check takes the steps a likelihood comparison takes
+
+
+def _reference_irls(design, response, column_names=None, r=None, scales=None):
+    """logistic_irls as a loop that computes the log-likelihood at every
+    Newton candidate and accepts the first one within the noise allowance
+    of the log-likelihood at beta: the same start, steps, halvings and
+    checks, written without the concavity check. Each accepted step's scale
+    is appended to ``scales``."""
+    a, y = regress._tall(design, response)
+    a = np.asfortranarray(a)
+    n, p = a.shape
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ParameterError("logistic response must be coded 0/1")
+    if y.sum() in (0, n):
+        raise ParameterError("logistic response is constant")
+    if r is None:
+        r = np.linalg.qr(np.column_stack([a, y]), mode="r")
+    const_cols = np.flatnonzero(_constant_columns(a))
+    if const_cols.size:
+        j = const_cols[0]
+        ybar = y.mean()
+        var = ybar * (1.0 - ybar)
+        beta = regress._solve_rows(r[:, :p], r[:, p], column_names) / var
+        beta[j] += (np.log(ybar / (1.0 - ybar)) - ybar / var) / a[0, j]
+    else:
+        regress._check_rank(r[:, :p], column_names)
+        beta = np.zeros(p)
+    eta = a @ beta
+    e = np.exp(-np.abs(eta))
+    ll = _log_likelihood(y, eta, e)
+    mu = regress._sigmoid_from(eta, e)
+    trace = [ll]
+    for it in range(regress.IRLS_MAX_ITER + 1):
+        score = a.T @ (y - mu)
+        max_score = np.max(np.abs(score))
+        if max_score < regress.IRLS_TOL:
+            if np.min((2.0 * y - 1.0) * eta) > -1e-9 * np.max(np.abs(eta)):
+                raise SeparationError(
+                    "the fitted linear predictor puts no row on the wrong side of zero; "
+                    "the response is perfectly separated and no finite MLE exists"
+                )
+            return regress.RegressionFit(beta, iterations=it, linear_predictor=eta, fitted=mu)
+        if it == regress.IRLS_MAX_ITER:
+            raise ConvergenceError(
+                f"IRLS did not converge in {regress.IRLS_MAX_ITER} iterations "
+                f"(max |score| = {max_score:.3g})",
+                trace=trace,
+            )
+        w = np.clip(mu * (1.0 - mu), 1e-12, None)
+        try:
+            step = np.linalg.solve((a * w[:, None]).T @ a, score)
+        except np.linalg.LinAlgError:
+            raise SeparationError("information matrix is singular (separation?)") from None
+        noise = 1e-10 * (abs(ll) + 1.0)
+        scale = 1.0
+        for _ in range(30):
+            cand = beta + scale * step
+            cand_eta = a @ cand
+            cand_e = np.exp(-np.abs(cand_eta))
+            cand_ll = _log_likelihood(y, cand_eta, cand_e)
+            if cand_ll >= ll - noise:
+                break
+            scale *= 0.5
+        beta, eta, ll = cand, cand_eta, cand_ll
+        mu = regress._sigmoid_from(eta, cand_e)
+        trace.append(ll)
+        if scales is not None:
+            scales.append(scale)
+
+
+def _outcome(fit_function, *args, **kwargs):
+    """The fit, or the class, message and trace of the error it raised."""
+    try:
+        return fit_function(*args, **kwargs)
+    except Exception as err:  # noqa: BLE001 -- compared class and message
+        return type(err), str(err), getattr(err, "trace", None)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert np.array_equal(got.coefficients, want.coefficients)
+    assert np.array_equal(got.linear_predictor, want.linear_predictor)
+    assert np.array_equal(got.fitted, want.fitted)
+    assert got.iterations == want.iterations
+
+
+# one event on an 18-row design: a full Newton step lowers the log-likelihood
+# once, so the fit halves that step before it converges
+_OVERSHOOT_X = np.array([3.31, -1.243, -0.244, 4.148, -0.359, -0.763, 0.263, 1.803, -1.341,
+                         0.582, 0.196, -1.178, -0.256, -1.141, -0.388, 0.367, 0.349, -0.566])
+_OVERSHOOT_Y = np.eye(1, _OVERSHOOT_X.size)[0]
+
+
 def test_step_halving_recovers_from_an_overshooting_newton_step(monkeypatch):
-    # one event on an 18-row design: a full Newton step lowers the
-    # log-likelihood once, so the fit halves that step before it converges
-    x = np.array([3.31, -1.243, -0.244, 4.148, -0.359, -0.763, 0.263, 1.803, -1.341,
-                  0.582, 0.196, -1.178, -0.256, -1.141, -0.388, 0.367, 0.349, -0.566])
-    y = np.zeros(x.size)
-    y[0] = 1.0
-    evaluations = []
+    values = []
 
-    def counting_log_likelihood(*args):
-        evaluations.append(args)
-        return _log_likelihood(*args)
+    def recording_log_likelihood(*args):
+        values.append(_log_likelihood(*args))
+        return values[-1]
 
-    monkeypatch.setattr(regress, "_log_likelihood", counting_log_likelihood)
-    design = design_with_intercept(x)
+    monkeypatch.setattr(regress, "_log_likelihood", recording_log_likelihood)
+    design = design_with_intercept(_OVERSHOOT_X)
+    y = _OVERSHOOT_Y
     fit = logistic_irls(design, y)
-    # the start and one candidate per step, plus at least one halved candidate
-    assert len(evaluations) > fit.iterations + 1
+    # a step that fails its concavity check compares its candidates with l
+    # at beta, recorded before them: computed then, or as the candidate an
+    # earlier such step took. A candidate more than the noise allowance below
+    # every l recorded before it was rejected, and a halved candidate followed
+    rejected = [
+        i for i in range(1, len(values))
+        if values[i] < min(values[:i]) - 1e-10 * (abs(min(values[:i])) + 1.0)
+    ]
+    assert rejected and rejected[0] + 1 < len(values)
+    _assert_same_outcome(fit, _reference_irls(design, y))
     score = design.T @ (y - _sigmoid(design @ fit.coefficients))
     assert np.max(np.abs(score)) < regress.IRLS_TOL
     assert fit.coefficients == pytest.approx([-4.7574, 1.1772], abs=1e-4)
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("table", ["table4", "table5"])
+def test_every_g_computation_fit_matches_the_reference(table, seed, monkeypatch):
+    # each logistic fit the study makes, on every basis g-computation fits
+    # (calibrated designs take their measured basis's fit), is the fit the
+    # likelihood-comparing loop makes, bit for bit
+    study = STUDY_TABLES[table]
+    calls = []
+
+    def recording_irls(design, response, column_names=None, r=None):
+        calls.append((design, response, column_names, r))
+        return logistic_irls(design, response, column_names=column_names, r=r)
+
+    monkeypatch.setattr(estimate, "logistic_irls", recording_irls)
+    for key in study.published:
+        scenario = study.build(key, n=10_000, replications=3, seed=seed)
+        for rep in range(3):
+            _replicate(scenario, rep, study.methods)
+    monkeypatch.undo()
+    for design, response, names, r in calls:
+        want = _reference_irls(design, response, column_names=names, r=r)
+        _assert_same_outcome(logistic_irls(design, response, column_names=names, r=r), want)
+    measured = {(INTERCEPT, METHODS[m][1], *METHODS[m][2]) for m in study.methods}
+    assert {names for _, _, names, _ in calls} == {b for b in measured if "X_RC" not in b}
+    assert len(calls) == 3 * len(study.published) * 3
+
+
+def _small_problem(seed, n, k, intercept, rare, df):
+    """n rows of k heavy-tailed columns (Student t with df degrees of
+    freedom), with or without a constant column, and a response with 1 to 3
+    events or n // 2 at rows drawn apart from the columns: high-leverage rows
+    make full Newton steps overshoot, and some draws separate."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(df, size=(k, n))
+    y = np.zeros(n)
+    y[rng.choice(n, int(rng.integers(1, 4)) if rare else n // 2, replace=False)] = 1.0
+    return (design_with_intercept(*x) if intercept else np.column_stack(x)), y
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(12, 200),
+    k=st.integers(1, 3),
+    intercept=st.booleans(),
+    rare=st.booleans(),
+    df=st.sampled_from([1.0, 2.0, 30.0]),
+)
+def test_small_fits_match_the_reference(seed, n, k, intercept, rare, df):
+    # the same fit, or the same error class, message and trace
+    design, y = _small_problem(seed, n, k, intercept, rare, df)
+    want = _outcome(_reference_irls, design, y)
+    _assert_same_outcome(_outcome(logistic_irls, design, y), want)
+
+
+def test_small_fits_that_fall_back_match_the_reference(monkeypatch):
+    # a fixed sweep of the drawn problems with rare events, a constant
+    # column and the heaviest tails, where full steps overshoot most: many
+    # steps fail the concavity check and some of those halve, and each
+    # outcome is the reference's
+    draw = np.random.default_rng(29)
+    calls = []
+
+    def counting_log_likelihood(*args):
+        calls.append(None)
+        return _log_likelihood(*args)
+
+    monkeypatch.setattr(regress, "_log_likelihood", counting_log_likelihood)
+    halved = fell_back = 0
+    for seed in range(200):
+        n, k = int(draw.integers(12, 201)), int(draw.integers(1, 4))
+        problem = _small_problem(seed, n, k, True, True, [1.0, 2.0][seed % 2])
+        scales = []
+        want = _outcome(_reference_irls, *problem, scales=scales)
+        before = len(calls)
+        _assert_same_outcome(_outcome(logistic_irls, *problem), want)
+        fell_back += len(calls) > before
+        halved += min(scales, default=1.0) < 1.0
+    assert fell_back >= 20 and halved >= 10
+
+
+@pytest.mark.parametrize("seed, n, k", [(8233, 162, 2), (10426, 167, 2), (19797, 111, 1)])
+def test_a_failed_check_compares_with_l_at_the_current_beta(seed, n, k):
+    # a step accepted on its check leaves l unknown, so the next step that
+    # fails its check computes l at beta afresh: in each of these fits that
+    # step's full candidate lies below l at beta, and is halved, but above l
+    # at the iterate before, where the last computed l was
+    design, y = _small_problem(seed, n, k, True, True, 1.0)
+    _assert_same_outcome(logistic_irls(design, y), _reference_irls(design, y))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+@pytest.mark.parametrize("case", ["overshoot", "normal"])
+def test_convergence_trace_equals_the_reference_trace(case, cap, monkeypatch):
+    # the starting log-likelihood and one per accepted step, value for value,
+    # whether or not a step fell back on the log-likelihood
+    if case == "overshoot":
+        design, y = design_with_intercept(_OVERSHOOT_X), _OVERSHOOT_Y
+    else:
+        rng = _rng()
+        x = rng.normal(size=500)
+        design = design_with_intercept(x)
+        y = (rng.random(500) < 1 / (1 + np.exp(-x))).astype(float)
+    monkeypatch.setattr(regress, "IRLS_MAX_ITER", cap)
+    with pytest.raises(ConvergenceError) as want:
+        _reference_irls(design, y)
+    with pytest.raises(ConvergenceError) as got:
+        logistic_irls(design, y)
+    assert str(got.value) == str(want.value)
+    assert len(got.value.trace) == cap + 1
+    assert got.value.trace == want.value.trace
 
 
 # ---------------------------------------------------------------------------
