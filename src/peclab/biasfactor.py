@@ -108,9 +108,9 @@ def p_rd_polynomial_from_data(q: int, x, xep, gamma1: float | None = None) -> fl
     """
     x = np.asarray(x, dtype=float)
     xep = np.asarray(xep, dtype=float)
+    if x.ndim != 1 or x.shape != xep.shape:
+        raise ParameterError("x and xep must be vectors of equal length")
     if gamma1 is None:
-        if x.ndim != 1 or x.shape != xep.shape:
-            raise ParameterError("x and xep must be vectors of equal length")
         fit = ColumnFactor.of({"X": x}, {"Xep": xep}).fit((INTERCEPT, "X"), "Xep")
         gamma1 = float(fit.coefficients[1])
     xq = x**q
@@ -121,6 +121,16 @@ def p_rd_polynomial_from_data(q: int, x, xep, gamma1: float | None = None) -> fl
     return p_rd_polynomial(q, gamma1, var_xq, var_uq)
 
 
+def _check_surrogate(gamma1: float, p_rd: float | None = None) -> None:
+    """The surrogate algebra's rule: gamma1 finite and nonzero, p_rd in [0, 1]."""
+    if not math.isfinite(gamma1):
+        raise ParameterError(f"gamma1 must be finite, got {gamma1}")
+    if gamma1 == 0:
+        raise ParameterError("gamma1 must be nonzero")
+    if p_rd is not None and not 0.0 <= p_rd <= 1.0:
+        raise ParameterError("p_rd must lie in [0, 1]")
+
+
 def surrogate_bounds(p_rd: float, gamma1: float) -> tuple[float, float]:
     """Bounds on AEE(Xep)/AEE(X) over admissible p_rd in [0, 1].
 
@@ -128,18 +138,14 @@ def surrogate_bounds(p_rd: float, gamma1: float) -> tuple[float, float]:
     (ordered by sign), so for gamma1 >= 1 the surrogate never exceeds the
     true effect.
     """
-    if gamma1 == 0:
-        raise ParameterError("gamma1 must be nonzero")
-    if not 0.0 <= p_rd <= 1.0:
-        raise ParameterError("p_rd must lie in [0, 1]")
+    _check_surrogate(gamma1, p_rd)
     extreme = 1.0 / gamma1
     return (min(0.0, extreme), max(0.0, extreme))
 
 
 def surrogate_ratio(p_rd: float, gamma1: float) -> float:
     """AEE(Xep)/AEE(X) = p_rd / gamma1 on the risk-difference scale."""
-    if gamma1 == 0:
-        raise ParameterError("gamma1 must be nonzero")
+    _check_surrogate(gamma1, p_rd)
     return p_rd / gamma1
 
 
@@ -157,8 +163,7 @@ def predict_naive_slope_rr(beta1: float, gamma1: float, p_rr: float, link: Link)
     """
     if link not in (Link.LOG, Link.LOGIT):
         raise ParameterError("link must be log or logit")
-    if gamma1 == 0:
-        raise ParameterError("gamma1 must be nonzero")
+    _check_surrogate(gamma1)
     return RrPrediction(value=(p_rr / gamma1) * beta1, approximate=link is Link.LOGIT)
 
 

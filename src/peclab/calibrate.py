@@ -10,9 +10,9 @@ regressor, i.e. pure Berkson form.
 The fits come from the dataset's one QR factor (``Dataset.factor``), whose
 leading block is the calibration design [1, Xep, Cep, Vep], so each target
 is a triangular solve on R with the coefficients ``ols`` gives that design.
-X_RC, C_RC, V_RC join the dataset as coordinates (``Dataset.with_coordinates``):
-the factor, and every fit made on it, serves the calibrated designs without
-a new QR, and a calibrated column's rows are built only when read.
+X_RC, C_RC, V_RC join the dataset's factor as coordinates (``with_coordinates``
+builds it if absent): the factor and every fit made on it serve the calibrated
+designs without a new QR, and a calibrated column's rows are built when read.
 """
 
 from __future__ import annotations

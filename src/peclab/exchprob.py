@@ -298,7 +298,7 @@ def analytic_product_table(
         xep_support=xep_support,
         x_support=x_support,
         y_support=y_support,
-        probs=p_true[None, :, :] * p_measured[:, None, :],
+        probs=p_true * p_measured.reshape(-1, 1, y_support.size),  # an empty xep support too
         counts=None,
     )
 

@@ -2,8 +2,8 @@
 
 All types are immutable value objects after construction and safe to share
 across threads; a Dataset only caches its regression factor and the rows of
-its coordinate columns (derived columns held as linear combinations of its
-columns), each on first use.
+its coordinate columns (derived columns, whose coordinates on its columns
+the factor holds), each on first use.
 Scenarios round-trip through a line-oriented text format (``section.key =
 value``, see docs/scenario-format.md); datasets round-trip through CSV with
 the canonical column header ``X,Xep,C,Cep,V,Vep,Y``.
@@ -344,11 +344,11 @@ class Dataset:
     Columns are float vectors of equal length keyed by the canonical names in
     COLUMN_ORDER plus any derived columns (X_RC, ...). Instances are treated
     as immutable; derived columns are added by ``with_coordinates``, which
-    returns a new Dataset that holds them as coordinates on this one's
-    columns. The mutable parts are caches: the regression factor of the
-    columns (``factor``) and the rows of each coordinate column, each built
-    on first use. Two threads that build the same one compute identical
-    values, so either may keep it.
+    returns a new Dataset whose factor alone holds them, as coordinates on
+    this one's columns. The mutable parts are caches: the regression factor
+    of the columns (``factor``) and the rows of each coordinate column, each
+    built on first use. Two threads that build the same one compute
+    identical values, so either may keep it.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]):
@@ -361,8 +361,6 @@ class Dataset:
             n = clean[name].shape[0]
         # a coordinate column's rows are None until it is first read
         self._columns: dict[str, np.ndarray | None] = clean
-        # coordinate column -> {column: coefficient}, and the factor once built
-        self._coordinates: dict[str, dict[str, float]] = {}
         self._factor: ColumnFactor | None = None
 
     @property
@@ -384,11 +382,12 @@ class Dataset:
         except KeyError:
             raise SchemaError(f"dataset has no column {name!r}") from None
         if col is None:
-            # [1, regressors] @ coefficients, intercept first, as a fit predicts
-            combination = self._coordinates[name]
-            regressors = [c for c in combination if c != INTERCEPT]
-            coefficients = [combination.get(INTERCEPT, 0.0), *(combination[c] for c in regressors)]
-            col = _with_intercept(self.n, [self[c] for c in regressors]) @ np.array(coefficients)
+            # [1, regressors] @ coordinates, intercept first, as a fit predicts;
+            # the regressors are the factor's columns in use, in its order
+            coordinate = self._factor.coordinates([name])[:, 0]
+            used = 1 + np.flatnonzero(coordinate[1:])
+            regressors = [self._columns[self._factor.names[j]] for j in used]
+            col = _with_intercept(self.n, regressors) @ coordinate[[0, *used]]
             self._columns[name] = col
         return col
 
@@ -400,30 +399,27 @@ class Dataset:
     def with_coordinates(self, new: dict[str, dict[str, float]]) -> "Dataset":
         """This dataset plus the ``new`` columns, each a linear combination
         {column: coefficient} of this dataset's columns ("intercept" for the
-        ones column). No rows are written: a coordinate column's rows are
-        built when it is first read. The result shares this dataset's
-        columns, its factor (with the new columns as coordinates) and every
-        fit already made on it."""
+        ones column) that its factor, built here if absent, holds as
+        coordinates. No rows are written: a column's rows are built when it
+        is first read. The result shares this dataset's columns, R and fits."""
         taken = [name for name in new if name in self._columns]
         if taken:
             raise SchemaError(f"dataset already has column(s): {', '.join(taken)}")
         self.require(*(c for combination in new.values() for c in combination if c != INTERCEPT))
         out = object.__new__(Dataset)
+        out._factor = self.factor().derive(new)
         out._columns = {**self._columns, **dict.fromkeys(new)}
-        out._coordinates = {**self._coordinates, **new}
-        out._factor = None if self._factor is None else self._factor.derive(new)
         return out
 
     def factor(self) -> ColumnFactor:
         """The regression factor of this dataset: one QR of the ones column
-        and every column not held as coordinates, the measured columns
-        first, with the coordinate columns derived on it."""
+        and every column, the measured columns first. A dataset with
+        coordinate columns got its factor from ``with_coordinates``."""
         if self._factor is None:
-            base = [c for c in self.names if c not in self._coordinates]
             self._factor = ColumnFactor.of(
-                {c: self._columns[c] for c in base if c in MEASURED_COLUMNS},
-                {c: self._columns[c] for c in base if c not in MEASURED_COLUMNS},
-            ).derive(self._coordinates)
+                {c: self._columns[c] for c in self.names if c in MEASURED_COLUMNS},
+                {c: self._columns[c] for c in self.names if c not in MEASURED_COLUMNS},
+            )
         return self._factor
 
     def to_csv(self, path) -> None:

@@ -453,13 +453,13 @@ class ColumnFactor:
         except KeyError:
             raise SchemaError(f"dataset has no column {column!r}") from None
 
-    def _coordinates_of(self, columns) -> np.ndarray:
+    def coordinates(self, columns) -> np.ndarray:
         """The named columns' coordinates on A's columns, one per column."""
         return np.column_stack([self._coordinate(c) for c in columns])
 
     def block(self, columns) -> np.ndarray:
         """R_S: the named columns' R columns, which have their singular values."""
-        return self.r @ self._coordinates_of(columns)
+        return self.r @ self.coordinates(columns)
 
     def fitted(self, kind: str, design, response: str, solve) -> RegressionFit:
         """The ``kind`` fit of the response column on the design's columns,
@@ -475,10 +475,10 @@ class ColumnFactor:
         own basis, or rests on more columns than it has, is fitted as it is.
         """
         design = tuple(design)
-        c = self._coordinates_of(design)
+        c = self.coordinates(design)
         support = np.flatnonzero(np.any(c != 0, axis=1))
         basis = tuple(self.names[i] for i in support) if support.size == len(design) else design
-        key = (kind, self._coordinates_of((*basis, response)).tobytes())
+        key = (kind, self.coordinates((*basis, response)).tobytes())
         if key not in self._fits:
             self._fits[key] = solve(basis)
         fit = self._fits[key]

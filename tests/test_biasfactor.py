@@ -182,12 +182,27 @@ def test_surrogate_rejects_zero_gamma():
         surrogate_bounds(0.5, 0.0)
     with pytest.raises(ParameterError, match="^gamma1 must be nonzero$"):
         surrogate_ratio(0.5, 0.0)
+    with pytest.raises(ParameterError, match="^gamma1 must be nonzero$"):
+        predict_naive_slope_rr(1.0, 0.0, 0.5, Link.LOG)
+    # a non-finite gamma1 is rejected as the closed forms reject it
+    for gamma1 in (float("nan"), float("inf"), -float("inf")):
+        message = f"^gamma1 must be finite, got {re.escape(str(gamma1))}$"
+        for call in (
+            lambda: surrogate_bounds(0.5, gamma1),
+            lambda: surrogate_ratio(0.5, gamma1),
+            lambda: predict_naive_slope_rr(1.0, gamma1, 0.5, Link.LOG),
+            lambda: predict_naive_slope_rr(1.0, gamma1, 0.5, Link.LOGIT),
+        ):
+            with pytest.raises(ParameterError, match=message):
+                call()
 
 
-@pytest.mark.parametrize("p_rd", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("p_rd", [-0.1, 1.5, 5.0, float("nan")])
 def test_surrogate_bounds_reject_p_rd_outside_the_unit_interval(p_rd):
     with pytest.raises(ParameterError, match=r"^p_rd must lie in \[0, 1\]$"):
         surrogate_bounds(p_rd, 1.0)
+    with pytest.raises(ParameterError, match=r"^p_rd must lie in \[0, 1\]$"):
+        surrogate_ratio(p_rd, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -570,3 +585,14 @@ def test_polynomial_p_rd_defaults_gamma1_to_the_ols_slope():
 def test_polynomial_p_rd_default_gamma1_needs_equal_length_columns():
     with pytest.raises(ParameterError, match="x and xep must be vectors of equal length"):
         p_rd_polynomial_from_data(2, np.arange(6.0), np.arange(7.0))
+
+
+@pytest.mark.parametrize("x, xep", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0]),
+    (np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(2, 3)),
+    (2.0, 2.0),
+])
+@pytest.mark.parametrize("gamma1", [None, 1.0])
+def test_polynomial_p_rd_checks_its_columns_with_or_without_gamma1(x, xep, gamma1):
+    with pytest.raises(ParameterError, match="^x and xep must be vectors of equal length$"):
+        p_rd_polynomial_from_data(2, x, xep, gamma1=gamma1)

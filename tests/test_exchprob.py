@@ -394,6 +394,23 @@ def test_binary_quadrature_against_monte_carlo():
     assert list(reordered.rows()) == list(table.rows())
 
 
+@pytest.mark.parametrize("outcome", [
+    TABLE2_OUTCOME,
+    OutcomeModel(link=Link.LOGIT, beta0=-1.0, beta_x=0.1, noise=DistributionSpec.normal(0, 1)),
+], ids=["identity", "logit"])
+def test_an_empty_xep_support_gives_an_empty_table(outcome):
+    # as an empty dataset gives an empty empirical table: the x and y
+    # supports are those of a table with an xep support
+    table = analytic_product_table(outcome, CLASSICAL_UNIT_ERROR, X_MARGINAL, xep_support=[])
+    full = analytic_product_table(outcome, CLASSICAL_UNIT_ERROR, X_MARGINAL, xep_support=[9])
+    shape = (0, full.x_support.size, full.y_support.size)
+    assert table.probs.shape == shape and table.probs.dtype == np.float64
+    assert table.xep_support.shape == (0,) and table.xep_support.dtype == np.float64
+    np.testing.assert_array_equal(table.x_support, full.x_support)
+    np.testing.assert_array_equal(table.y_support, full.y_support)
+    assert list(table.rows()) == []
+
+
 def test_unsupported_combinations_raise():
     with pytest.raises(CapabilityError):
         analytic_product_table(

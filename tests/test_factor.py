@@ -318,6 +318,80 @@ def test_with_coordinates_rejects_an_absent_source_or_a_taken_name(new, message)
         ds.with_coordinates(new)
 
 
+def _rows_from_combination(ds, combination):
+    """A coordinate column's rows as the combination itself spells them:
+    [1, regressors] @ [intercept coefficient, regressor coefficients], in
+    the combination's order."""
+    regressors = [c for c in combination if c != INTERCEPT]
+    coefficients = [combination.get(INTERCEPT, 0.0), *(combination[c] for c in regressors)]
+    return design_with_intercept(*[ds[c] for c in regressors]) @ np.array(coefficients)
+
+
+@pytest.mark.parametrize("validation_fraction", [None, 0.5])
+@pytest.mark.parametrize("condition", ["one", "two"])
+@pytest.mark.parametrize("seed", [5, 11])
+def test_calibrated_rows_are_the_combination_rows(seed, condition, validation_fraction):
+    scenarios = [
+        worlds.table3_scenario(1, n=2000, seed=seed),
+        worlds.table4_scenario(1, n=2000, seed=seed),
+        worlds.table5_scenario(0.5, -0.5, n=2000, seed=seed),
+    ]
+    for scenario in scenarios:
+        ds = generate_scenario(scenario, 0)
+        fits = fit_calibration(ds, condition=condition, validation_fraction=validation_fraction)
+        cal = apply_calibration(fits, ds)
+        assert [f.calibrated_name for f in fits] == ["X_RC", "C_RC", "V_RC"][: len(fits)]
+        for f in fits:
+            want = _rows_from_combination(ds, f.coordinates)
+            assert np.array_equal(cal[f.calibrated_name], want), (scenario.name, f.target)
+
+
+def _counting_of(monkeypatch):
+    calls = []
+    of = ColumnFactor.of.__func__
+
+    def counting_of(cls, *args, **kwargs):
+        calls.append(True)
+        return of(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ColumnFactor, "of", classmethod(counting_of))
+    return calls
+
+
+def test_with_coordinates_factorises_a_dataset_without_a_factor_once(monkeypatch):
+    ds = generate_scenario(worlds.table4_scenario(1, n=2000, seed=71), 0)
+    calls = _counting_of(monkeypatch)
+    cal = ds.with_coordinates({"Z": {INTERCEPT: 1.0, "Xep": 2.0}})
+    assert len(calls) == 1
+    assert cal.factor() is not ds.factor() and cal.factor().r is ds.factor().r
+    cal.factor().fit((INTERCEPT, "Z", "Cep"), "Y")
+    naive_regression_aee(cal, "Z", ["Cep", "Vep"])
+    g_computation(cal.with_coordinates({"W": {"Cep": 1.0}}), "Z", ["W"])
+    cal["Z"]
+    ds.with_coordinates({"W": {"X": 1.0}})["W"]
+    assert len(calls) == 1
+
+
+def test_a_column_on_a_coordinate_column_reads_the_composed_coordinates():
+    rng = np.random.default_rng(72)
+    n = 300
+    x = rng.normal(size=n)
+    ds = Dataset({"X": x, "Y": 1.0 + 0.5 * x + rng.normal(size=n)})
+    composed = ds.with_coordinates({"A": {"X": 2.0}}).with_coordinates({"B": {"A": 3.0}})
+    assert np.array_equal(composed["B"], design_with_intercept(x) @ np.array([0.0, 6.0]))
+    on_x = composed.factor().fit((INTERCEPT, "X"), "Y")
+    on_b = composed.factor().fit((INTERCEPT, "B"), "Y")
+    want = on_x.coefficients * np.array([1.0, 1.0 / 6.0])
+    np.testing.assert_allclose(on_b.coefficients, want, rtol=1e-12, atol=0)
+    assert on_b.residual_variance == pytest.approx(on_x.residual_variance, rel=1e-12, abs=0)
+
+
+def test_with_coordinates_rejects_a_column_named_intercept():
+    ds = Dataset({"X": np.arange(5.0), "intercept": np.ones(5), "Y": np.arange(5.0) ** 2})
+    with pytest.raises(SchemaError, match="'intercept' is taken by the ones column"):
+        ds.with_coordinates({"Z": {"X": 2.0}})
+
+
 def test_factor_rejects_an_unknown_column():
     ds = generate_scenario(worlds.table3_scenario(1, n=50, seed=70), 0)
     with pytest.raises(SchemaError, match="no column 'X_RC'"):
