@@ -18,7 +18,7 @@ import sys
 from . import worlds
 from .biasfactor import figure2_grid, report, report_from_data
 from .calibrate import apply_calibration, fit_calibration
-from .datagen import generate_scenario, generate_table2_world
+from .datagen import generate_scenario, table2_blocks
 from .errors import PeclabError
 from .estimate import g_computation, ipw_gps_aee, naive_regression_aee
 from .exchprob import empirical_table
@@ -197,11 +197,11 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_exchprob(args) -> int:
     if args.table2:
-        ds = generate_table2_world(TABLE2_N if args.n is None else args.n, _resolve_seed(args.seed))
+        source = table2_blocks(TABLE2_N if args.n is None else args.n, _resolve_seed(args.seed))
     else:
         _reject_given(args, ("n", "seed"), "--from-csv")
-        ds = Dataset.from_csv(args.from_csv)
-    table = empirical_table(ds)
+        source = Dataset.from_csv(args.from_csv)
+    table = empirical_table(source)
     if args.out:
         with _output(args.out) as fh:
             fh.write("xep,x,y,p,mode\n")

@@ -1,6 +1,11 @@
 """Dataset materialization: the discrete exposure-only world and the
 continuous simulation worlds.
 
+The exposure-only world (table2) is a stream: ``table2_blocks`` draws its
+three columns a block of BLOCK_ROWS rows at a time from their keyed
+generators, so no column as long as the world exists unless
+``generate_table2_world`` concatenates the blocks into a dataset.
+
 Generation order is fixed by the structural dependencies: C, V first, then X
 (or the measured exposure under pure Berkson wiring), then Y, then the
 error-prone columns. Every draw is keyed by (seed, replication, column), so
@@ -12,11 +17,12 @@ dict lets them share.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
 from .errors import ParameterError
+from .exchprob import BLOCK_ROWS
 from .model import (
     Dataset,
     DistributionSpec,
@@ -26,33 +32,52 @@ from .model import (
     Scenario,
     check_scenario,
 )
-from .rng import ColumnTag, StreamKey, sample, uniforms
+from .rng import ColumnTag, StreamKey, rounded_uniform_blocks, sample, uniforms
 
 
-def generate_table2_world(n: int, seed: int) -> Dataset:
+def table2_blocks(n: int, seed: int) -> Iterator[dict[str, np.ndarray]]:
     """The discrete exposure-only world: X = round(U(8,10)), Y = 0.1X + 0.1W,
-    Xep = X + U with W, U = round(U(-1,1)).
+    Xep = X + U with W, U = round(U(-1,1)), as consecutive {X, Xep, Y}
+    blocks of BLOCK_ROWS rows (the last may be shorter).
 
-    All three laws are three-point (1/4, 1/2, 1/4).
+    All three laws are three-point (1/4, 1/2, 1/4). Each column is one keyed
+    stream drawn a block at a time, and each block is valid until the next
+    is drawn: its columns are the draws' own buffers, reused.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
 
-    def draw(tag: ColumnTag, lo: float, hi: float) -> np.ndarray:
-        return sample(DistributionSpec.rounded_uniform(lo, hi), StreamKey(seed, 0, tag), n)
+    def draw(tag: ColumnTag, lo: float, hi: float):
+        spec = DistributionSpec.rounded_uniform(lo, hi)
+        return rounded_uniform_blocks(spec, StreamKey(seed, 0, tag), n, BLOCK_ROWS)
 
-    x = draw(ColumnTag.X, 8, 10)
-    w = draw(ColumnTag.W, -1, 1)
-    # 0.1 * x + 0.1 * w, in that order, with one new tall array; W goes
-    # before U is drawn, and Xep is x + u in U's own buffer (IEEE addition
-    # commutes), so at most three tall columns and one draw's scratch live
-    y = 0.1 * x
-    w *= 0.1
-    y += w
-    del w
-    u = draw(ColumnTag.U, -1, 1)
-    u += x
-    return Dataset({"X": x, "Xep": u, "Y": y})
+    y = np.empty(min(n, BLOCK_ROWS))
+
+    def blocks():
+        for x, w, u in zip(draw(ColumnTag.X, 8, 10), draw(ColumnTag.W, -1, 1),
+                           draw(ColumnTag.U, -1, 1)):
+            # 0.1 * x + 0.1 * w, in that order; Xep is x + u in U's own
+            # buffer (IEEE addition commutes)
+            yx = np.multiply(x, 0.1, out=y[: x.size])
+            w *= 0.1
+            yx += w
+            u += x
+            yield {"X": x, "Xep": u, "Y": yx}
+
+    return blocks()
+
+
+def generate_table2_world(n: int, seed: int) -> Dataset:
+    """The ``table2_blocks`` world as one dataset: its blocks, concatenated."""
+    blocks = table2_blocks(n, seed)
+    columns = {name: np.empty(n) for name in ("X", "Xep", "Y")}
+    start = 0
+    for block in blocks:
+        stop = start + block["X"].size
+        for name, values in block.items():
+            columns[name][start:stop] = values
+        start = stop
+    return Dataset(columns)
 
 
 def _apply_error(
@@ -120,7 +145,9 @@ def generate_scenario(
         y = lp
     else:
         if s.outcome.link is Link.LOGIT:
-            p = 1.0 / (1.0 + np.exp(-lp))
+            # exp(-lp) overflows to inf where p is 0, which is the right value
+            with np.errstate(over="ignore"):
+                p = 1.0 / (1.0 + np.exp(-lp))
         else:
             p = np.exp(lp)
             if np.any(p > 1.0):

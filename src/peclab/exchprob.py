@@ -12,9 +12,10 @@ the cells that hold mass. Two estimators fill it and are never mixed:
 * the empirical conditional-joint table, cell(xep, x, y) =
   P(X = x, Y = y | Xep = xep), which is what the published probability grid
   tabulates and what the probability-table AEE consumes. It is counted in
-  two passes over blocks of BLOCK_ROWS rows, one for the supports and one
-  for the cell counts, so its scratch is fixed by the block whatever the
-  row count; and
+  one pass over blocks of at most BLOCK_ROWS rows, from a dataset or from a
+  stream of blocks as they are drawn, each value keyed once; a support
+  grows when a block brings a new value, and the counts so far are laid
+  onto it. Its scratch is fixed by the block whatever the row count; and
 * the analytic product table, cell = P(Y(x) = y | z) * P(Y(xep) = y | z)
   with the conditional law of the true exposure given the measured one built
   from the error model (non-Berkson: f_X * f_U / normalizer; pure Berkson:
@@ -28,6 +29,8 @@ QUAD_SIGMAS sd weighted by its density.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,18 +50,19 @@ KEY_DECIMALS = 9
 QUAD_NODES = 4001
 QUAD_SIGMAS = 8.0
 MAX_SUPPORT = 100
-# Rows per block of the empirical tabulation: 512 KiB of float64, so a
-# block's keyed values, masks, uint8 indices and intp codes stay in a core's
-# L2. On a 2-core VM, blocks of 2^14 to 2^17 rows tabulate a 10^6-row table2
-# world in 29-39 ms (one unblocked pass: 32-39 ms), one 2^20-row block in
-# 67-81 ms, and blocks of 2^11 rows, paying numpy's per-call cost, in 70-97 ms.
+# Rows per block of the empirical tabulation and of the table2 stream: 512
+# KiB of float64, so a block's draws, keyed values, masks, uint8 indices and
+# intp codes stay in a core's L2. On a 2-core VM (median of 10 in-process
+# calls), the 10^6-row table2 report takes 39-40 ms with blocks of 2^14 to
+# 2^16 rows, 44 ms at 2^17, 68 ms at 2^20, and 48 ms at 2^12, where numpy's
+# per-call cost shows.
 BLOCK_ROWS = 1 << 16
 
 
-def _keyed(values) -> np.ndarray:
-    """Values rounded to KEY_DECIMALS: the one rule by which a value, a
-    scalar or an array, finds its support point."""
-    return np.round(np.asarray(values, dtype=float), KEY_DECIMALS)
+def _keyed(values, out=None) -> np.ndarray:
+    """Values rounded to KEY_DECIMALS, into ``out`` if given: the one rule
+    by which a value, a scalar or an array, finds its support point."""
+    return np.round(np.asarray(values, dtype=float), KEY_DECIMALS, out=out)
 
 
 def _support(keyed: np.ndarray) -> np.ndarray:
@@ -119,62 +123,119 @@ class ExchProbTable:
         return zip(*(c.tolist() for c in cols))
 
 
-def _index_block(keyed: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Each keyed value's position in its sorted support, as uint8: the
-    number of support points above the first that the value reaches, one
-    pass per point (MAX_SUPPORT <= 256 keeps it from wrapping)."""
-    index = np.zeros(keyed.size, dtype=np.uint8)
-    for point in support[1:]:
-        index += keyed >= point
-    return index
+def _reach(keyed: np.ndarray, points: np.ndarray, index: np.ndarray, mask: np.ndarray) -> None:
+    """Adds to the uint8 ``index`` the number of ``points`` each keyed value
+    reaches, one pass per point through ``mask``. Over a sorted support's
+    points above the first, that is each on-support value's position in it
+    (MAX_SUPPORT <= 256 keeps it from wrapping)."""
+    for point in points:
+        index += np.greater_equal(keyed, point, out=mask)
 
 
-def empirical_table(d: Dataset) -> ExchProbTable:
+_COLUMNS = ("X", "Xep", "Y")
+
+
+def _blocks(source) -> Iterator[dict]:
+    """The source's {X, Xep, Y} blocks cut to at most BLOCK_ROWS rows: a
+    dataset is one block of its columns, any other source yields its own."""
+    if isinstance(source, Dataset):
+        source.require(*_COLUMNS)
+        source = [{name: source[name] for name in _COLUMNS}]
+    for block in source:
+        for start in range(0, len(block["X"]), BLOCK_ROWS):
+            yield {name: block[name][start : start + BLOCK_ROWS] for name in _COLUMNS}
+
+
+def _lay(counts: np.ndarray, axis: int, positions: np.ndarray, size: int) -> np.ndarray:
+    """Counts laid onto a grown support along ``axis``: the old points sit
+    at ``positions`` among the ``size`` new ones, and the new points hold
+    zeros."""
+    shape = list(counts.shape)
+    shape[axis] = size
+    laid = np.zeros(shape, dtype=counts.dtype)
+    laid[(slice(None),) * axis + (positions,)] = counts
+    return laid
+
+
+def _not_discrete(supports, blocks) -> DiscretenessError:
+    """The error for the first of X, Xep and Y with more than MAX_SUPPORT
+    distinct values, each column's counted over its support so far and
+    every block still to come."""
+    seen = [[support] for support in supports]
+    for block in blocks:
+        for values, name in zip(seen, _COLUMNS):
+            values.append(np.unique(_keyed(block[name])))
+    sizes = [_support(np.concatenate(values)).size for values in seen]
+    name, size = next((n, s) for n, s in zip(_COLUMNS, sizes) if s > MAX_SUPPORT)
+    return DiscretenessError(
+        f"column {name} has {size} distinct values "
+        f"(> {MAX_SUPPORT}); the empirical table needs discrete supports"
+    )
+
+
+def empirical_table(source) -> ExchProbTable:
     """Conditional-joint estimator: cell = #(Xep=xep, X=x, Y=y) / #(Xep=xep).
 
-    Two passes over blocks of BLOCK_ROWS rows, so no tall keyed, sorted,
-    index or code array is ever built and the scratch is fixed by the block,
-    not by the row count. Pass 1 keys each block of a column and takes its
-    ``np.unique``; the column's ``_support`` of the concatenated block
-    supports is the same sorted set, a zero as +0.0, that one sort of the
-    whole keyed column gives, and is checked against MAX_SUPPORT. Pass 2
-    keys each block again and indexes it in the supports by counting the
-    points each value reaches (``_index_block``). Every keyed value lies on
-    its own support (-0.0 on +0.0), so this is exactly
-    ``np.searchsorted(support, keyed)``. On columns in random order (every
-    simulated world) the passes beat the binary search at every support
-    size up to MAX_SUPPORT. On a column already sorted the binary search
-    wins from about 10 to 20 points, and by four to five times at 100; only
-    a CSV can feed such a column, and reading it costs far more. A block's
-    joint cell codes are built in place in one intp copy of its Xep
-    indices, and their bincount is added into the table's counts, exact
-    integers, which the table keeps."""
-    d.require("X", "Xep", "Y")
-    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, d.n, BLOCK_ROWS)]
-    supports = {}
-    for name in ("X", "Xep", "Y"):
-        column = d[name]
-        values = _support(
-            np.concatenate([np.empty(0), *(np.unique(_keyed(column[b])) for b in blocks)])
-        )
-        if values.size > MAX_SUPPORT:
-            raise DiscretenessError(
-                f"column {name} has {values.size} distinct values "
-                f"(> {MAX_SUPPORT}); the empirical table needs discrete supports"
-            )
-        supports[name] = values
-
-    x_vals, xep_vals, y_vals = supports["X"], supports["Xep"], supports["Y"]
-    shape = (xep_vals.size, x_vals.size, y_vals.size)
-    counts = np.zeros(np.prod(shape), dtype=np.intp)
-    for b in blocks:
-        code = _index_block(_keyed(d["Xep"][b]), xep_vals).astype(np.intp)
-        code *= x_vals.size
-        code += _index_block(_keyed(d["X"][b]), x_vals)
-        code *= y_vals.size
-        code += _index_block(_keyed(d["Y"][b]), y_vals)
-        counts += np.bincount(code, minlength=counts.size)
-    counts = counts.reshape(shape)
+    ``source`` is a dataset or an iterable of {X, Xep, Y} blocks (such as
+    ``datagen.table2_blocks``), each read before the next is asked for. One
+    pass over blocks of at most BLOCK_ROWS rows, through scratch buffers of
+    one block, so no scratch grows with the rows. Each block's columns are
+    keyed once and indexed in their supports so far by counting the points
+    each value reaches (``_reach``). Where ``support[index] == keyed`` for
+    every value (-0.0 on +0.0) the column brought nothing new and needs no
+    sort. Otherwise it takes the block's ``np.unique``, its support grows to
+    the ``_support`` of the union (the same sorted set, a zero as +0.0, that
+    one sort of the whole keyed column gives), and the index counts the
+    added points too. The integer counts so far are laid onto the grown
+    supports (``_lay``), so the table keeps its bits whatever order the
+    values come in. On columns in random order (every simulated world) the
+    counting passes beat a binary search at every support size up to
+    MAX_SUPPORT; a sorted column, which only a CSV can feed, grows its
+    support in nearly every block. A block's joint cell codes are built in
+    place from its Xep indices and added into the counts with
+    ``np.add.at``, which, unlike a bincount, costs no pass over the whole
+    table. A support that passes MAX_SUPPORT reads the rest of the source
+    for its full distinct count, and X is named before Xep, Xep before Y."""
+    blocks = _blocks(source)
+    supports = [np.empty(0)] * len(_COLUMNS)
+    counts = np.zeros((0, 0, 0), dtype=np.intp)
+    keyed, points = np.empty(BLOCK_ROWS), np.empty(BLOCK_ROWS)
+    mask = np.empty(BLOCK_ROWS, dtype=bool)
+    indices = np.empty((len(_COLUMNS), BLOCK_ROWS), dtype=np.uint8)
+    code = np.empty(BLOCK_ROWS, dtype=np.intp)
+    for block in blocks:
+        rows = len(block["X"])
+        k, m, c = keyed[:rows], mask[:rows], code[:rows]
+        grown = list(supports)
+        for i, name in enumerate(_COLUMNS):
+            _keyed(block[name], out=k)
+            index = indices[i, :rows]
+            index.fill(0)
+            _reach(k, grown[i][1:], index, m)
+            # take's clip mode writes into its out unbuffered; every index
+            # is in range
+            np.copyto(c, index)
+            if grown[i].size and np.equal(
+                grown[i].take(c, out=points[:rows], mode="clip"), k, out=m
+            ).all():
+                continue
+            before = grown[i]
+            grown[i] = _support(np.concatenate([before, np.unique(k)]))
+            if grown[i].size > MAX_SUPPORT:
+                raise _not_discrete(supports, itertools.chain([block], blocks))
+            # before[1:] lies in grown[i][1:]: the index counts the added points
+            _reach(k, np.setdiff1d(grown[i][1:], before[1:]), index, m)
+        for axis, i in enumerate((1, 0, 2)):  # counts are (xep, x, y)
+            if grown[i] is not supports[i]:
+                counts = _lay(counts, axis, np.searchsorted(grown[i], supports[i]), grown[i].size)
+        supports = grown
+        np.copyto(c, indices[1, :rows])
+        c *= supports[0].size
+        c += indices[0, :rows]
+        c *= supports[2].size
+        c += indices[2, :rows]
+        np.add.at(counts.reshape(-1), c, 1)
+    x_vals, xep_vals, y_vals = supports
     return ExchProbTable(
         xep_support=xep_vals,
         x_support=x_vals,

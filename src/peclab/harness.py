@@ -24,15 +24,15 @@ world makes one tall QR, the world's own (the IPW outcome slopes are
 weighted moments), and a table4 or table5 world three IRLS fits, each
 started from the factor's linear-probability fit.
 
-table2 is one world of 10^6 rows, tabulated once: the exchangeability-
-probability grid and its AEEs come from one ``empirical_table`` (two
-passes over fixed blocks of rows: a sort of each block of each column for
-its support, then one uint8 counting pass per support point for each
-block's indices and one bincount of its cell codes: no argsort, no binary
-search, and no scratch that grows with the rows), and both the
-calibration (gamma0, gamma1) and the p_rd R^2 are read from the same
-table's joint (Xep, X) counts. The world's columns are discrete, so those
-counts are sufficient for both fits and no tall design is built.
+table2 is one world of 10^6 rows, tabulated as it is drawn: the
+exchangeability-probability grid and its AEEs come from one
+``empirical_table`` of the ``table2_blocks`` stream (one pass over blocks of
+rows, each value keyed once and indexed by one uint8 counting pass per
+support point: no sort once a block brings no new value, no binary search,
+and no array that grows with the rows), and both the calibration (gamma0,
+gamma1) and the p_rd R^2 are read from the same table's joint (Xep, X)
+counts. The world's columns are discrete, so those counts are sufficient
+for both fits and no tall design is built.
 
 Every keyed draw is (seed, replication, column), without the scenario, so
 the scenarios of a table share common random numbers by construction; a
@@ -57,7 +57,9 @@ import numpy as np
 
 from . import worlds
 from .calibrate import apply_calibration, fit_calibration
-from .datagen import generate_scenario, generate_table2_world
+# generate_table2_world stays bound here, as ols does below: perfbench/spans.py
+# wraps harness.generate_table2_world by name
+from .datagen import generate_scenario, generate_table2_world, table2_blocks  # noqa: F401
 from .errors import ParameterError, PeclabError, SingularDesignError
 from .estimate import g_computation, ipw_gps_aee, naive_regression_aee
 from .exchprob import ExchProbTable, aee_from_table, empirical_table
@@ -486,8 +488,7 @@ def _reproduce_table2(n: int, seed: int) -> list[CellCheck]:
     counted against its sorted support: the grid and the AEEs from its
     probabilities, the calibration and p_rd from its counts
     (``_table2_fits``)."""
-    ds = generate_table2_world(n, seed)
-    table = empirical_table(ds)
+    table = empirical_table(table2_blocks(n, seed))
     means = {
         ("aee", "xep:10vs9"): aee_from_table(table, 10.0, 9.0),
         ("aee", "xrc:10vs9"): aee_from_table(table, 11.0, 9.0),

@@ -444,7 +444,10 @@ class ColumnFactor:
         shares R and the memoised fits."""
         known = dict(self._coordinates)
         for name, combination in coordinates.items():
-            known[name] = sum(coef * self._coordinate(src) for src, coef in combination.items())
+            known[name] = sum(
+                (coef * self._coordinate(src) for src, coef in combination.items()),
+                np.zeros(len(self.names)),
+            )
         return ColumnFactor(self.names, self.r, self.n, known, self._fits)
 
     def _coordinate(self, column: str) -> np.ndarray:

@@ -10,6 +10,7 @@ keeps the output identical across platforms and numpy versions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -134,10 +135,36 @@ def sample(spec: DistributionSpec, key: StreamKey, n: int) -> np.ndarray:
         z *= spec.p2
         return z
     # roundedUniform, the one family spec.check() admits besides these
-    u = gen.random(n)
+    return _rounded(gen.random(n), spec)
+
+
+def _rounded(u: np.ndarray, spec: DistributionSpec) -> np.ndarray:
+    """Uniforms on [0, 1) mapped in place to round(U(p1, p2))."""
     u *= spec.p2 - spec.p1
     u += spec.p1
     return np.rint(u, out=u)
+
+
+def rounded_uniform_blocks(
+    spec: DistributionSpec, key: StreamKey, n: int, rows: int
+) -> Iterator[np.ndarray]:
+    """``sample(spec, key, n)`` of a roundedUniform law, drawn as consecutive
+    blocks of ``rows`` rows (the last may be shorter) from one keyed
+    generator. Philox continues its stream from call to call, so the blocks,
+    concatenated, are that draw bit for bit; ``sample`` itself restarts from
+    the key and cannot be called once per block. Each block is written into
+    one buffer, so it is valid until the next block is drawn."""
+    if n < 0:
+        raise ParameterError("n must be >= 0")
+    spec.check()
+    if spec.family != "roundedUniform":
+        raise ParameterError(f"block draws take a roundedUniform law, got {spec.family}")
+    gen = generator(key)
+    buffer = np.empty(min(n, rows))
+    return (
+        _rounded(gen.random(out=buffer[: min(rows, n - start)]), spec)
+        for start in range(0, n, rows)
+    )
 
 
 def uniforms(key: StreamKey, n: int) -> np.ndarray:

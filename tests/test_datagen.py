@@ -1,3 +1,5 @@
+import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +49,19 @@ def test_table2_outcome_identity(table2_dataset):
     # Y = 0.1 X + 0.1 W exactly, so 10*Y - X lands on {-1, 0, 1}
     w = np.round(10 * table2_dataset["Y"] - table2_dataset["X"], 9)
     assert set(np.unique(w)).issubset({-1.0, 0.0, 1.0})
+
+
+def test_a_saturated_logistic_mean_draws_without_a_warning():
+    # noise_scale 1e300 sends exp(-lp) to inf, where p = 0 is the right value
+    s = worlds.table4_scenario(1, n=200)
+    s = replace(s, outcome=replace(s.outcome, noise_scale=1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = generate_scenario(s, 0)["Y"]
+    # the draw of 1 / (1 + exp(-lp)) with overflow warnings on
+    assert hashlib.sha256(y.tobytes()).hexdigest() == (
+        "11e5030d73b38eed0077968c0f85ef1dce4539ca70173999596f6830397be681"
+    )
 
 
 def test_table2_world_rejects_bad_n():

@@ -6,7 +6,7 @@ import pytest
 
 import table2_oracle as oracle
 from peclab import worlds
-from peclab.datagen import generate_table2_world
+from peclab.datagen import generate_table2_world, table2_blocks
 from peclab.errors import CapabilityError, DiscretenessError, SupportError
 from peclab.exchprob import (
     BLOCK_ROWS,
@@ -19,7 +19,8 @@ from peclab.exchprob import (
     symmetry_check,
 )
 from peclab.model import Dataset, DistributionSpec, ErrorKind, ErrorModel, Link, OutcomeModel
-from peclab.rng import StreamKey, sample
+from peclab.harness import reproduce
+from peclab.rng import ColumnTag, StreamKey, sample
 
 TABLE2_OUTCOME = OutcomeModel(
     link=Link.IDENTITY,
@@ -189,6 +190,90 @@ def test_empirical_table_matches_the_reference_across_block_boundaries(n):
     assert table.y_support[0] == 0.0 and not np.signbit(table.y_support).any()
 
 
+def _tall_table2_world(n, seed):
+    """Reference: the table2 world as three tall draws, one ``sample`` call
+    per column, Y = 0.1 X + 0.1 W and Xep = X + U in that order."""
+
+    def draw(tag, lo, hi):
+        return sample(DistributionSpec.rounded_uniform(lo, hi), StreamKey(seed, 0, tag), n)
+
+    x = draw(ColumnTag.X, 8, 10)
+    y = 0.1 * x
+    y += 0.1 * draw(ColumnTag.W, -1, 1)
+    return Dataset({"X": x, "Xep": draw(ColumnTag.U, -1, 1) + x, "Y": y})
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize(
+    "n", [1, 12, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 70_000, 200_000, 10**6]
+)
+def test_the_table2_stream_tabulates_as_its_tall_world(n, seed):
+    world = _tall_table2_world(n, seed)
+    concatenated = generate_table2_world(n, seed)
+    assert concatenated.names == world.names == ["X", "Xep", "Y"]
+    for name in world.names:
+        assert concatenated[name].tobytes() == world[name].tobytes(), name
+    streamed = empirical_table(table2_blocks(n, seed))
+    tall = empirical_table(world)
+    # bytes, so the supports' sign bits count too
+    for field in ("xep_support", "x_support", "y_support", "counts", "probs"):
+        got, want = getattr(streamed, field), getattr(tall, field)
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        assert got.tobytes() == want.tobytes(), field
+    ev, xv, yv, counts = _unique_inverse_table(world)
+    np.testing.assert_array_equal(streamed.counts, counts)
+    np.testing.assert_array_equal(streamed.xep_support, ev)
+
+
+def _cut(columns, rows):
+    """The columns as a stream of blocks of ``rows`` rows."""
+    n = len(columns["X"])
+    return ({c: v[i : i + rows] for c, v in columns.items()} for i in range(0, n, rows))
+
+
+SOURCES = {
+    "dataset": Dataset,
+    "small_blocks": lambda columns: _cut(columns, 1000),
+    "large_blocks": lambda columns: _cut(columns, 2 * BLOCK_ROWS + 1),
+}
+
+
+def _late_columns(first, later):
+    """Discrete columns over 3 * BLOCK_ROWS + 5 rows where ``first`` has
+    MAX_SUPPORT + 20 distinct values from the first block on, and ``later``
+    MAX_SUPPORT + 55 of which MAX_SUPPORT + 50 appear only in the last
+    BLOCK_ROWS rows."""
+    n = 3 * BLOCK_ROWS + 5
+    i = np.arange(n)
+    columns = {"X": i % 3 * 1.0, "Xep": i % 5 * 0.5, "Y": i % 2 * 0.25}
+    if first:
+        columns[first] = i % (MAX_SUPPORT + 20) * 0.5
+    if later:
+        tail = i >= 2 * BLOCK_ROWS + 5
+        columns[later] = np.where(tail, 100.0 + i % (MAX_SUPPORT + 50) * 0.5, i % 5 * 1.0)
+    return columns
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+@pytest.mark.parametrize("column", ["X", "Xep", "Y"])
+def test_a_support_that_passes_max_support_late_reports_its_full_count(source, column):
+    with pytest.raises(
+        DiscretenessError, match=f"^column {column} has {MAX_SUPPORT + 55} distinct values"
+    ):
+        empirical_table(SOURCES[source](_late_columns(None, column)))
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+@pytest.mark.parametrize("first, later", [("Xep", "X"), ("Y", "X"), ("Y", "Xep")])
+def test_the_earlier_column_is_named_though_a_later_one_passes_first(source, first, later):
+    # ``first`` passes MAX_SUPPORT in the first block, ``later`` only in the
+    # last; X is named before Xep, Xep before Y, as a whole-column check does
+    with pytest.raises(
+        DiscretenessError, match=f"^column {later} has {MAX_SUPPORT + 55} distinct values"
+    ):
+        empirical_table(SOURCES[source](_late_columns(first, later)))
+
+
 def test_an_empty_dataset_gives_an_empty_table():
     table = empirical_table(Dataset({c: np.empty(0) for c in ("X", "Xep", "Y")}))
     assert table.counts.shape == table.probs.shape == (0, 0, 0)
@@ -257,6 +342,24 @@ def test_empirical_table_peak_memory_is_fixed_by_the_block():
     ]
     assert max(peaks) < 4 * 2**20, [f"{p / 2**20:.2f} MiB" for p in peaks]
     assert max(peaks) - min(peaks) < 2**18, peaks
+
+
+def _report_peak(n):
+    tracemalloc.start()
+    try:
+        reproduce("table2", n=n, seed=5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table2_report_peak_memory_is_flat_in_n():
+    # the world is drawn and tabulated a block at a time: no column as long
+    # as the world exists; a first call also pays for one-time imports
+    reproduce("table2", n=12, seed=5)
+    peaks = [_report_peak(n) for n in (8 * BLOCK_ROWS, 16 * BLOCK_ROWS, 10**6)]
+    assert max(peaks) - min(peaks) < 2**18, peaks
+    assert max(peaks) < 8 * 10**6, [f"{p / 2**20:.2f} MiB" for p in peaks]
 
 
 def test_table2_world_peak_memory_per_row():

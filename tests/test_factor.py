@@ -386,6 +386,25 @@ def test_a_column_on_a_coordinate_column_reads_the_composed_coordinates():
     assert on_b.residual_variance == pytest.approx(on_x.residual_variance, rel=1e-12, abs=0)
 
 
+def test_an_empty_combination_is_a_zero_column_that_a_fit_names():
+    ds = generate_scenario(worlds.table3_scenario(1, n=50, seed=70), 0)
+    new = {"Z": {}, "A": {INTERCEPT: 1.0, "X": -2.0}, "B": {"Cep": 0.5, "Xep": -0.0}}
+    out = ds.with_coordinates(new)
+    assert np.array_equal(out["Z"], np.zeros(ds.n))
+    with pytest.raises(SingularDesignError, match=r"offending columns: Z\)$") as err:
+        out.factor().fit((INTERCEPT, "Z"), "Y")
+    assert err.value.columns == ["Z"]
+    # every other coordinate keeps the bytes of a sum that starts from its
+    # first term
+    factor = ds.factor()
+    for name in ("A", "B"):
+        terms = [coef * factor.coordinates([src])[:, 0] for src, coef in new[name].items()]
+        want = terms[0]
+        for term in terms[1:]:
+            want = want + term
+        assert out.factor().coordinates([name])[:, 0].tobytes() == want.tobytes(), name
+
+
 def test_with_coordinates_rejects_a_column_named_intercept():
     ds = Dataset({"X": np.arange(5.0), "intercept": np.ones(5), "Y": np.arange(5.0) ** 2})
     with pytest.raises(SchemaError, match="'intercept' is taken by the ones column"):

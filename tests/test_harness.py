@@ -412,20 +412,21 @@ def _outcome(call):
 def test_table2_small_worlds_match_the_qr_fits(monkeypatch):
     # every world small enough to lack a stratum or to have a constant
     # column: the report raises what the QR reference raises on its world
-    # and table, in the same order, or reports the reference's fits to
-    # rounding
+    # (the report's stream, concatenated) and table, in the same order, or
+    # reports the reference's fits to rounding
     tabulated = []
 
-    def recording_table(ds):
-        tabulated.append((ds, empirical_table(ds)))
-        return tabulated[-1][1]
+    def recording_table(blocks):
+        tabulated.append(empirical_table(blocks))
+        return tabulated[-1]
 
     monkeypatch.setattr(harness, "empirical_table", recording_table)
     kinds = Counter()
     for n in range(1, 13):
         for seed in range(200):
             got = _outcome(lambda: reproduce("table2", n=n, seed=seed))
-            want = _outcome(lambda: _table2_qr_fits(*tabulated[-1]))
+            world = generate_table2_world(n, seed)
+            want = _outcome(lambda: _table2_qr_fits(world, tabulated[-1]))
             if isinstance(got, ReproReport):
                 cells = {(c.method, c.estimand): c.mean for c in got.cells}
                 assert [cells[key] for key in TABLE2_FITS] == pytest.approx(

@@ -19,11 +19,14 @@ from peclab.model import (
     Scenario,
     StructuralSpec,
     format_scenario,
+    load_scenario,
     parse_scenario,
+    save_scenario,
     validate_scenario,
 )
 from peclab.rng import StreamKey, sample
 from peclab import worlds
+from peclab.harness import STUDY_TABLES
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +292,16 @@ def test_scenario_round_trip(s):
 def test_canonical_scenarios_round_trip():
     for s in [worlds.table3_scenario(2), worlds.table4_scenario(3), worlds.table5_scenario(0.5, -0.5)]:
         assert parse_scenario(format_scenario(s)) == s
+
+
+def test_every_study_scenario_round_trips_through_a_file(tmp_path):
+    path = tmp_path / "scenario.txt"
+    for table, study in STUDY_TABLES.items():
+        for key in study.published:
+            s = study.build(key, n=123, replications=7, seed=11)
+            save_scenario(s, path)
+            assert load_scenario(path) == s, (table, key)
+            assert path.read_text(encoding="utf-8") == format_scenario(s)
 
 
 def test_parse_rejects_garbage():

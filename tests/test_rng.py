@@ -5,7 +5,15 @@ import pytest
 
 from peclab.errors import ParameterError
 from peclab.model import DistributionSpec
-from peclab.rng import ColumnTag, StreamKey, _gammas, _normals, generator, sample
+from peclab.rng import (
+    ColumnTag,
+    StreamKey,
+    _gammas,
+    _normals,
+    generator,
+    rounded_uniform_blocks,
+    sample,
+)
 
 
 def test_point_mass_degenerate():
@@ -138,3 +146,28 @@ def test_in_place_scaling_keeps_the_expression_bits(n):
         want = expression(spec, generator(key))
         assert got.shape == (n,) and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), spec
+
+
+BLOCK = 1 << 16
+
+
+@pytest.mark.parametrize("n", [1, 12, BLOCK - 1, BLOCK, BLOCK + 1, 70_000, 10**6 + 3])
+def test_rounded_uniform_blocks_concatenate_to_the_tall_draw(n):
+    # the generator continues its Philox stream from block to block
+    for spec, tag in ((DistributionSpec.rounded_uniform(8, 10), ColumnTag.X),
+                      (DistributionSpec.rounded_uniform(-2.5, 3.5), ColumnTag.U)):
+        key = StreamKey(11, 3, tag)
+        # each block is valid until the next is drawn, so copy it
+        blocks = [b.copy() for b in rounded_uniform_blocks(spec, key, n, BLOCK)]
+        assert [b.size for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+        assert 1 <= blocks[-1].size <= BLOCK
+        assert np.array_equal(np.concatenate(blocks), sample(spec, key, n))
+
+
+def test_rounded_uniform_blocks_check_their_arguments_when_called():
+    key = StreamKey(1, 0, ColumnTag.X)
+    assert list(rounded_uniform_blocks(DistributionSpec.rounded_uniform(0, 1), key, 0, 8)) == []
+    with pytest.raises(ParameterError, match="^n must be >= 0$"):
+        rounded_uniform_blocks(DistributionSpec.rounded_uniform(0, 1), key, -1, 8)
+    with pytest.raises(ParameterError, match="take a roundedUniform law, got normal"):
+        rounded_uniform_blocks(DistributionSpec.normal(0.0, 1.0), key, 5, 8)
