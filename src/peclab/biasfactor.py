@@ -48,7 +48,9 @@ class BiasFactorReport:
 def _closed_form(numerator: float, denominator: float, gamma1: float, **variances: float) -> float:
     """numerator / denominator once gamma1 is finite, each named variance is
     finite and >= 0, and the denominator (the measured variance) is finite
-    and nonzero."""
+    and nonzero. A zero quotient is +0.0: a variance of -0.0 passes the
+    checks, and adding 0.0 turns -0.0 into +0.0 and keeps every other
+    value's bits, as ``exchprob._support`` does."""
     if not math.isfinite(gamma1):
         raise ParameterError(f"gamma1 must be finite, got {gamma1}")
     for name, value in variances.items():
@@ -59,7 +61,7 @@ def _closed_form(numerator: float, denominator: float, gamma1: float, **variance
             "degenerate error model: the measured variance gamma1^(2q) Var(X^q) + Var(U) "
             f"is {denominator}; it must be finite and nonzero"
         )
-    return numerator / denominator
+    return numerator / denominator + 0.0
 
 
 def lambda_closed_form(gamma1: float, var_x: float, var_u: float) -> float:
@@ -110,6 +112,9 @@ def p_rd_polynomial_from_data(q: int, x, xep, gamma1: float | None = None) -> fl
     xep = np.asarray(xep, dtype=float)
     if x.ndim != 1 or x.shape != xep.shape:
         raise ParameterError("x and xep must be vectors of equal length")
+    for name, values in (("x", x), ("xep", xep)):
+        if not np.isfinite(values).all():
+            raise ParameterError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
     if gamma1 is None:
         fit = ColumnFactor.of({"X": x}, {"Xep": xep}).fit((INTERCEPT, "X"), "Xep")
         gamma1 = float(fit.coefficients[1])

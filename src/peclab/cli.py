@@ -20,9 +20,8 @@ from .biasfactor import figure2_grid, report, report_from_data
 from .calibrate import apply_calibration, fit_calibration
 from .datagen import generate_scenario, table2_blocks
 from .errors import PeclabError
-from .estimate import g_computation, ipw_gps_aee, naive_regression_aee
 from .exchprob import empirical_table
-from .harness import METHODS, TABLE2_N, TABLES, _fmt, keep_heap, reproduce, run_study
+from .harness import METHODS, TABLE2_N, TABLES, _fmt, estimate_kind, keep_heap, reproduce, run_study
 from .model import Dataset, Estimand, load_scenario
 
 EXIT_OK = 0
@@ -278,16 +277,10 @@ def _cmd_estimate(args) -> int:
         raise PeclabError("--method naive|ipw reports risk differences only")
     ds = Dataset.from_csv(args.input)
     estimand = Estimand.RISK_DIFFERENCE if args.estimand == "rd" else Estimand.RISK_RATIO
-    if args.method == "naive":
-        value = naive_regression_aee(ds, args.exposure, args.adjust, delta=args.delta)
-    elif args.method == "gcomp":
-        rd, rr = g_computation(ds, args.exposure, args.adjust, delta=args.delta)
-        value = rr if estimand is Estimand.RISK_RATIO else rd
-    else:
-        value = ipw_gps_aee(
-            ds, args.exposure, args.adjust, delta=args.delta,
-            truncate_quantile=args.truncate_quantile,
-        )
+    value = estimate_kind(
+        args.method, ds, args.exposure, args.adjust, delta=args.delta,
+        truncate_quantile=args.truncate_quantile,
+    )[estimand]
     with _output(args.out) as fh:
         fh.write("method,estimand,delta,value\n")
         fh.write(

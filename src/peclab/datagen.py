@@ -32,6 +32,7 @@ from .model import (
     Scenario,
     check_scenario,
 )
+from .regress import _sigmoid
 from .rng import ColumnTag, StreamKey, rounded_uniform_blocks, sample, uniforms
 
 
@@ -103,9 +104,9 @@ def generate_scenario(
     """Materialize one replication of a scenario.
 
     The outcome link decides the response type: identity gives an additive
-    continuous Y, logit a Bernoulli draw at the logistic mean (noise inside
-    the linear predictor), log a Bernoulli draw at exp(lp) for rare-outcome
-    worlds.
+    continuous Y, logit a Bernoulli draw at the logistic mean
+    ``regress._sigmoid(lp)`` (noise inside the linear predictor), log a
+    Bernoulli draw at exp(lp) for rare-outcome worlds.
 
     ``draws`` maps (column tag, law) to a keyed draw of this replication; the
     law is None for the Bernoulli uniforms. A draw found there is reused and
@@ -145,9 +146,7 @@ def generate_scenario(
         y = lp
     else:
         if s.outcome.link is Link.LOGIT:
-            # exp(-lp) overflows to inf where p is 0, which is the right value
-            with np.errstate(over="ignore"):
-                p = 1.0 / (1.0 + np.exp(-lp))
+            p = _sigmoid(lp)
         else:
             p = np.exp(lp)
             if np.any(p > 1.0):

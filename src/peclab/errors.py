@@ -20,11 +20,17 @@ class SchemaError(PeclabError):
 
 
 class SingularDesignError(PeclabError):
-    """Design matrix is rank deficient."""
+    """Design matrix is rank deficient; every rank check raises ``of(columns)``,
+    whose ``columns`` name the offending design columns."""
 
     def __init__(self, message, columns=None):
         super().__init__(message)
         self.columns = list(columns) if columns is not None else []
+
+    @classmethod
+    def of(cls, columns: list[str]) -> "SingularDesignError":
+        names = ", ".join(columns)
+        return cls(f"design matrix is rank deficient (offending columns: {names})", columns)
 
 
 class SeparationError(PeclabError):

@@ -24,7 +24,8 @@ the cells that hold mass. Two estimators fill it and are never mixed:
 
 Every analytic integral runs over one law rule, ``_law``: a discrete law is
 its support, and any other law QUAD_NODES trapezoid nodes on mean +-
-QUAD_SIGMAS sd weighted by its density.
+QUAD_SIGMAS sd weighted by its density. A logit outcome's probability is
+the generator's own, ``regress._sigmoid``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapabilityError, DiscretenessError, SupportError
+from .errors import CapabilityError, DiscretenessError, ParameterError, SupportError
 from .model import (
     Dataset,
     DistributionSpec,
@@ -45,6 +46,7 @@ from .model import (
     Link,
     OutcomeModel,
 )
+from .regress import _sigmoid
 
 KEY_DECIMALS = 9
 QUAD_NODES = 4001
@@ -267,13 +269,22 @@ def _law(spec: DistributionSpec) -> tuple[np.ndarray, np.ndarray]:
     return pts, _trapezoid_weights(pts) * spec.density(pts)
 
 
+def _finite_support(name: str, values) -> np.ndarray:
+    """The ``_support`` of a support argument's keyed values, once each is
+    finite: a NaN would be a point of zero mass, or a zero density."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
+    return _support(_keyed(values))
+
+
 def _p_outcome(outcome: OutcomeModel, x: np.ndarray, y_support: np.ndarray) -> np.ndarray:
     """P(Y(x) = y | z) as a (y, x) array, the outcome noise integrated out
     over its law; under logit y_support is (0, 1)."""
     eps, wts = _law(outcome.noise)
     lp = outcome.linear_predictor(x[:, None], eps=eps)
     if outcome.link is Link.LOGIT:
-        p1 = (1.0 / (1.0 + np.exp(-lp))) @ wts
+        p1 = _sigmoid(lp) @ wts
         return np.stack([1.0 - p1, p1])
     return (_keyed(lp) == y_support[:, None, None]) @ wts
 
@@ -325,12 +336,12 @@ def analytic_product_table(
     or continuous noise. Supports are keyed and made by ``_support``: sorted,
     de-duplicated, a zero as +0.0.
     """
-    xep_support = _support(_keyed(xep_support))
+    xep_support = _finite_support("xep_support", xep_support)
     if x_support is None:
         if not x_marginal.is_discrete():
             raise CapabilityError("x_support is required for continuous exposure marginals")
         x_support = x_marginal.support()[0]
-    x_support = _support(_keyed(x_support))
+    x_support = _finite_support("x_support", x_support)
 
     if outcome.link not in (Link.IDENTITY, Link.LOGIT):
         raise CapabilityError(f"analytic mode does not support the {outcome.link.value} link")

@@ -1,17 +1,18 @@
 """Monte Carlo orchestration and golden-table reproduction.
 
 A method is a row of data in METHODS: an estimator kind (naive, ipw or
-gcomp), an exposure column and its adjustment columns. run_study runs the
-replications of one or more scenarios that share seed, n and replications;
-each replication generates every scenario's world, calibrates it when a
-method names a calibrated column, and calls each method's estimator. It
-aggregates per-method means and dispersions in replication-index order, so
-results are deterministic regardless of worker count. With jobs > 1 the
-replications are split into contiguous blocks, one per child process, and
-the caller only waits for each block's results. reproduce runs the
-canonical configuration for one published table, all of its scenarios in
-one run_study call and one set of child processes, and reports a
-cell-by-cell diff at the acceptance tolerances.
+gcomp), an exposure column and its adjustment columns. ``estimate_kind``
+turns a kind into its estimator call, for run_study and ``peclab estimate``
+alike. run_study runs the replications of one or more scenarios that share
+seed, n and replications; each replication generates every scenario's
+world, calibrates it when a method names a calibrated column, and calls
+each method's estimator. It aggregates per-method means and dispersions in
+replication-index order, so results are deterministic regardless of worker
+count. With jobs > 1 the replications are split into contiguous blocks,
+one per child process, and the caller only waits for each block's results.
+reproduce runs the canonical configuration for one published table, all of
+its scenarios in one run_study call and one set of child processes, and
+reports a cell-by-cell diff at the acceptance tolerances.
 
 A replication factorises its world once: the first fit on a generated
 world builds the dataset's QR factor (``Dataset.factor``), the calibration
@@ -102,25 +103,33 @@ METHODS: dict[str, tuple[str, str, tuple[str, ...]]] = {
 }
 
 
+def estimate_kind(kind: str, d, exposure: str, adjust, delta: float = 1.0,
+                  truncate_quantile: float | None = None) -> dict[Estimand, float]:
+    """{estimand: value} of one method kind on a dataset: the RD for naive
+    and ipw, the RD then the RR of one fit for gcomp. The estimators are
+    this module's globals, looked up at call time."""
+    if kind == "naive":
+        return {RD: naive_regression_aee(d, exposure, adjust, delta=delta)}
+    if kind == "ipw":
+        return {RD: ipw_gps_aee(d, exposure, adjust, delta=delta,
+                                truncate_quantile=truncate_quantile)}
+    rd, rr = g_computation(d, exposure, adjust, delta=delta)
+    return {RD: rd, RR: rr}
+
+
 def _replicate(
     scenario: Scenario, rep: int, method_names: list[str], draws: dict | None = None
 ) -> dict:
     """{(method, estimand): value} for one replication. The world is
     calibrated when a method names a column it lacks; that adds every *_RC
-    column, so it happens at most once. The estimators are this module's
-    globals, looked up at call time."""
+    column, so it happens at most once."""
     ds = generate_scenario(scenario, rep, draws)
     out = {}
     for name in method_names:
         kind, exposure, adjust = METHODS[name]
         if any(c not in ds for c in (exposure, *adjust)):
             ds = apply_calibration(fit_calibration(ds, condition="two"), ds)
-        if kind == "naive":
-            out[(name, RD)] = naive_regression_aee(ds, exposure, adjust)
-        elif kind == "ipw":
-            out[(name, RD)] = ipw_gps_aee(ds, exposure, adjust)
-        else:
-            out[(name, RD)], out[(name, RR)] = g_computation(ds, exposure, adjust)
+        out.update(((name, e), v) for e, v in estimate_kind(kind, ds, exposure, adjust).items())
     return out
 
 
@@ -471,9 +480,7 @@ def _table2_fits(table: ExchProbTable) -> tuple[float, float, float]:
         ("X", table.x_support, c.sum(axis=0)),
     ):
         if support.size == 1:
-            raise SingularDesignError(
-                f"design matrix is rank deficient (offending columns: {name})", columns=[name]
-            )
+            raise SingularDesignError.of([name])
         mean = counts @ support / counts.sum()
         centred = support - mean
         moments.append((mean, centred, counts @ centred**2))

@@ -116,6 +116,22 @@ class DistributionSpec:
         keep = probs > 0
         return ks[keep], probs[keep]
 
+    def _rounded_moments(self) -> tuple[float, float]:
+        """Mean and variance of round(Uniform(lo, hi)) in O(1) of the width.
+        The end cells kl <= kh hold widths wl and wh, the kh - kl - 1 cells
+        between them width 1 each. About the centre (kl + kh) / 2 the
+        interior is symmetric, so only the end cells shift the mean, and a
+        law with lo = -hi has mean exactly 0."""
+        lo, hi = self.p1, self.p2
+        kl, kh = math.floor(lo + 0.5), math.ceil(hi - 0.5)
+        if kl == kh:
+            return float(kl), 0.0
+        wl, wh = kl + 0.5 - lo, hi - (kh - 0.5)
+        half, inner = (kh - kl) / 2, float(kh - kl - 1)
+        shift = half * (wh - wl) / (hi - lo)
+        second = (half * (half * (wl + wh)) + inner * (inner * inner - 1.0) / 12.0) / (hi - lo)
+        return (kl + kh) / 2 + shift, second - shift * shift
+
     def mean(self) -> float:
         if self.family == "normal":
             return self.p1
@@ -123,8 +139,7 @@ class DistributionSpec:
             return self.p1 * self.p2
         if self.family == "pointMass":
             return self.p1
-        ks, probs = self._rounded_cells()
-        return float(np.dot(ks, probs))
+        return self._rounded_moments()[0]
 
     def variance(self) -> float:
         if self.family == "normal":
@@ -133,9 +148,7 @@ class DistributionSpec:
             return self.p1 * self.p2**2
         if self.family == "pointMass":
             return 0.0
-        ks, probs = self._rounded_cells()
-        m = float(np.dot(ks, probs))
-        return float(np.dot(ks**2, probs) - m**2)
+        return self._rounded_moments()[1]
 
     def is_discrete(self) -> bool:
         point_normal = self.family == "normal" and self.p2 == 0
@@ -465,6 +478,9 @@ class Dataset:
             raise SchemaError(
                 f"{path}: {len(names)} header fields but {data.shape[1]} columns"
             )
+        # column-major, so each column is contiguous as a generated one is:
+        # a strided column sums in another order, and its estimates move by ulps
+        data = np.asfortranarray(data)
         return cls({name: data[:, i] for i, name in enumerate(names)})
 
 

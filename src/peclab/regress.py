@@ -116,11 +116,7 @@ def _check_rank(r: np.ndarray, column_names=None) -> None:
     named from ``r`` too."""
     sv = np.linalg.svd(r, compute_uv=False)
     if sv[0] == 0 or sv[-1] <= RANK_RTOL * sv[0]:
-        bad = _offending_columns(r, column_names)
-        raise SingularDesignError(
-            f"design matrix is rank deficient (offending columns: {', '.join(bad)})",
-            columns=bad,
-        )
+        raise SingularDesignError.of(_offending_columns(r, column_names))
 
 
 def _offending_columns(r: np.ndarray, column_names=None) -> list[str]:
@@ -206,6 +202,7 @@ def wls(design, response, weights, column_names=None) -> RegressionFit:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-eta)), the package's one logistic function; no eta overflows."""
     return _sigmoid_from(eta, np.exp(-np.abs(eta)))
 
 

@@ -99,6 +99,26 @@ def test_polynomial_names_the_bad_input():
         p_rd_polynomial(2, 1.0, 1.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "x, xep, message",
+    [
+        ([1.0, 2.0, 3.0], [1.0, 2.0, float("nan")], "xep must be finite, got nan"),
+        ([1.0, float("inf"), 3.0], [1.0, 2.0, 3.0], "x must be finite, got inf"),
+        ([float("nan"), 2.0, 3.0], [1.0, 2.0, float("nan")], "x must be finite, got nan"),
+    ],
+)
+def test_polynomial_from_data_rejects_non_finite_columns(x, xep, message):
+    # before the slope's fit, which would not converge on a NaN
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        p_rd_polynomial_from_data(1, x, xep)
+
+
+def test_a_negative_zero_variance_reports_positive_zeros():
+    for rep in (report(1.0, -0.0, 1.0), report(-1.0, 0.0, 1.0)):
+        for value in (rep.lambda_, rep.p_rd, rep.r_squared_check):
+            assert value == 0.0 and not np.signbit(value)
+
+
 def test_polynomial_power_overflow_is_the_degenerate_variance_error():
     # gamma1^(2q) overflows a float here; float ** raises OverflowError
     degenerate = (

@@ -319,6 +319,17 @@ def test_bias_closed_form(capsys):
     assert "lambda" in out and "0.5" in out
 
 
+def test_bias_prints_no_negative_zero(capsys):
+    argv = ["bias", "--gamma1", "1", "--var-x", "-0.0", "--var-u", "1", "--out", "-"]
+    assert dispatch(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:5] == ["lambda,0", "gamma1,1", "p_rd,0", "r_squared_check,0"]
+    assert dispatch(["bias", "--gamma1", "-1", "--var-x", "0", "--var-u", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["lambda", "0"]
+    assert not any(line.split()[-1].startswith("-0") for line in lines)
+
+
 def test_bias_figure2_csv(tmp_path):
     path = tmp_path / "fig2.csv"
     assert dispatch(["bias", "--figure2", str(path)]) == 0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import table2_oracle as oracle
 from peclab import worlds
 from peclab.datagen import generate_table2_world, table2_blocks
-from peclab.errors import CapabilityError, DiscretenessError, SupportError
+from peclab.errors import CapabilityError, DiscretenessError, ParameterError, SupportError
 from peclab.exchprob import (
     BLOCK_ROWS,
     KEY_DECIMALS,
@@ -541,6 +542,21 @@ def test_continuous_exposure_needs_x_support():
         )
 
 
+@pytest.mark.parametrize(
+    "supports, message",
+    [
+        (dict(xep_support=[8.0, float("nan")]), "xep_support must be finite, got nan"),
+        (dict(xep_support=[9.0], x_support=[float("nan"), 9.0]), "x_support must be finite, got nan"),
+        (dict(xep_support=[float("-inf")]), "xep_support must be finite, got -inf"),
+    ],
+)
+def test_a_non_finite_support_point_is_rejected(supports, message):
+    # before any quadrature: a NaN would be a point of zero mass, or a
+    # "zero density" measured value
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        analytic_product_table(TABLE2_OUTCOME, CLASSICAL_UNIT_ERROR, X_MARGINAL, **supports)
+
+
 def test_measured_value_with_zero_density_raises():
     # Xep = X exactly, and X lives on {8, 9, 10}: no X reaches Xep = 20
     error = ErrorModel(kind=ErrorKind.NON_BERKSON_LINEAR, gamma1=1.0,
@@ -676,6 +692,19 @@ def test_logit_discrete_noise_against_hand_sum():
         for x in (8, 9, 10):
             assert table.cell(e, x, 1.0) == pytest.approx(p1(x) * p_meas, abs=1e-14)
             assert table.cell(e, x, 0.0) == pytest.approx((1 - p1(x)) * (1 - p_meas), abs=1e-14)
+
+
+def test_a_far_negative_logit_does_not_overflow():
+    outcome = OutcomeModel(link=Link.LOGIT, beta0=-800.0, beta_x=0.25,
+                           noise=DistributionSpec.rounded_uniform(-1, 1), noise_scale=0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = analytic_product_table(
+            outcome, CLASSICAL_UNIT_ERROR, X_MARGINAL, xep_support=[8, 9, 10]
+        )
+    # P(Y(x) = 1) is 0 for every x: the event cells are 0, the rest about 1
+    assert np.all(table.probs[:, :, 1] == 0.0)
+    np.testing.assert_allclose(table.probs[:, :, 0], 1.0, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from peclab import harness, worlds
+from peclab.calibrate import apply_calibration, fit_calibration
 from peclab.cli import build_parser
-from peclab.datagen import generate_table2_world
+from peclab.datagen import generate_scenario, generate_table2_world
 from peclab.errors import ConvergenceError, ParameterError, PeclabError, SingularDesignError
 from peclab.exchprob import aee_from_table, empirical_table
 from peclab.harness import (
@@ -163,6 +164,34 @@ def test_every_method_row_runs(name, monkeypatch):
     assert all(np.isfinite(r.mean_estimate) for r in results)
     # one calibration per replication for the rows on calibrated columns
     assert len(calibrations) == (2 if name == "rc" or name.endswith("_rc") else 0)
+
+
+def _dispatch_worlds():
+    """(method, scenario) for every METHODS row: the naive and ipw rows on
+    a table3 world, the gcomp rows on a table4 and on a table5 world."""
+    for seed in (5, 11):
+        size = dict(n=2000, replications=1, seed=seed)
+        for name, (kind, _, _) in METHODS.items():
+            if kind == "gcomp":
+                yield name, worlds.table4_scenario(2, **size)
+                yield name, worlds.table5_scenario(0.0, 0.5, **size)
+            else:
+                yield name, worlds.table3_scenario(2, **size)
+
+
+@pytest.mark.parametrize("name, scenario", _dispatch_worlds())
+def test_estimate_kind_on_a_saved_world_is_the_replication(name, scenario, tmp_path):
+    # the CSV round trip is exact, so the saved world has the same factor
+    # and fits as the one the replication generates
+    kind, exposure, adjust = METHODS[name]
+    path = tmp_path / "world.csv"
+    generate_scenario(scenario, 0).to_csv(path)
+    ds = Dataset.from_csv(path)
+    if exposure.endswith("_RC"):
+        ds = apply_calibration(fit_calibration(ds, condition="two"), ds)
+    got = harness.estimate_kind(kind, ds, exposure, adjust)
+    assert list(got) == ([RD, RR] if kind == "gcomp" else [RD])
+    assert [((name, e), v) for e, v in got.items()] == list(_replicate(scenario, 0, [name]).items())
 
 
 def test_calibration_runs_once_per_replication(monkeypatch):

@@ -50,6 +50,35 @@ def test_rounded_uniform_non_integer_endpoints():
     np.testing.assert_allclose(probs.sum(), 1.0)
 
 
+@pytest.mark.parametrize("lo", [-3.0, -2.5, -0.5, 0.0, 0.3, 7.7, 1234.25, -9999.5])
+@pytest.mark.parametrize("width", [0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 99.5, 1e4])
+def test_rounded_uniform_closed_form_moments_match_the_enumeration(lo, width):
+    # integer, half-integer and fractional endpoints, widths up to 10^4
+    spec = DistributionSpec.rounded_uniform(lo, lo + width)
+    values, probs = spec.support()
+    mean = float(values @ probs)
+    variance = float((values - mean) ** 2 @ probs)
+    scale = max(1.0, abs(lo), abs(lo + width))
+    assert abs(spec.mean() - mean) <= 1e-12 * scale
+    assert abs(spec.variance() - variance) <= 1e-12 * scale**2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-300, max_value=1e300))
+def test_a_symmetric_rounded_uniform_has_mean_exactly_zero(hi):
+    # validation allows |mean| <= 1e-9, so a cancellation error scaled by a
+    # wide law's endpoints would reject a valid law
+    assert DistributionSpec.rounded_uniform(-hi, hi).mean() == 0.0
+
+
+def test_a_wide_rounded_uniform_noise_validates():
+    # its 2e18 + 1 cells are never enumerated
+    s = worlds.table3_scenario(1)
+    wide = DistributionSpec.rounded_uniform(-1e18, 1e18)
+    assert validate_scenario(replace(s, outcome=replace(s.outcome, noise=wide))) == []
+    assert wide.variance() == pytest.approx(4e36 / 12, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
