@@ -20,8 +20,7 @@ class SchemaError(PeclabError):
 
 
 class SingularDesignError(PeclabError):
-    """Design matrix is rank deficient; every rank check raises ``of(columns)``,
-    whose ``columns`` name the offending design columns."""
+    """Design matrix is rank deficient; every rank check raises ``of(columns)``."""
 
     def __init__(self, message, columns=None):
         super().__init__(message)

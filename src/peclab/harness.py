@@ -103,18 +103,15 @@ METHODS: dict[str, tuple[str, str, tuple[str, ...]]] = {
 }
 
 
-def estimate_kind(kind: str, d, exposure: str, adjust, delta: float = 1.0,
-                  truncate_quantile: float | None = None) -> dict[Estimand, float]:
+def estimate_kind(kind: str, d, exposure: str, adjust, delta=1.0, truncate_quantile=None) -> dict:
     """{estimand: value} of one method kind on a dataset: the RD for naive
     and ipw, the RD then the RR of one fit for gcomp. The estimators are
     this module's globals, looked up at call time."""
     if kind == "naive":
         return {RD: naive_regression_aee(d, exposure, adjust, delta=delta)}
     if kind == "ipw":
-        return {RD: ipw_gps_aee(d, exposure, adjust, delta=delta,
-                                truncate_quantile=truncate_quantile)}
-    rd, rr = g_computation(d, exposure, adjust, delta=delta)
-    return {RD: rd, RR: rr}
+        return {RD: ipw_gps_aee(d, exposure, adjust, delta, truncate_quantile)}
+    return dict(zip((RD, RR), g_computation(d, exposure, adjust, delta=delta)))
 
 
 def _replicate(

@@ -478,10 +478,8 @@ class Dataset:
             raise SchemaError(
                 f"{path}: {len(names)} header fields but {data.shape[1]} columns"
             )
-        # column-major, so each column is contiguous as a generated one is:
-        # a strided column sums in another order, and its estimates move by ulps
-        data = np.asfortranarray(data)
-        return cls({name: data[:, i] for i, name in enumerate(names)})
+        # contiguous columns, as generated: a strided one sums in another order
+        return cls(dict(zip(names, np.ascontiguousarray(data.T))))
 
 
 # ---------------------------------------------------------------------------
