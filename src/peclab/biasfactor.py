@@ -209,11 +209,16 @@ def report_from_data(d: Dataset, adjustment=()) -> BiasFactorReport:
     return replace(report(gamma1, var_x, var_u), r_squared_check=float(meas_fit.r_squared))
 
 
-def figure2_grid(gammas=(0.5, 0.75, 1.0, 1.5, 2.0), points: int = 101):
+# Figure 2's lines: one per gamma1, each at FIGURE2_POINTS evenly spaced p in [0, 1]
+FIGURE2_GAMMAS = (0.5, 0.75, 1.0, 1.5, 2.0)
+FIGURE2_POINTS = 101
+
+
+def figure2_grid():
     """(gamma1, p, lambda) rows of the lambda = p / gamma1 line family."""
-    ps = np.linspace(0.0, 1.0, points)
+    ps = np.linspace(0.0, 1.0, FIGURE2_POINTS)
     rows = []
-    for g in gammas:
+    for g in FIGURE2_GAMMAS:
         for p in ps:
             rows.append((float(g), float(p), float(p / g)))
     return rows

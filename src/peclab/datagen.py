@@ -145,15 +145,19 @@ def generate_scenario(
     if s.outcome.link is Link.IDENTITY:
         y = lp
     else:
-        if s.outcome.link is Link.LOGIT:
-            p = _sigmoid(lp)
-        else:
-            p = np.exp(lp)
-            if np.any(p > 1.0):
-                raise ParameterError(
-                    "log link produced probabilities > 1; the outcome model is "
-                    "valid only for rare outcomes"
-                )
+        p = _sigmoid(lp) if s.outcome.link is Link.LOGIT else np.exp(lp)
+        # U < NaN is false, so a NaN probability would draw Y = 0 unseen
+        undefined = int(np.count_nonzero(np.isnan(p)))
+        if undefined:
+            raise ParameterError(
+                f"the outcome probability is NaN on {undefined} of {n} rows: "
+                "the outcome model's linear predictor is undefined there"
+            )
+        if s.outcome.link is Link.LOG and np.any(p > 1.0):
+            raise ParameterError(
+                "log link produced probabilities > 1; the outcome model is "
+                "valid only for rare outcomes"
+            )
         y = (draw(ColumnTag.BERNOULLI, None) < p).astype(float)
 
     cep = _apply_error(s.confounder_error, c, v, draw, ColumnTag.U_C)

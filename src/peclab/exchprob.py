@@ -24,8 +24,9 @@ the cells that hold mass. Two estimators fill it and are never mixed:
 
 Every analytic integral runs over one law rule, ``_law``: a discrete law is
 its support, and any other law QUAD_NODES trapezoid nodes on mean +-
-QUAD_SIGMAS sd weighted by its density. A logit outcome's probability is
-the generator's own, ``regress._sigmoid``.
+QUAD_SIGMAS sd weighted by its density. A discrete law with more than
+QUAD_NODES cells is rejected before any cell is made. A logit outcome's
+probability is the generator's own, ``regress._sigmoid``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .model import (
     ErrorModel,
     Link,
     OutcomeModel,
+    _format_distribution,
 )
 from .regress import _sigmoid
 
@@ -261,8 +263,15 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 def _law(spec: DistributionSpec) -> tuple[np.ndarray, np.ndarray]:
     """(points, weights) that integrate against ``spec``: a discrete law's
     support, and otherwise QUAD_NODES trapezoid nodes on mean +- QUAD_SIGMAS
-    sd weighted by the density."""
+    sd weighted by the density. A discrete law gets the continuous law's
+    budget: its cells are counted, not enumerated, before it is accepted."""
     if spec.is_discrete():
+        cells = spec.cells()
+        if cells > QUAD_NODES:
+            raise CapabilityError(
+                f"{_format_distribution(spec)} has {cells} support points; analytic mode "
+                f"enumerates at most {QUAD_NODES}, the nodes a continuous law gets"
+            )
         return spec.support()
     mu, sigma = spec.mean(), np.sqrt(spec.variance())
     pts = np.linspace(mu - QUAD_SIGMAS * sigma, mu + QUAD_SIGMAS * sigma, QUAD_NODES)
@@ -300,10 +309,10 @@ def _conditional_true_given_measured(
         pts = error.gamma0 + error.gamma1 * xep + u
     elif error.noiseU.is_discrete():
         # Xep = gamma0 + gamma1 * X + U: one point x = (xep - gamma0 - u) / gamma1 per u
-        u_vals, u_probs = error.noiseU.support()
+        u_vals, u_probs = _law(error.noiseU)
         pts = (xep - error.gamma0 - u_vals) / error.gamma1
         if x_marginal.is_discrete():
-            x_vals, x_probs = x_marginal.support()
+            x_vals, x_probs = _law(x_marginal)
             lookup = dict(zip(_keyed(x_vals).tolist(), x_probs))
             fx = np.array([lookup.get(k, 0.0) for k in _keyed(pts).tolist()])
         else:
@@ -340,7 +349,7 @@ def analytic_product_table(
     if x_support is None:
         if not x_marginal.is_discrete():
             raise CapabilityError("x_support is required for continuous exposure marginals")
-        x_support = x_marginal.support()[0]
+        x_support = _law(x_marginal)[0]
     x_support = _finite_support("x_support", x_support)
 
     if outcome.link not in (Link.IDENTITY, Link.LOGIT):

@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -107,10 +108,18 @@ class DistributionSpec:
         if v:
             raise ParameterError("; ".join(v))
 
+    def _rounded_ends(self) -> tuple[int, int]:
+        """The end cells kl <= kh of round(Uniform(lo, hi)): the first and
+        last integers k whose cell [k - 0.5, k + 0.5] overlaps (lo, hi).
+        Exact: in floats lo + 0.5 can round up to the next integer."""
+        half = Fraction(1, 2)
+        return math.floor(Fraction(self.p1) + half), math.ceil(Fraction(self.p2) - half)
+
     def _rounded_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Integer support and probabilities of round(Uniform(lo, hi))."""
         lo, hi = self.p1, self.p2
-        ks = np.arange(math.ceil(lo - 0.5), math.floor(hi + 0.5) + 1, dtype=float)
+        kl, kh = self._rounded_ends()
+        ks = np.arange(kl, kh + 1, dtype=float)
         width = np.minimum(hi, ks + 0.5) - np.maximum(lo, ks - 0.5)
         probs = np.clip(width, 0.0, None) / (hi - lo)
         keep = probs > 0
@@ -123,7 +132,7 @@ class DistributionSpec:
         interior is symmetric, so only the end cells shift the mean, and a
         law with lo = -hi has mean exactly 0."""
         lo, hi = self.p1, self.p2
-        kl, kh = math.floor(lo + 0.5), math.ceil(hi - 0.5)
+        kl, kh = self._rounded_ends()
         if kl == kh:
             return float(kl), 0.0
         wl, wh = kl + 0.5 - lo, hi - (kh - 0.5)
@@ -153,6 +162,14 @@ class DistributionSpec:
     def is_discrete(self) -> bool:
         point_normal = self.family == "normal" and self.p2 == 0
         return point_normal or self.family in ("roundedUniform", "pointMass")
+
+    def cells(self) -> int:
+        """The number of support points of a discrete law, read from its end
+        cells in O(1) of its width."""
+        if self.family == "roundedUniform":
+            kl, kh = self._rounded_ends()
+            return kh - kl + 1
+        return 1
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, probabilities) for discrete laws."""
@@ -214,10 +231,12 @@ class OutcomeModel:
 
     def linear_predictor(self, x, c=0.0, v=0.0, eps=0.0):
         x = np.asarray(x, dtype=float)
+        lp = self.beta0 + self.beta_x * x
+        if self.beta_x2 != 0:
+            # 0 * (x * x) would be NaN wherever x * x overflows
+            lp = lp + self.beta_x2 * (x * x)
         return (
-            self.beta0
-            + self.beta_x * x
-            + self.beta_x2 * (x * x)
+            lp
             + self.beta_c * np.asarray(c, dtype=float)
             + self.beta_v * np.asarray(v, dtype=float)
             + self.noise_scale * np.asarray(eps, dtype=float)

@@ -82,23 +82,6 @@ class RegressionFit:
         return np.asarray(design, dtype=float) @ self.coefficients
 
 
-def _as_design(design) -> np.ndarray:
-    a = np.asarray(design, dtype=float)
-    if a.ndim != 2:
-        raise ParameterError("design must be a 2-d matrix")
-    return a
-
-
-def _as_response(response, n: int) -> np.ndarray:
-    """The response as a float vector with one entry per design row."""
-    y = np.asarray(response, dtype=float)
-    if y.ndim != 1:
-        raise ParameterError(f"response must be a vector, got {y.ndim} dimension(s)")
-    if y.shape[0] != n:
-        raise ParameterError(f"response has {y.shape[0]} rows but the design has {n}")
-    return y
-
-
 def _constant_columns(a: np.ndarray) -> np.ndarray:
     """Boolean mask of the design's constant columns. The reduction runs
     down a column-major array: along axis 0 of a row-major tall design it
@@ -143,12 +126,19 @@ def _linear_fit(beta: np.ndarray, rss: float, tss: float, n: int, p: int) -> Reg
 
 def _tall(design, response) -> tuple[np.ndarray, np.ndarray]:
     """The design as a matrix with more rows than columns, and the response
-    as a vector with one entry per row."""
-    a = _as_design(design)
+    as a vector with one entry per row: every tall fit's one input check."""
+    a = np.asarray(design, dtype=float)
+    if a.ndim != 2:
+        raise ParameterError("design must be a 2-d matrix")
     n, p = a.shape
     if n <= p:
         raise ParameterError(f"need n > p, got n={n}, p={p}")
-    return a, _as_response(response, n)
+    y = np.asarray(response, dtype=float)
+    if y.ndim != 1:
+        raise ParameterError(f"response must be a vector, got {y.ndim} dimension(s)")
+    if y.shape[0] != n:
+        raise ParameterError(f"response has {y.shape[0]} rows but the design has {n}")
+    return a, y
 
 
 def _solve_rows(b: np.ndarray, t: np.ndarray, column_names=None) -> np.ndarray:
@@ -186,8 +176,7 @@ def ols(design, response, column_names=None) -> RegressionFit:
 
 def wls(design, response, weights, column_names=None) -> RegressionFit:
     """Minimize sum_i w_i (y_i - x_i' beta)^2 for strictly positive weights."""
-    a = _as_design(design)
-    y = _as_response(response, a.shape[0])
+    a, y = _tall(design, response)
     w = np.asarray(weights, dtype=float)
     if w.shape != y.shape:
         raise ParameterError("weights must match the response length")
@@ -196,7 +185,7 @@ def wls(design, response, weights, column_names=None) -> RegressionFit:
     sw = np.sqrt(w)
     # the scaled fit's residuals are sqrt(w_i) r_i, so its RSS is already the
     # weighted sum_i w_i r_i^2; only the TSS needs the weighted geometry
-    beta, rss = _least_squares(*_tall(a * sw[:, None], y * sw), column_names)
+    beta, rss = _least_squares(a * sw[:, None], y * sw, column_names)
     ybar = float(w @ y / w.sum())
     return _linear_fit(beta, rss, float(w @ (y - ybar) ** 2), *a.shape)
 
@@ -220,11 +209,6 @@ def _log_likelihood(y: np.ndarray, eta: np.ndarray, e: np.ndarray) -> float:
     # only when a full Newton step fails its concavity check, and for the
     # trace of a fit that does not converge
     return float(y @ eta - np.maximum(eta, 0.0).sum() - np.log1p(e).sum())
-
-
-def _log_likelihood_at(a: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    eta = a @ beta
-    return _log_likelihood(y, eta, np.exp(-np.abs(eta)))
 
 
 def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
@@ -275,10 +259,15 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
     else:
         _check_rank(r[:, :p], column_names)
         beta = np.zeros(p)
-    eta = a @ beta
-    e = np.exp(-np.abs(eta))
-    mu = _sigmoid_from(eta, e)
-    score = a.T @ (y - mu)
+
+    def point(b):
+        """The Newton point at b: (b, eta, exp(-|eta|), mu, score)."""
+        eta = a @ b
+        e = np.exp(-np.abs(eta))
+        mu = _sigmoid_from(eta, e)
+        return b, eta, e, mu, a.T @ (y - mu)
+
+    beta, eta, e, mu, score = point(beta)
     # l at beta when a failed check has computed it, else None
     ll = None
     accepted = [beta]
@@ -304,7 +293,7 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
             raise ConvergenceError(
                 f"IRLS did not converge in {IRLS_MAX_ITER} iterations "
                 f"(max |score| = {max_score:.3g})",
-                trace=[_log_likelihood_at(a, y, b) for b in accepted],
+                trace=[_log_likelihood(y, *point(b)[1:3]) for b in accepted],
             )
         w = np.clip(mu * (1.0 - mu), 1e-12, None)
         h = (a * w[:, None]).T @ a
@@ -312,33 +301,22 @@ def logistic_irls(design, response, column_names=None, r=None) -> RegressionFit:
             step = np.linalg.solve(h, score)
         except np.linalg.LinAlgError:
             raise SeparationError("information matrix is singular (separation?)") from None
-        cand = beta + step
-        cand_eta = a @ cand
-        cand_e = np.exp(-np.abs(cand_eta))
-        cand_mu = _sigmoid_from(cand_eta, cand_e)
-        cand_score = a.T @ (y - cand_mu)
+        cand = point(beta + step)
         cand_ll = None
-        if not (cand_score @ step >= 0.0):
+        if not (cand[4] @ step >= 0.0):
             # step-halving on likelihood decrease; decreases within float
             # resolution of the log-likelihood magnitude are accepted so the
             # final Newton steps are not rejected as noise
             if ll is None:
                 ll = _log_likelihood(y, eta, e)
             noise = 1e-10 * (abs(ll) + 1.0)
-            scale = 1.0
             for k in range(30):
                 if k:
-                    cand = beta + scale * step
-                    cand_eta = a @ cand
-                    cand_e = np.exp(-np.abs(cand_eta))
-                cand_ll = _log_likelihood(y, cand_eta, cand_e)
+                    cand = point(beta + 0.5**k * step)
+                cand_ll = _log_likelihood(y, *cand[1:3])
                 if cand_ll >= ll - noise:
                     break
-                scale *= 0.5
-            if scale != 1.0:
-                cand_mu = _sigmoid_from(cand_eta, cand_e)
-                cand_score = a.T @ (y - cand_mu)
-        beta, eta, e, mu, score, ll = cand, cand_eta, cand_e, cand_mu, cand_score, cand_ll
+        (beta, eta, e, mu, score), ll = cand, cand_ll
         accepted.append(beta)
 
 

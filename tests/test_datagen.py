@@ -271,6 +271,35 @@ def test_log_link_rare_outcome_world():
     assert ds["Y"].mean() == pytest.approx(np.exp(-6 + 0.3**2 / 2), rel=0.2)
 
 
+def _undefined_outcome_world(link: Link) -> Scenario:
+    # beta_x X + beta_c C is inf - inf = NaN on the rows where both products overflow
+    s = worlds.table4_scenario(1, n=2000, replications=2)
+    return replace(s, outcome=replace(s.outcome, link=link, beta_x=1e308, beta_c=-1e308))
+
+
+@pytest.mark.parametrize("link", [Link.LOGIT, Link.LOG])
+def test_a_nan_outcome_probability_is_rejected_with_its_row_count(link):
+    # U < NaN is false: these rows drew Y = 0, which the fit then blamed on separation
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(
+            ParameterError, match="^the outcome probability is NaN on 318 of 2000 rows: "
+        ):
+            generate_scenario(_undefined_outcome_world(link), 0)
+
+
+def test_a_huge_exposure_does_not_form_a_quadratic_term_it_does_not_have():
+    # at V = 1e160 the exposure's square overflows; beta_x2 = 0 forms none,
+    # so Y is finite and no warning is raised
+    s = worlds.table3_scenario(1, n=300, replications=2)
+    s = replace(s, v_model=DistributionSpec.point_mass(1e160))
+    assert s.outcome.beta_x2 == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = generate_scenario(s, 0)["Y"]
+    assert np.isfinite(y).all()
+
+
 def test_log_link_rejects_probabilities_above_one():
     outcome = OutcomeModel(link=Link.LOG, beta0=0.5, beta_x=0.0,
                            noise=DistributionSpec.point_mass(0.0))

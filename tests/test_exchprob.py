@@ -13,6 +13,7 @@ from peclab.exchprob import (
     BLOCK_ROWS,
     KEY_DECIMALS,
     MAX_SUPPORT,
+    QUAD_NODES,
     TableMode,
     aee_from_table,
     analytic_product_table,
@@ -533,6 +534,38 @@ def test_unsupported_combinations_raise():
             OutcomeModel(link=Link.LOG, beta_x=0.1, noise=DistributionSpec.point_mass(0)),
             CLASSICAL_UNIT_ERROR, X_MARGINAL, xep_support=[9],
         )
+
+
+def test_a_discrete_law_gets_the_quadrature_budget_of_cells():
+    # roundedUniform(0, k - 1) has the k cells 0, 1, ..., k - 1
+    def with_noise(hi):
+        error = ErrorModel(kind=ErrorKind.NON_BERKSON_LINEAR, gamma1=1.0,
+                           noiseU=DistributionSpec.rounded_uniform(0, hi))
+        return analytic_product_table(TABLE2_OUTCOME, error, X_MARGINAL, xep_support=[9])
+
+    # Xep = 9 leaves X = 9 - U at U = 0 and at U = 1, with equal weight
+    table = with_noise(QUAD_NODES - 1)
+    assert table.x_support.tolist() == [8.0, 9.0, 10.0]
+    assert table.slice_sum(9) > 0
+    with pytest.raises(
+        CapabilityError,
+        match=rf"^roundedUniform\(0\.0, {QUAD_NODES}\.0\) has {QUAD_NODES + 1} support points; "
+        rf"analytic mode enumerates at most {QUAD_NODES}, the nodes a continuous law gets$",
+    ):
+        with_noise(QUAD_NODES)
+
+
+@pytest.mark.parametrize("role", ["noiseU", "x_marginal"])
+def test_a_wide_law_is_rejected_before_its_cells_are_made(role):
+    # 2e18 + 1 cells: enumerating them died in numpy with "array is too big"
+    wide = DistributionSpec.rounded_uniform(-1e18, 1e18)
+    error, x_marginal = CLASSICAL_UNIT_ERROR, X_MARGINAL
+    if role == "noiseU":
+        error = ErrorModel(kind=ErrorKind.NON_BERKSON_LINEAR, gamma1=1.0, noiseU=wide)
+    else:
+        x_marginal = wide
+    with pytest.raises(CapabilityError, match=r"^roundedUniform\(-1e\+18, 1e\+18\) has 2000000000000000001 "):
+        analytic_product_table(TABLE2_OUTCOME, error, x_marginal, xep_support=[7, 8, 9])
 
 
 def test_continuous_exposure_needs_x_support():

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -69,6 +70,64 @@ def test_a_symmetric_rounded_uniform_has_mean_exactly_zero(hi):
     # validation allows |mean| <= 1e-9, so a cancellation error scaled by a
     # wide law's endpoints would reject a valid law
     assert DistributionSpec.rounded_uniform(-hi, hi).mean() == 0.0
+
+
+def test_an_unknown_family_is_reported():
+    assert DistributionSpec("cauchy", 0.0, 1.0).violations() == ["unknown distribution family 'cauchy'"]
+
+
+@pytest.mark.parametrize(
+    "spec, cells",
+    [
+        (DistributionSpec.rounded_uniform(-1, 1), 3),
+        (DistributionSpec.rounded_uniform(0.25, 1.75), 3),
+        (DistributionSpec.rounded_uniform(0.5, 1.5), 1),
+        (DistributionSpec.rounded_uniform(-2.5, 7.7), 11),
+        (DistributionSpec.point_mass(3.25), 1),
+        (DistributionSpec.normal(2.0, 0.0), 1),
+    ],
+)
+def test_cells_count_the_support_points(spec, cells):
+    assert spec.cells() == cells == spec.support()[0].size
+
+
+def test_an_end_just_below_a_half_integer_keeps_its_cell():
+    # lo + 0.5 rounds up to 1.0 in floats, yet every draw rounds to 0
+    spec = DistributionSpec.rounded_uniform(math.nextafter(0.5, 0.0), 0.5)
+    values, probs = spec.support()
+    assert (values.tolist(), probs.tolist()) == ([0.0], [1.0])
+    assert (spec.cells(), spec.mean(), spec.variance()) == (1, 0.0, 0.0)
+
+
+def test_a_continuous_law_has_no_support():
+    with pytest.raises(ParameterError, match="^gamma has no discrete support$"):
+        DistributionSpec.gamma(2.0, 1.0).support()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (DistributionSpec.normal(1.0, 0.0), "degenerate normal has no density"),
+        (DistributionSpec.rounded_uniform(-1, 1), "roundedUniform is not a continuous family"),
+    ],
+)
+def test_a_discrete_law_has_no_density(spec, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        spec.density(np.zeros(3))
+
+
+def test_no_quadratic_term_is_formed_when_beta_x2_is_zero():
+    # 0 * x^2 would be 0 * inf = NaN, with an overflow warning, at x = 1e160
+    outcome = OutcomeModel(beta0=1.0, beta_x=2.0, beta_c=0.5)
+    x = np.array([1e160, -3.0, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp = outcome.linear_predictor(x, c=np.ones(3))
+    np.testing.assert_array_equal(lp, 1.0 + 2.0 * x + 0.5)
+    quadratic = replace(outcome, beta_x2=-0.5)
+    np.testing.assert_array_equal(
+        quadratic.linear_predictor(x[1:], c=np.ones(2)), 1.0 + 2.0 * x[1:] - 0.5 * x[1:] ** 2 + 0.5
+    )
 
 
 def test_a_wide_rounded_uniform_noise_validates():
@@ -410,6 +469,16 @@ def test_dataset_rejects_ragged_and_nonfinite():
         Dataset({"X": np.array([1.0, np.nan])})
     with pytest.raises(SchemaError):
         Dataset({"X": np.array([1.0, np.inf])})
+
+
+def test_dataset_rejects_a_column_that_is_not_a_vector():
+    with pytest.raises(SchemaError, match="^column 'X' is not a vector$"):
+        Dataset({"X": np.ones((3, 2))})
+
+
+def test_dataset_names_a_missing_column():
+    with pytest.raises(SchemaError, match="^dataset has no column 'Y'$"):
+        Dataset({"X": np.ones(3)})["Y"]
 
 
 def test_dataset_csv_round_trip(tmp_path):

@@ -231,6 +231,21 @@ def test_nonpositive_weights_rejected():
         wls(design_with_intercept(np.arange(4.0)), np.arange(4.0), np.array([1, 1, 0, 1]))
 
 
+def test_wls_weights_of_the_wrong_length_rejected():
+    with pytest.raises(ParameterError, match="^weights must match the response length$"):
+        wls(design_with_intercept(np.arange(4.0)), np.arange(4.0), np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [ols, lambda a, y: wls(a, y, np.ones(y.shape[0])), logistic_irls],
+    ids=["ols", "wls", "logistic_irls"],
+)
+def test_a_design_that_is_not_a_matrix_rejected(fit):
+    with pytest.raises(ParameterError, match="^design must be a 2-d matrix$"):
+        fit(np.arange(6.0), np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # Logistic IRLS
 
