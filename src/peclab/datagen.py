@@ -98,6 +98,10 @@ def _apply_error(
     return error.gamma0 + error.gamma1 * source + error.gammaV * v + u
 
 
+# A column may overflow or be undefined on some rows (1e308 * X, inf - inf):
+# the checks below, of a NaN or > 1 outcome probability and of Dataset's
+# finite columns, report that once, with no numpy warning before it.
+@np.errstate(over="ignore", invalid="ignore")
 def generate_scenario(
     s: Scenario, replication_index: int = 0, draws: dict | None = None
 ) -> Dataset:

@@ -47,6 +47,7 @@ from .model import (
     Link,
     OutcomeModel,
     _format_distribution,
+    _section_violations,
 )
 from .regress import _sigmoid
 
@@ -344,7 +345,18 @@ def analytic_product_table(
     Identity link requires discrete outcome noise; logit link takes discrete
     or continuous noise. Supports are keyed and made by ``_support``: sorted,
     de-duplicated, a zero as +0.0.
+
+    The models are checked before any integral, as a scenario's sections
+    are: finite numbers, each law's own violations, gamma1 != 0. Their
+    noises need not be centred: a shift only moves beta0 or gamma0.
     """
+    problems = [
+        *_section_violations("outcome", outcome),
+        *_section_violations("error", error),
+        *(f"x_marginal: {msg}" for msg in x_marginal.violations()),
+    ]
+    if problems:
+        raise ParameterError("; ".join(problems))
     xep_support = _finite_support("xep_support", xep_support)
     if x_support is None:
         if not x_marginal.is_discrete():

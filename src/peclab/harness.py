@@ -550,9 +550,12 @@ def reproduce(
     seed = worlds.DEFAULT_SEED if seed is None else seed
     study = STUDY_TABLES.get(table)
     if study is None:
-        # table2 draws one world and needs no runs, but runs < 1 is still an error
-        if runs is not None and runs < 1:
-            raise ParameterError("runs must be >= 1")
+        # table2 draws one world, so any runs would be ignored; runs < 1 keeps
+        # the error every table gives it
+        if runs is not None:
+            raise ParameterError(
+                "runs must be >= 1" if runs < 1 else "table2 draws one world and takes no runs"
+            )
         cells = _reproduce_table2(TABLE2_N if n is None else n, seed)
     else:
         n = worlds.DEFAULT_N if n is None else n

@@ -97,9 +97,9 @@ class DistributionSpec:
         elif self.family == "roundedUniform":
             if not self.p1 < self.p2:
                 v.append("roundedUniform requires lo < hi")
-        elif self.family == "pointMass":
-            pass
-        else:
+            elif not math.isfinite(self.p2 - self.p1):
+                v.append("roundedUniform requires hi - lo to be finite")
+        elif self.family != "pointMass":
             v.append(f"unknown distribution family {self.family!r}")
         return v
 
@@ -108,56 +108,41 @@ class DistributionSpec:
         if v:
             raise ParameterError("; ".join(v))
 
-    def _rounded_ends(self) -> tuple[int, int]:
-        """The end cells kl <= kh of round(Uniform(lo, hi)): the first and
-        last integers k whose cell [k - 0.5, k + 0.5] overlaps (lo, hi).
-        Exact: in floats lo + 0.5 can round up to the next integer."""
+    def _rounded_ends(self) -> tuple[int, int, float, float]:
+        """The end cells kl <= kh of round(Uniform(lo, hi)), the first and last
+        integers k whose cell [k - 0.5, k + 0.5] overlaps (lo, hi), found exactly
+        (in floats lo + 0.5 can round up), and the widths wl = kl + 0.5 - lo and
+        wh = hi - (kh - 0.5) they hold; each cell between them holds width 1."""
         half = Fraction(1, 2)
-        return math.floor(Fraction(self.p1) + half), math.ceil(Fraction(self.p2) - half)
-
-    def _rounded_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer support and probabilities of round(Uniform(lo, hi))."""
-        lo, hi = self.p1, self.p2
-        kl, kh = self._rounded_ends()
-        ks = np.arange(kl, kh + 1, dtype=float)
-        width = np.minimum(hi, ks + 0.5) - np.maximum(lo, ks - 0.5)
-        probs = np.clip(width, 0.0, None) / (hi - lo)
-        keep = probs > 0
-        return ks[keep], probs[keep]
+        kl, kh = math.floor(Fraction(self.p1) + half), math.ceil(Fraction(self.p2) - half)
+        return kl, kh, kl + 0.5 - self.p1, self.p2 - (kh - 0.5)
 
     def _rounded_moments(self) -> tuple[float, float]:
-        """Mean and variance of round(Uniform(lo, hi)) in O(1) of the width.
-        The end cells kl <= kh hold widths wl and wh, the kh - kl - 1 cells
-        between them width 1 each. About the centre (kl + kh) / 2 the
-        interior is symmetric, so only the end cells shift the mean, and a
-        law with lo = -hi has mean exactly 0."""
+        """Mean and variance of round(Uniform(lo, hi)) from its end cells, in
+        O(1) of the width. The interior is symmetric about (kl + kh) / 2, so
+        only the end cells shift the mean: lo = -hi gives mean exactly 0."""
         lo, hi = self.p1, self.p2
-        kl, kh = self._rounded_ends()
-        if kl == kh:
-            return float(kl), 0.0
-        wl, wh = kl + 0.5 - lo, hi - (kh - 0.5)
+        kl, kh, wl, wh = self._rounded_ends()
         half, inner = (kh - kl) / 2, float(kh - kl - 1)
         shift = half * (wh - wl) / (hi - lo)
         second = (half * (half * (wl + wh)) + inner * (inner * inner - 1.0) / 12.0) / (hi - lo)
         return (kl + kh) / 2 + shift, second - shift * shift
 
-    def mean(self) -> float:
+    def _moments(self) -> tuple[float, float]:
+        """(mean, variance), dispatched on the family once."""
         if self.family == "normal":
-            return self.p1
+            return self.p1, self.p2**2
         if self.family == "gamma":
-            return self.p1 * self.p2
+            return self.p1 * self.p2, self.p1 * self.p2**2
         if self.family == "pointMass":
-            return self.p1
-        return self._rounded_moments()[0]
+            return self.p1, 0.0
+        return self._rounded_moments()
+
+    def mean(self) -> float:
+        return self._moments()[0]
 
     def variance(self) -> float:
-        if self.family == "normal":
-            return self.p2**2
-        if self.family == "gamma":
-            return self.p1 * self.p2**2
-        if self.family == "pointMass":
-            return 0.0
-        return self._rounded_moments()[1]
+        return self._moments()[1]
 
     def is_discrete(self) -> bool:
         point_normal = self.family == "normal" and self.p2 == 0
@@ -167,14 +152,18 @@ class DistributionSpec:
         """The number of support points of a discrete law, read from its end
         cells in O(1) of its width."""
         if self.family == "roundedUniform":
-            kl, kh = self._rounded_ends()
+            kl, kh = self._rounded_ends()[:2]
             return kh - kl + 1
         return 1
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, probabilities) for discrete laws."""
+        """(values, probabilities) for discrete laws; a rounded uniform's
+        cells hold the widths (wl, 1, ..., 1, wh), or hi - lo in one cell."""
         if self.family == "roundedUniform":
-            return self._rounded_cells()
+            lo, hi = self.p1, self.p2
+            kl, kh, wl, wh = self._rounded_ends()
+            widths = np.r_[wl, np.ones(kh - kl - 1), wh] if kl < kh else np.array([hi - lo])
+            return np.arange(kl, kh + 1, dtype=float), widths / (hi - lo)
         if self.is_discrete():
             return np.array([self.p1]), np.array([1.0])
         raise ParameterError(f"{self.family} has no discrete support")
@@ -224,10 +213,7 @@ class OutcomeModel:
     noise_scale: float = 1.0
 
     def violations(self, label: str) -> list[str]:
-        v = [f"{label}.noise: {msg}" for msg in self.noise.violations()]
-        if not v and abs(self.noise.mean()) > 1e-9:
-            v.append(f"{label} noise must have mean 0")
-        return v
+        return [f"{label}.noise: {msg}" for msg in self.noise.violations()]
 
     def linear_predictor(self, x, c=0.0, v=0.0, eps=0.0):
         x = np.asarray(x, dtype=float)
@@ -263,11 +249,8 @@ class ErrorModel:
 
     def violations(self, label: str) -> list[str]:
         v = [f"{label}.noiseU: {msg}" for msg in self.noiseU.violations()]
-        if not v and abs(self.noiseU.mean()) > 1e-9:
-            v.append(f"{label}.noiseU must have mean 0")
-        if self.kind in (ErrorKind.NON_BERKSON_LINEAR, ErrorKind.SHARED_V, ErrorKind.PURE_BERKSON):
-            if self.gamma1 == 0:
-                v.append(f"{label}.gamma1 must be nonzero")
+        if self.kind is not ErrorKind.NONE and self.gamma1 == 0:
+            v.append(f"{label}.gamma1 must be nonzero")
         return v
 
 
@@ -313,6 +296,17 @@ _SECTION_FIELDS = {
 }
 
 
+def _section_violations(label: str, obj) -> list[str]:
+    """A model section's own invariants: finite numbers, then its ``violations``
+    (each law's, gamma1 != 0). Centred noise is a rule of scenarios only."""
+    v = [
+        f"{label}.{f.name} must be finite, got {value!r}"
+        for f in fields(obj)
+        if isinstance(value := getattr(obj, f.name), float) and not math.isfinite(value)
+    ]
+    return v + obj.violations(label)
+
+
 def validate_scenario(s: Scenario) -> list[str]:
     """Every invariant violation as a human-readable message; empty iff generable.
     The one place that decides it, so a bad scenario fails before any draw."""
@@ -330,13 +324,15 @@ def validate_scenario(s: Scenario) -> list[str]:
     if not 0 <= s.seed < 2**64:
         v.append(f"seed {s.seed} is outside [0, 2**64)")
     for section in _SECTION_FIELDS:
-        obj = getattr(s, section)
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                v.append(f"{section}.{f.name} must be finite, got {value!r}")
-        v.extend(obj.violations(section))
+        v.extend(_section_violations(section, getattr(s, section)))
     v.extend(f"v_model: {msg}" for msg in s.v_model.violations())
+    # a scenario's noises are centred: a shift belongs in beta0 or gamma0
+    noises = {"outcome noise": s.outcome.noise}
+    for section in ("exposure_error", "confounder_error", "v_error"):
+        noises[f"{section}.noiseU"] = getattr(s, section).noiseU
+    for label, law in noises.items():
+        if not law.violations() and abs(law.mean()) > 1e-9:
+            v.append(f"{label} must have mean 0")
     if s.c_model.coef_c != 0:
         v.append("c_model.coef_c must be 0 (C cannot depend on itself)")
     if s.v_error.gammaV != 0:

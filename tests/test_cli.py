@@ -142,6 +142,31 @@ def test_comma_in_scenario_name_is_data_error(scenario_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lo, hi, code", [(-1.7e308, 1.7e308, 2), (-1e18, 1e18, 0)])
+def test_a_rounded_uniform_noise_wider_than_a_float_is_one_data_error(
+    lo, hi, code, scenario_file, tmp_path, capsys
+):
+    # hi - lo overflows at 3.4e308; at 2e18 the law simulates, its moments
+    # read from its end cells
+    lines = [
+        f"outcome.noise = roundedUniform({lo!r}, {hi!r})" if line.startswith("outcome.noise =")
+        else line
+        for line in scenario_file.read_text().splitlines()
+    ]
+    path = tmp_path / "wide.txt"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "results.csv"
+    assert dispatch(["simulate", "--scenario", str(path), "--methods", "naive_cep",
+                     "--jobs", "1", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.count("error:") == 1
+        assert "outcome.noise: roundedUniform requires hi - lo to be finite" in err
+        assert not out.exists()
+    else:
+        assert err == "" and out.exists()
+
+
 def test_nonzero_mean_error_noise_is_data_error(tmp_path, capsys):
     s = worlds.table3_scenario(1, n=800, replications=2, seed=3)
     text = format_scenario(s).replace(
@@ -194,6 +219,8 @@ def test_out_of_range_seed_is_data_error(scenario_file, tmp_path, monkeypatch, c
          "error: var_x must be finite and >= 0, got inf"),
         (["bias", "--gamma1", "1", "--var-x", "0.5", "--var-u", "nan"],
          "error: var_u must be finite and >= 0, got nan"),
+        (["reproduce", "--table", "table2", "--n", "2000", "--runs", "7"],
+         "error: table2 draws one world and takes no runs"),
     ],
 )
 def test_zero_and_non_finite_inputs_are_data_errors(

@@ -8,7 +8,7 @@ import pytest
 from conftest import ks_critical, two_sample_ks
 from peclab import worlds
 from peclab.datagen import generate_scenario, generate_table2_world
-from peclab.errors import ParameterError
+from peclab.errors import ParameterError, SchemaError
 from peclab.harness import STUDY_TABLES
 from peclab.model import DistributionSpec, ErrorKind, ErrorModel, Link, OutcomeModel, Scenario, StructuralSpec
 from peclab.regress import design_with_intercept, ols
@@ -279,13 +279,26 @@ def _undefined_outcome_world(link: Link) -> Scenario:
 
 @pytest.mark.parametrize("link", [Link.LOGIT, Link.LOG])
 def test_a_nan_outcome_probability_is_rejected_with_its_row_count(link):
-    # U < NaN is false: these rows drew Y = 0, which the fit then blamed on separation
+    # U < NaN is false: these rows drew Y = 0, which the fit then blamed on
+    # separation; the overflowing products print no warning before the error
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         with pytest.raises(
             ParameterError, match="^the outcome probability is NaN on 318 of 2000 rows: "
         ):
             generate_scenario(_undefined_outcome_world(link), 0)
+
+
+@pytest.mark.parametrize("table", ["table3", "table4"])
+def test_an_infinite_exposure_is_one_schema_error_with_no_warning(table):
+    # 1e308 * C overflows to an infinite X on some rows, and Xep and Y are
+    # computed from it
+    s = STUDY_TABLES[table].build(1, n=300, replications=2)
+    s = replace(s, x_model=replace(s.x_model, coef_c=1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="^column 'X' contains NaN or infinite values$"):
+            generate_scenario(s, 0)
 
 
 def test_a_huge_exposure_does_not_form_a_quadratic_term_it_does_not_have():

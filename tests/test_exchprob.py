@@ -1,6 +1,8 @@
 import math
+import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -566,6 +568,43 @@ def test_a_wide_law_is_rejected_before_its_cells_are_made(role):
         x_marginal = wide
     with pytest.raises(CapabilityError, match=r"^roundedUniform\(-1e\+18, 1e\+18\) has 2000000000000000001 "):
         analytic_product_table(TABLE2_OUTCOME, error, x_marginal, xep_support=[7, 8, 9])
+
+
+_LOGIT_OUTCOME = OutcomeModel(link=Link.LOGIT, beta0=-1.0, beta_x=0.1,
+                              noise=DistributionSpec.normal(0, 1))
+_NORMAL_ERROR = ErrorModel(kind=ErrorKind.NON_BERKSON_LINEAR, gamma1=1.0,
+                           noiseU=DistributionSpec.normal(0, 0.5))
+_NORMAL_X = DistributionSpec.normal(9, 1)
+
+
+@pytest.mark.parametrize(
+    "outcome, error, x_marginal, message",
+    [
+        (_LOGIT_OUTCOME, _NORMAL_ERROR, DistributionSpec.gamma(-1, 1),
+         "x_marginal: gamma shape must be > 0"),
+        (_LOGIT_OUTCOME, replace(_NORMAL_ERROR, noiseU=DistributionSpec.normal(0, -0.5)),
+         _NORMAL_X, "error.noiseU: normal sigma must be >= 0"),
+        (_LOGIT_OUTCOME, replace(_NORMAL_ERROR, gamma1=0.0), _NORMAL_X,
+         "error.gamma1 must be nonzero"),
+        (replace(_LOGIT_OUTCOME, beta_x=math.inf), _NORMAL_ERROR, _NORMAL_X,
+         "outcome.beta_x must be finite, got inf"),
+    ],
+    ids=["x_marginal", "noiseU", "gamma1", "beta_x"],
+)
+def test_an_invalid_model_is_one_parameter_error_before_any_integral(
+    outcome, error, x_marginal, message
+):
+    # each died in an integral (a bare math domain error, a zero-density
+    # SupportError, a divide-by-zero warning) or, at an infinite slope, gave a table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            analytic_product_table(outcome, error, x_marginal, xep_support=[8, 9],
+                                   x_support=[8, 9, 10])
+        # valid models give a table, and their noise need not be centred
+        shifted = replace(_NORMAL_ERROR, noiseU=DistributionSpec.normal(0.3, 0.5))
+        analytic_product_table(_LOGIT_OUTCOME, shifted, _NORMAL_X, xep_support=[8, 9],
+                               x_support=[8, 9, 10])
 
 
 def test_continuous_exposure_needs_x_support():

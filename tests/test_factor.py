@@ -46,6 +46,16 @@ def _assert_same_fit(got, want):
 # Fits from R against ols on the explicit design
 
 
+def test_a_factor_of_lead_columns_only_fits():
+    # no other columns: the trailing rows are (n - 3, 0), and their R (0, 0)
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(2, 500))
+    factor = ColumnFactor.of({"X": x, "Y": y}, {})
+    assert factor.r.shape == (3, 3)
+    want = ols(design_with_intercept(x), y, column_names=(INTERCEPT, "X"))
+    _assert_same_fit(factor.fit((INTERCEPT, "X"), "Y"), want)
+
+
 @pytest.mark.parametrize("idx", [1, 2, 3])
 def test_factor_fits_equal_ols_for_every_method_design(idx):
     ds = _calibrated(worlds.table3_scenario(idx, n=10_000, seed=61))

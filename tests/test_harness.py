@@ -396,6 +396,14 @@ def test_reproduce_table2_report_shape():
     assert len(lines) == 51
 
 
+@pytest.mark.parametrize("runs, message", [(7, "table2 draws one world and takes no runs"),
+                                           (1, "table2 draws one world and takes no runs"),
+                                           (0, "runs must be >= 1")])
+def test_reproduce_table2_rejects_runs_it_would_ignore(runs, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        reproduce("table2", n=2000, runs=runs)
+
+
 TABLE2_FITS = (("calibration", "gamma0"), ("calibration", "gamma1"), ("p_rd", "r_squared"))
 
 
@@ -513,7 +521,9 @@ REPORT_CELLS = {"table2": 50, "table3": 15, "table4": 24, "table5": 56}
 
 @pytest.mark.parametrize("table", TABLES)
 def test_every_table_reproduces_at_tiny_size(table):
-    report = reproduce(table, n=2000, runs=2, seed=worlds.DEFAULT_SEED)
+    # table2 draws one world and rejects runs
+    runs = None if table == "table2" else 2
+    report = reproduce(table, n=2000, runs=runs, seed=worlds.DEFAULT_SEED)
     assert len(report.cells) == REPORT_CELLS[table]
     keys = [(c.scenario, c.method, c.estimand) for c in report.cells]
     assert len(set(keys)) == len(keys)

@@ -2,10 +2,11 @@ import math
 import re
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from peclab.errors import ParameterError, ScenarioFormatError, SchemaError
@@ -97,6 +98,69 @@ def test_an_end_just_below_a_half_integer_keeps_its_cell():
     values, probs = spec.support()
     assert (values.tolist(), probs.tolist()) == ([0.0], [1.0])
     assert (spec.cells(), spec.mean(), spec.variance()) == (1, 0.0, 0.0)
+
+
+def _per_cell_support(lo, hi):
+    """Reference: every integer cell [k - 0.5, k + 0.5] near (lo, hi), each
+    with its own overlap width, then the cells with mass."""
+    ks = np.arange(math.floor(lo) - 1, math.ceil(hi) + 2, dtype=float)
+    width = np.minimum(hi, ks + 0.5) - np.maximum(lo, ks - 0.5)
+    probs = np.clip(width, 0.0, None) / (hi - lo)
+    keep = probs > 0
+    return ks[keep], probs[keep]
+
+
+# an end anywhere, or at, one ulp below or one ulp above a half-integer
+_rounded_end = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.builds(
+        lambda k, step: math.nextafter(k + 0.5, step * math.inf) if step else k + 0.5,
+        st.integers(-1000, 1000), st.sampled_from([-1, 0, 1]),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rounded_end, st.one_of(_rounded_end, st.floats(0.0, 1.5)), st.booleans())
+@example(2.4999999999999996, 3.5000000000000004, False)
+@example(math.nextafter(0.5, 0.0), 0.5, False)
+@example(-0.5, 0.5, False)
+@example(0.6, 0.3, True)
+def test_rounded_uniform_support_is_the_per_cell_width_formula(lo, hi_or_width, is_width):
+    # the end-cell rule (wl, 1, ..., 1, wh) / (hi - lo), bit for bit; a
+    # short width puts most laws in a single cell
+    hi = lo + hi_or_width if is_width else hi_or_width
+    assume(lo < hi)
+    spec = DistributionSpec.rounded_uniform(lo, hi)
+    values, probs = spec.support()
+    want_values, want_probs = _per_cell_support(lo, hi)
+    assert values.tobytes() == want_values.tobytes()
+    assert probs.tobytes() == want_probs.tobytes()
+    assert spec.cells() == values.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(0, 0.2, 0.7)
+def test_a_single_cell_rounded_uniform_has_its_cell_as_mean_and_no_variance(k, a, b):
+    lo = float(Fraction(k) - Fraction(1, 2) + Fraction(min(a, b)))
+    hi = float(Fraction(k) - Fraction(1, 2) + Fraction(max(a, b)))
+    spec = DistributionSpec.rounded_uniform(lo, hi)
+    assume(lo < hi and spec.cells() == 1)
+    # repr tells -0.0 from 0.0
+    assert repr((spec.mean(), spec.variance())) == repr((float(spec.support()[0][0]), 0.0))
+
+
+def test_a_rounded_uniform_wider_than_a_float_is_rejected():
+    # its draw's u * (hi - lo) would be infinite, and its moments overflow
+    wide = DistributionSpec.rounded_uniform(-1.7e308, 1.7e308)
+    assert wide.violations() == ["roundedUniform requires hi - lo to be finite"]
+    s = worlds.table3_scenario(1)
+    assert validate_scenario(replace(s, outcome=replace(s.outcome, noise=wide))) == [
+        "outcome.noise: roundedUniform requires hi - lo to be finite"
+    ]
+    # the widest law whose width is a float
+    assert not DistributionSpec.rounded_uniform(-8.9e307, 8.9e307).violations()
 
 
 def test_a_continuous_law_has_no_support():

@@ -322,6 +322,16 @@ def test_logistic_rank_read_from_r_names_duplicated_column(monkeypatch):
     assert shapes[0] == (5, 4)
 
 
+def test_logistic_rank_check_names_a_duplicate_in_a_design_without_a_constant():
+    rng = _rng()
+    n = 2000
+    x, z = rng.normal(size=(2, n))
+    y = (rng.uniform(size=n) < 0.3).astype(float)
+    with pytest.raises(SingularDesignError) as err:
+        logistic_irls(np.column_stack([x, z, x]), y, column_names=("x", "z", "x_again"))
+    assert err.value.columns == ["x_again"]
+
+
 def test_null_model_recovers_logit_of_mean():
     rng = _rng()
     x = rng.normal(size=2000)
