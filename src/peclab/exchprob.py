@@ -57,11 +57,19 @@ QUAD_SIGMAS = 8.0
 MAX_SUPPORT = 100
 # Rows per block of the empirical tabulation and of the table2 stream: 512
 # KiB of float64, so a block's draws, keyed values, masks, uint8 indices and
-# intp codes stay in a core's L2. On a 2-core VM (median of 10 in-process
-# calls), the 10^6-row table2 report takes 39-40 ms with blocks of 2^14 to
-# 2^16 rows, 44 ms at 2^17, 68 ms at 2^20, and 48 ms at 2^12, where numpy's
-# per-call cost shows.
+# narrow cell codes stay in a core's L2. On a 2-core VM (median of 10
+# in-process calls), the 10^6-row table2 report takes 39-40 ms with blocks
+# of 2^14 to 2^16 rows, 44 ms at 2^17, 68 ms at 2^20, and 48 ms at 2^12,
+# where numpy's per-call cost shows.
 BLOCK_ROWS = 1 << 16
+# A support of fewer points than this is tested for a block's new values by
+# counting the keyed values equal to each point, a larger one by gathering
+# each value's point and comparing. Per 65,536-row column in random order on
+# a 2-core VM (medians of 15 interleaved rounds, three runs), counting takes
+# 23-25 us at 2 points, 34-36 at 3, 56-59 at 5 and 68-71 at 6, against 74-88
+# us for the gather at any size; at 7 points it takes 78-81 us against
+# 74-80, at 8 points 90-93 and at 100 points 1.13-1.15 ms.
+_COUNTED_POINTS = 7
 
 
 def _keyed(values, out=None) -> np.ndarray:
@@ -77,11 +85,14 @@ def _support(keyed: np.ndarray) -> np.ndarray:
     return np.unique(keyed) + 0.0
 
 
-def _index(support: np.ndarray, value: float) -> int | None:
-    """Position of ``value`` in a sorted keyed support, None when it is off it."""
-    k = _keyed(value)
-    i = int(np.searchsorted(support, k))
-    return i if i < support.size and support[i] == k else None
+def _index(support: np.ndarray, values) -> np.ndarray:
+    """Position of each keyed value in a sorted keyed support, -1 where it
+    is off it: one keying and one search for an array of values, a 0-d
+    array for a scalar."""
+    k = _keyed(values)
+    i = np.searchsorted(support, k)
+    # the NaN past the last point equals no value
+    return np.where(np.append(support, np.nan)[i] == k, i, -1)
 
 
 class TableMode(str, Enum):
@@ -107,14 +118,21 @@ class ExchProbTable:
     def mode(self) -> TableMode:
         return TableMode.ANALYTIC if self.counts is None else TableMode.EMPIRICAL
 
-    def cell(self, xep: float, x: float, y: float) -> float:
-        ijk = (_index(self.xep_support, xep), _index(self.x_support, x), _index(self.y_support, y))
-        return 0.0 if None in ijk else float(self.probs[ijk])
+    def cell(self, xep, x, y):
+        """The cell at (xep, x, y), 0.0 off the supports; arrays of values
+        broadcast to an array of cells, each axis keyed and searched once."""
+        ijk = np.broadcast_arrays(
+            _index(self.xep_support, xep), _index(self.x_support, x), _index(self.y_support, y)
+        )
+        on = (ijk[0] >= 0) & (ijk[1] >= 0) & (ijk[2] >= 0)
+        cells = np.zeros(on.shape)
+        cells[on] = self.probs[tuple(i[on] for i in ijk)]
+        return cells if cells.ndim else float(cells)
 
     def _slice(self, xep: float) -> np.ndarray:
         """The (x, y) slice at Xep = xep; zeros off the support."""
         i = _index(self.xep_support, xep)
-        return np.zeros(self.probs.shape[1:]) if i is None else self.probs[i]
+        return np.zeros(self.probs.shape[1:]) if i < 0 else self.probs[i]
 
     # Python sums over C-ordered slices keep the summation order fixed, so
     # the reported sums do not depend on numpy's pairwise reduction.
@@ -185,44 +203,61 @@ def empirical_table(source) -> ExchProbTable:
     ``datagen.table2_blocks``), each read before the next is asked for. One
     pass over blocks of at most BLOCK_ROWS rows, through scratch buffers of
     one block, so no scratch grows with the rows. Each block's columns are
-    keyed once and indexed in their supports so far by counting the points
-    each value reaches (``_reach``). Where ``support[index] == keyed`` for
-    every value (-0.0 on +0.0) the column brought nothing new and needs no
-    sort. Otherwise it takes the block's ``np.unique``, its support grows to
-    the ``_support`` of the union (the same sorted set, a zero as +0.0, that
-    one sort of the whole keyed column gives), and the index counts the
-    added points too. The integer counts so far are laid onto the grown
-    supports (``_lay``), so the table keeps its bits whatever order the
-    values come in. On columns in random order (every simulated world) the
-    counting passes beat a binary search at every support size up to
-    MAX_SUPPORT; a sorted column, which only a CSV can feed, grows its
-    support in nearly every block. A block's joint cell codes are built in
-    place from its Xep indices and added into the counts with
-    ``np.add.at``, which, unlike a bincount, costs no pass over the whole
-    table. A support that passes MAX_SUPPORT reads the rest of the source
-    for its full distinct count, and X is named before Xep, Xep before Y."""
+    keyed once and indexed in their supports so far by counting, in uint8,
+    the points each value reaches (``_reach``). A column brought nothing new
+    when every value lies on its support (-0.0 on +0.0). Below
+    _COUNTED_POINTS points that is read by counting the values equal to
+    each point: each value equals at most one, so the counts sum to the
+    block's rows exactly when none is off the support. A larger support
+    gathers ``support[index]`` and compares it with the keyed values, which
+    costs the same at any size. A column that did bring a new value takes
+    the block's ``np.unique``, its support grows to the ``_support`` of the
+    union (the same sorted set, a zero as +0.0, that one sort of the whole
+    keyed column gives), and the index counts the added points too. The
+    integer counts so far are laid onto the grown supports (``_lay``), so
+    the table keeps its bits whatever order the values come in. On columns
+    in random order (every simulated world) the counting passes beat a
+    binary search at every support size up to MAX_SUPPORT; a sorted column,
+    which only a CSV can feed, grows its support in nearly every block. A
+    block's joint cell codes are worked straight from the uint8 indices in
+    the narrowest unsigned type that holds the table's largest code: uint8
+    up to 256 cells (Table 2 has 75), uint16 up to 65,536 and uint32 up to
+    MAX_SUPPORT^3. They are added into the intp counts with ``np.add.at``,
+    which, unlike a bincount, costs no pass over the whole table. A support
+    that passes MAX_SUPPORT reads the rest of the source for its full
+    distinct count, and X is named before Xep, Xep before Y."""
     blocks = _blocks(source)
     supports = [np.empty(0)] * len(_COLUMNS)
     counts = np.zeros((0, 0, 0), dtype=np.intp)
-    keyed, points = np.empty(BLOCK_ROWS), np.empty(BLOCK_ROWS)
+    keyed = np.empty(BLOCK_ROWS)
     mask = np.empty(BLOCK_ROWS, dtype=bool)
     indices = np.empty((len(_COLUMNS), BLOCK_ROWS), dtype=np.uint8)
-    code = np.empty(BLOCK_ROWS, dtype=np.intp)
+    # the gather path's intp positions, then the block's narrow cell codes
+    scratch = np.empty(BLOCK_ROWS, dtype=np.intp)
+    points = None  # the gather path's float buffer, made on its first use
     for block in blocks:
         rows = len(block["X"])
-        k, m, c = keyed[:rows], mask[:rows], code[:rows]
+        k, m = keyed[:rows], mask[:rows]
         grown = list(supports)
         for i, name in enumerate(_COLUMNS):
             _keyed(block[name], out=k)
             index = indices[i, :rows]
             index.fill(0)
             _reach(k, grown[i][1:], index, m)
-            # take's clip mode writes into its out unbuffered; every index
-            # is in range
-            np.copyto(c, index)
-            if grown[i].size and np.equal(
-                grown[i].take(c, out=points[:rows], mode="clip"), k, out=m
-            ).all():
+            if grown[i].size < _COUNTED_POINTS:
+                # each value equals at most one point: the counts sum to
+                # the rows exactly when no value is off the support
+                hits = sum(np.count_nonzero(np.equal(k, p, out=m)) for p in grown[i])
+                known = hits == rows
+            else:
+                if points is None:
+                    points = np.empty(BLOCK_ROWS)
+                at = scratch[:rows]
+                np.copyto(at, index)
+                # take's clip mode writes into its out unbuffered; every
+                # position is in range
+                known = np.equal(grown[i].take(at, out=points[:rows], mode="clip"), k, out=m).all()
+            if known:
                 continue
             before = grown[i]
             grown[i] = _support(np.concatenate([before, np.unique(k)]))
@@ -234,8 +269,11 @@ def empirical_table(source) -> ExchProbTable:
             if grown[i] is not supports[i]:
                 counts = _lay(counts, axis, np.searchsorted(grown[i], supports[i]), grown[i].size)
         supports = grown
-        np.copyto(c, indices[1, :rows])
-        c *= supports[0].size
+        # the narrowest unsigned type that holds the largest cell code;
+        # every partial code is at most that code
+        code_type = np.min_scalar_type(counts.size - 1)
+        c = scratch.view(code_type)[:rows]
+        np.multiply(indices[1, :rows], supports[0].size, out=c, dtype=code_type)
         c += indices[0, :rows]
         c *= supports[2].size
         c += indices[2, :rows]
@@ -405,7 +443,7 @@ def aee_from_table(t: ExchProbTable, xep_index: float, xep_ref: float) -> float:
     if t.mode is not TableMode.EMPIRICAL:
         raise CapabilityError("aee_from_table needs the empirical conditional-joint mode")
     for label, val in (("index", xep_index), ("ref", xep_ref)):
-        if _index(t.xep_support, val) is None:
+        if _index(t.xep_support, val) < 0:
             raise SupportError(f"xep_{label} = {val} is not in the table support")
 
     def weighted_mean(xep: float) -> float:
@@ -421,7 +459,7 @@ def symmetry_check(t: ExchProbTable, e_t: float, tolerance: float) -> tuple[bool
     Returns (symmetric, max |m(x) - m(2 e_t - x)| over support points x != e_t).
     """
     i = _index(t.xep_support, e_t)
-    if i is None:
+    if i < 0:
         raise SupportError(f"e_t = {e_t} is not in the table support")
     marginal = {x: sum(row) for x, row in zip(t.x_support.tolist(), t.probs[i].tolist())}
     worst = max(

@@ -120,13 +120,16 @@ class DistributionSpec:
     def _rounded_moments(self) -> tuple[float, float]:
         """Mean and variance of round(Uniform(lo, hi)) from its end cells, in
         O(1) of the width. The interior is symmetric about (kl + kh) / 2, so
-        only the end cells shift the mean: lo = -hi gives mean exactly 0."""
-        lo, hi = self.p1, self.p2
+        only the end cells shift the mean: lo = -hi gives mean exactly 0.
+        Each term divides by the width before its last product, so the
+        variance stays finite wherever w^2 / 12 is (w up to about 4.6e154)."""
+        width = self.p2 - self.p1
         kl, kh, wl, wh = self._rounded_ends()
         half, inner = (kh - kl) / 2, float(kh - kl - 1)
-        shift = half * (wh - wl) / (hi - lo)
-        second = (half * (half * (wl + wh)) + inner * (inner * inner - 1.0) / 12.0) / (hi - lo)
-        return (kl + kh) / 2 + shift, second - shift * shift
+        shift = half * (wh - wl) / width
+        ends = half * (half * ((wl + wh) / width))
+        interior = inner * ((inner + 1.0) / width) * ((inner - 1.0) / 12.0)
+        return (kl + kh) / 2 + shift, ends + interior - shift * shift
 
     def _moments(self) -> tuple[float, float]:
         """(mean, variance), dispatched on the family once."""

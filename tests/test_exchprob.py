@@ -17,6 +17,7 @@ from peclab.exchprob import (
     MAX_SUPPORT,
     QUAD_NODES,
     TableMode,
+    _COUNTED_POINTS,
     aee_from_table,
     analytic_product_table,
     empirical_table,
@@ -91,6 +92,23 @@ def test_structural_zero_cells_are_zero(table2_table):
         assert table2_table.cell(xep, x, y) == 0.0
 
 
+def test_an_array_of_cells_reads_each_cell_as_its_scalar_lookup(table2_table):
+    # on and off each support, below its first point and above its last,
+    # and a value that keys onto a point
+    xep = np.array([9.0, 7.0, 11.0, 6.0, 12.0, 9.0, 9.0000000001, 10.0])
+    x = np.array([8.0, 8.0, 10.0, 8.0, 10.0, 11.0, 8.0, 9.0])
+    y = np.array([0.7, 0.7, 1.0, 0.7, 1.0, 0.7, 0.7, 0.6])
+    cells = table2_table.cell(xep, x, y)
+    assert cells.shape == xep.shape
+    assert cells.tolist() == [table2_table.cell(*v) for v in zip(xep.tolist(), x.tolist(), y.tolist())]
+    assert cells[0] > 0 and cells[3] == cells[4] == cells[5] == 0.0
+    assert type(table2_table.cell(9, 8, 0.7)) is float
+    # one axis's values broadcast against the others' scalars
+    np.testing.assert_array_equal(
+        table2_table.cell(xep, 8.0, 0.7), [table2_table.cell(e, 8.0, 0.7) for e in xep.tolist()]
+    )
+
+
 def test_no_error_world_concentrates_on_diagonal():
     x = sample(DistributionSpec.rounded_uniform(0, 4), StreamKey(4, 0, 11), 50_000)
     w = sample(DistributionSpec.rounded_uniform(-1, 1), StreamKey(4, 0, 9), 50_000)
@@ -144,8 +162,10 @@ def _odd_discrete_columns(rng, n):
     return [negative, signed_zero, collapsing, single]
 
 
-def _assert_matches_unique_inverse(ds):
-    table = empirical_table(ds)
+def _assert_matches_unique_inverse(ds, rows=None):
+    """The table of ``ds``, or of its stream of ``rows``-row blocks, checked
+    against the reference."""
+    table = empirical_table(ds if rows is None else _cut({c: ds[c] for c in ds.names}, rows))
     ev, xv, yv, counts = _unique_inverse_table(ds)
     # by value: the reference keeps whichever of -0.0 and 0.0 sorts first,
     # the table's support +0.0
@@ -306,6 +326,78 @@ def test_support_indices_fit_uint8():
     )
 
 
+def _grid(shape, rng):
+    """Every cell of an (Xep, X, Y) grid of ``shape`` points once, in random
+    order, as columns."""
+    ie, ix, iy = np.unravel_index(rng.permutation(math.prod(shape)), shape)
+    return {"X": ix * 0.5 - 3.0, "Xep": ie * 0.25, "Y": iy * 0.1 + 1.0}
+
+
+@pytest.mark.parametrize(
+    "shape", [(4, 8, 8), (2, 3, 43), (16, 64, 64), (10, 69, 95)],
+    ids=["256_cells", "258_cells", "65536_cells", "65550_cells"],
+)
+def test_the_top_cell_code_at_each_code_width_boundary(shape):
+    # the top code is 255 and 257, past uint8, then 65,535 and 65,549, past
+    # uint16; the max-support test above reaches uint32's 10^6 - 1
+    ds = Dataset(_grid(shape, np.random.default_rng(math.prod(shape))))
+    for rows in (None, 1000):
+        table = _assert_matches_unique_inverse(ds, rows)
+        assert table.counts.shape == shape
+        assert (table.counts == 1).all()
+
+
+@pytest.mark.parametrize(
+    "before, after", [((4, 8, 8), (4, 8, 9)), ((16, 64, 64), (16, 65, 64))]
+)
+def test_the_code_width_grows_between_blocks(before, after):
+    # the first block is the whole 256 (65,536) cell table; later blocks
+    # bring one more X point and the codes need the next wider type
+    rng = np.random.default_rng(0)
+    first, later = _grid(before, rng), _grid(after, rng)
+    ds = Dataset({c: np.concatenate([first[c], later[c]]) for c in first})
+    table = _assert_matches_unique_inverse(ds, rows=math.prod(before))
+    assert table.counts.shape == after
+
+
+def _crossing(column, first, later, late_value=None):
+    """Four blocks of 1000 rows where ``column`` holds ``first`` points in
+    the first two and ``later`` points after them; ``late_value``, if any,
+    sits in one row of the last block only."""
+    i = np.arange(4000)
+    columns = {"X": i % 3 * 1.0, "Xep": i % 5 * 0.5, "Y": i % 2 * 0.25}
+    columns[column] = 10.0 + np.where(i < 2000, i % first, i % later)
+    if late_value is not None:
+        columns[column][3500] = late_value
+    return Dataset(columns)
+
+
+@pytest.mark.parametrize("column", ["X", "Xep", "Y"])
+@pytest.mark.parametrize(
+    "first, later",
+    [(_COUNTED_POINTS - 1, _COUNTED_POINTS), (_COUNTED_POINTS, _COUNTED_POINTS - 1),
+     (2, _COUNTED_POINTS + 20)],
+)
+def test_a_support_crosses_the_counting_crossover_in_a_later_block(column, first, later):
+    # the third block grows a counted support to be gathered, or, with
+    # fewer points later, leaves a gathered support as it is
+    table = _assert_matches_unique_inverse(_crossing(column, first, later), rows=1000)
+    support = {"X": table.x_support, "Xep": table.xep_support, "Y": table.y_support}[column]
+    assert support.size == max(first, later)
+
+
+@pytest.mark.parametrize("column", ["X", "Xep", "Y"])
+@pytest.mark.parametrize("points", [3, _COUNTED_POINTS + 4], ids=["counted", "gathered"])
+@pytest.mark.parametrize("where", ["between", "below", "above"])
+def test_a_late_value_off_the_support_grows_it(column, points, where):
+    # one value in the last block lies strictly between two points, below
+    # the first or above the last of a support every earlier block filled
+    late = {"between": 11.5, "below": 9.0, "above": 10.0 + points}[where]
+    table = _assert_matches_unique_inverse(_crossing(column, points, points, late), rows=1000)
+    support = {"X": table.x_support, "Xep": table.xep_support, "Y": table.y_support}[column]
+    assert support.size == points + 1 and late in support
+
+
 @pytest.mark.parametrize("order", ["sorted", "reverse_sorted", "shuffled"])
 def test_empirical_table_does_not_depend_on_row_order(order):
     rng = np.random.default_rng(3)
@@ -337,9 +429,11 @@ def _tabulation_peak(ds):
 
 
 def test_empirical_table_peak_memory_is_fixed_by_the_block():
-    # one block's keyed values, sorted copy, masks, uint8 indices and intp
-    # codes, whatever the row count; one keyed column, its sorted copy and
-    # an intp code array as long as the table read about 20 MiB at 10^6 rows
+    # one block's keyed values, sorted copy, masks, uint8 indices and
+    # narrow codes (uint8 here), whatever the row count; the counting test
+    # of a small support makes no float gather buffer; one keyed column,
+    # its sorted copy and an intp code array as long as the table read
+    # about 20 MiB at 10^6 rows
     peaks = [
         _tabulation_peak(generate_table2_world(n, 5))
         for n in (8 * BLOCK_ROWS, 16 * BLOCK_ROWS, 10**6)

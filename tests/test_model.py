@@ -195,11 +195,13 @@ def test_no_quadratic_term_is_formed_when_beta_x2_is_zero():
 
 
 def test_a_wide_rounded_uniform_noise_validates():
-    # its 2e18 + 1 cells are never enumerated
+    # its width + 1 cells are never enumerated, and its variance is finite
+    # past 5.6e102, where the cube of the width overflows
     s = worlds.table3_scenario(1)
-    wide = DistributionSpec.rounded_uniform(-1e18, 1e18)
-    assert validate_scenario(replace(s, outcome=replace(s.outcome, noise=wide))) == []
-    assert wide.variance() == pytest.approx(4e36 / 12, rel=1e-12)
+    for width in (2e18, 1e103, 1e150):
+        wide = DistributionSpec.rounded_uniform(-width / 2, width / 2)
+        assert validate_scenario(replace(s, outcome=replace(s.outcome, noise=wide))) == []
+        assert wide.variance() == pytest.approx(width * width / 12, rel=1e-12), width
 
 
 @pytest.mark.parametrize(
