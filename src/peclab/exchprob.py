@@ -62,14 +62,6 @@ MAX_SUPPORT = 100
 # of 2^14 to 2^16 rows, 44 ms at 2^17, 68 ms at 2^20, and 48 ms at 2^12,
 # where numpy's per-call cost shows.
 BLOCK_ROWS = 1 << 16
-# A support of fewer points than this is tested for a block's new values by
-# counting the keyed values equal to each point, a larger one by gathering
-# each value's point and comparing. Per 65,536-row column in random order on
-# a 2-core VM (medians of 15 interleaved rounds, three runs), counting takes
-# 23-25 us at 2 points, 34-36 at 3, 56-59 at 5 and 68-71 at 6, against 74-88
-# us for the gather at any size; at 7 points it takes 78-81 us against
-# 74-80, at 8 points 90-93 and at 100 points 1.13-1.15 ms.
-_COUNTED_POINTS = 7
 
 
 def _keyed(values, out=None) -> np.ndarray:
@@ -148,11 +140,14 @@ class ExchProbTable:
 
 def _reach(keyed: np.ndarray, points: np.ndarray, index: np.ndarray, mask: np.ndarray) -> None:
     """Adds to the uint8 ``index`` the number of ``points`` each keyed value
-    reaches, one pass per point through ``mask``. Over a sorted support's
-    points above the first, that is each on-support value's position in it
-    (MAX_SUPPORT <= 256 keeps it from wrapping)."""
+    reaches, one pass per point through ``mask``, added as its uint8 view so
+    that the add casts nothing. Over a sorted support's points above the
+    first, that is each on-support value's position in it (MAX_SUPPORT <=
+    256 keeps it from wrapping)."""
+    reached = mask.view(np.uint8)
     for point in points:
-        index += np.greater_equal(keyed, point, out=mask)
+        np.greater_equal(keyed, point, out=mask)
+        index += reached
 
 
 _COLUMNS = ("X", "Xep", "Y")
@@ -204,60 +199,47 @@ def empirical_table(source) -> ExchProbTable:
     pass over blocks of at most BLOCK_ROWS rows, through scratch buffers of
     one block, so no scratch grows with the rows. Each block's columns are
     keyed once and indexed in their supports so far by counting, in uint8,
-    the points each value reaches (``_reach``). A column brought nothing new
-    when every value lies on its support (-0.0 on +0.0). Below
-    _COUNTED_POINTS points that is read by counting the values equal to
-    each point: each value equals at most one, so the counts sum to the
-    block's rows exactly when none is off the support. A larger support
-    gathers ``support[index]`` and compares it with the keyed values, which
-    costs the same at any size. A column that did bring a new value takes
-    the block's ``np.unique``, its support grows to the ``_support`` of the
-    union (the same sorted set, a zero as +0.0, that one sort of the whole
-    keyed column gives), and the index counts the added points too. The
-    integer counts so far are laid onto the grown supports (``_lay``), so
-    the table keeps its bits whatever order the values come in. On columns
-    in random order (every simulated world) the counting passes beat a
-    binary search at every support size up to MAX_SUPPORT; a sorted column,
-    which only a CSV can feed, grows its support in nearly every block. A
-    block's joint cell codes are worked straight from the uint8 indices in
-    the narrowest unsigned type that holds the table's largest code: uint8
-    up to 256 cells (Table 2 has 75), uint16 up to 65,536 and uint32 up to
-    MAX_SUPPORT^3. They are added into the intp counts with ``np.add.at``,
-    which, unlike a bincount, costs no pass over the whole table. A support
-    that passes MAX_SUPPORT reads the rest of the source for its full
-    distinct count, and X is named before Xep, Xep before Y."""
+    the points each value reaches (``_reach``). Where ``support[index] ==
+    keyed`` for every value (-0.0 on +0.0) the column brought nothing new
+    and needs no sort. Otherwise it takes the block's ``np.unique``, its
+    support grows to the ``_support`` of the union (the same sorted set, a
+    zero as +0.0, that one sort of the whole keyed column gives), and the
+    index counts the added points too. The integer counts so far are laid
+    onto the grown supports (``_lay``), so the table keeps its bits whatever
+    order the values come in. On columns in random order (every simulated
+    world) the counting passes beat a binary search at every support size
+    up to MAX_SUPPORT; a sorted column, which only a CSV can feed, grows its
+    support in nearly every block. A block's joint cell codes are worked
+    straight from the uint8 indices in the narrowest unsigned type that
+    holds the table's largest code: uint8 up to 256 cells (Table 2 has 75),
+    uint16 up to 65,536 and uint32 up to MAX_SUPPORT^3. They are added into
+    the intp counts with ``np.add.at``, which, unlike a bincount, costs no
+    pass over the whole table. A support that passes MAX_SUPPORT reads the
+    rest of the source for its full distinct count, and X is named before
+    Xep, Xep before Y."""
     blocks = _blocks(source)
     supports = [np.empty(0)] * len(_COLUMNS)
     counts = np.zeros((0, 0, 0), dtype=np.intp)
-    keyed = np.empty(BLOCK_ROWS)
+    keyed, points = np.empty(BLOCK_ROWS), np.empty(BLOCK_ROWS)
     mask = np.empty(BLOCK_ROWS, dtype=bool)
     indices = np.empty((len(_COLUMNS), BLOCK_ROWS), dtype=np.uint8)
-    # the gather path's intp positions, then the block's narrow cell codes
-    scratch = np.empty(BLOCK_ROWS, dtype=np.intp)
-    points = None  # the gather path's float buffer, made on its first use
+    # the gather's intp positions, then the block's narrow cell codes
+    code = np.empty(BLOCK_ROWS, dtype=np.intp)
     for block in blocks:
         rows = len(block["X"])
-        k, m = keyed[:rows], mask[:rows]
+        k, m, c = keyed[:rows], mask[:rows], code[:rows]
         grown = list(supports)
         for i, name in enumerate(_COLUMNS):
             _keyed(block[name], out=k)
             index = indices[i, :rows]
             index.fill(0)
             _reach(k, grown[i][1:], index, m)
-            if grown[i].size < _COUNTED_POINTS:
-                # each value equals at most one point: the counts sum to
-                # the rows exactly when no value is off the support
-                hits = sum(np.count_nonzero(np.equal(k, p, out=m)) for p in grown[i])
-                known = hits == rows
-            else:
-                if points is None:
-                    points = np.empty(BLOCK_ROWS)
-                at = scratch[:rows]
-                np.copyto(at, index)
-                # take's clip mode writes into its out unbuffered; every
-                # position is in range
-                known = np.equal(grown[i].take(at, out=points[:rows], mode="clip"), k, out=m).all()
-            if known:
+            # take's clip mode writes into its out unbuffered; every index
+            # is in range
+            np.copyto(c, index)
+            if grown[i].size and np.equal(
+                grown[i].take(c, out=points[:rows], mode="clip"), k, out=m
+            ).all():
                 continue
             before = grown[i]
             grown[i] = _support(np.concatenate([before, np.unique(k)]))
@@ -272,7 +254,7 @@ def empirical_table(source) -> ExchProbTable:
         # the narrowest unsigned type that holds the largest cell code;
         # every partial code is at most that code
         code_type = np.min_scalar_type(counts.size - 1)
-        c = scratch.view(code_type)[:rows]
+        c = code.view(code_type)[:rows]
         np.multiply(indices[1, :rows], supports[0].size, out=c, dtype=code_type)
         c += indices[0, :rows]
         c *= supports[2].size

@@ -29,14 +29,13 @@ table2 is one world of 10^6 rows, tabulated as it is drawn: the
 exchangeability-probability grid and its AEEs come from one
 ``empirical_table`` of the ``table2_blocks`` stream (one pass over blocks of
 rows, each value keyed once and indexed by one uint8 counting pass per
-support point: no sort once a block brings no new value, which the
-supports of 3 and 5 points read by counting the values equal to each
-point, no binary search, uint8 cell codes for its 75 cells, and no array
-that grows with the rows), and both the calibration (gamma0, gamma1) and
-the p_rd R^2 are read from the same table's joint (Xep, X) counts. The
-world's columns are discrete, so those counts are sufficient for both fits
-and no tall design is built. The 45 published cells are read in one
-lookup, each axis's values keyed once.
+support point: no sort once a block brings no new value, no binary
+search, uint8 cell codes for its 75 cells, and no array that grows with the
+rows), and both the calibration (gamma0, gamma1) and the p_rd R^2 are read
+from the same table's joint (Xep, X) counts. The world's columns are
+discrete, so those counts are sufficient for both fits and no tall design
+is built. The 45 published cells are read in one lookup, each axis's
+values keyed once.
 
 Every keyed draw is (seed, replication, column), without the scenario, so
 the scenarios of a table share common random numbers by construction; a

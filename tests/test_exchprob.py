@@ -17,7 +17,6 @@ from peclab.exchprob import (
     MAX_SUPPORT,
     QUAD_NODES,
     TableMode,
-    _COUNTED_POINTS,
     aee_from_table,
     analytic_product_table,
     empirical_table,
@@ -360,40 +359,19 @@ def test_the_code_width_grows_between_blocks(before, after):
     assert table.counts.shape == after
 
 
-def _crossing(column, first, later, late_value=None):
-    """Four blocks of 1000 rows where ``column`` holds ``first`` points in
-    the first two and ``later`` points after them; ``late_value``, if any,
-    sits in one row of the last block only."""
-    i = np.arange(4000)
-    columns = {"X": i % 3 * 1.0, "Xep": i % 5 * 0.5, "Y": i % 2 * 0.25}
-    columns[column] = 10.0 + np.where(i < 2000, i % first, i % later)
-    if late_value is not None:
-        columns[column][3500] = late_value
-    return Dataset(columns)
-
-
 @pytest.mark.parametrize("column", ["X", "Xep", "Y"])
-@pytest.mark.parametrize(
-    "first, later",
-    [(_COUNTED_POINTS - 1, _COUNTED_POINTS), (_COUNTED_POINTS, _COUNTED_POINTS - 1),
-     (2, _COUNTED_POINTS + 20)],
-)
-def test_a_support_crosses_the_counting_crossover_in_a_later_block(column, first, later):
-    # the third block grows a counted support to be gathered, or, with
-    # fewer points later, leaves a gathered support as it is
-    table = _assert_matches_unique_inverse(_crossing(column, first, later), rows=1000)
-    support = {"X": table.x_support, "Xep": table.xep_support, "Y": table.y_support}[column]
-    assert support.size == max(first, later)
-
-
-@pytest.mark.parametrize("column", ["X", "Xep", "Y"])
-@pytest.mark.parametrize("points", [3, _COUNTED_POINTS + 4], ids=["counted", "gathered"])
+@pytest.mark.parametrize("points", [3, 11])
 @pytest.mark.parametrize("where", ["between", "below", "above"])
 def test_a_late_value_off_the_support_grows_it(column, points, where):
-    # one value in the last block lies strictly between two points, below
-    # the first or above the last of a support every earlier block filled
+    # four blocks of 1000 rows fill a support of ``points`` points; one value
+    # in the last block lies strictly between two of them, below the first
+    # or above the last
+    i = np.arange(4000)
+    columns = {"X": i % 3 * 1.0, "Xep": i % 5 * 0.5, "Y": i % 2 * 0.25}
+    columns[column] = 10.0 + i % points
     late = {"between": 11.5, "below": 9.0, "above": 10.0 + points}[where]
-    table = _assert_matches_unique_inverse(_crossing(column, points, points, late), rows=1000)
+    columns[column][3500] = late
+    table = _assert_matches_unique_inverse(Dataset(columns), rows=1000)
     support = {"X": table.x_support, "Xep": table.xep_support, "Y": table.y_support}[column]
     assert support.size == points + 1 and late in support
 
@@ -430,8 +408,7 @@ def _tabulation_peak(ds):
 
 def test_empirical_table_peak_memory_is_fixed_by_the_block():
     # one block's keyed values, sorted copy, masks, uint8 indices and
-    # narrow codes (uint8 here), whatever the row count; the counting test
-    # of a small support makes no float gather buffer; one keyed column,
+    # narrow codes (uint8 here), whatever the row count; one keyed column,
     # its sorted copy and an intp code array as long as the table read
     # about 20 MiB at 10^6 rows
     peaks = [
